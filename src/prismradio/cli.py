@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Iterator
 
@@ -33,6 +34,15 @@ from .graphs import PrismGraph, build_graph
 from .labeling import CaseId, Labeling, case_select, construct_labeling
 from .selftest import run_selftest
 from .verification import verify
+
+# The library needs no scipy.  perfbench/repeat.py records
+# sys.modules["scipy"].__version__ after each benchmark run, so the bare
+# package root (about 12 ms to import, none of its submodules) stays loaded
+# until the benchmark reads versions from package metadata instead.
+try:
+    import scipy  # noqa: F401
+except ImportError:
+    pass
 
 EXIT_OK = 0
 EXIT_INVALID_LABELING = 1
@@ -60,7 +70,8 @@ def labeling_from_dict(data: object) -> tuple[int, int, Labeling]:
         if key not in data:
             raise ValueError(f"malformed labeling file: missing key {key!r}")
     n, s = data["n"], data["s"]
-    if not isinstance(n, int) or not isinstance(s, int):
+    # exact type checks: bool is an int subclass, and JSON true must not pass for 1
+    if type(n) is not int or type(s) is not int:
         raise ValueError("malformed labeling file: n and s must be integers")
     entries = data["labels"]
     if not isinstance(entries, list):
@@ -71,7 +82,7 @@ def labeling_from_dict(data: object) -> tuple[int, int, Labeling]:
         if not isinstance(entry, dict) or not {"cycle", "pos", "label"} <= set(entry):
             raise ValueError("malformed labeling file: each label needs cycle, pos, label")
         cycle, pos, label = entry["cycle"], entry["pos"], entry["label"]
-        if not all(isinstance(x, int) for x in (cycle, pos, label)):
+        if not (type(cycle) is int and type(pos) is int and type(label) is int):
             raise ValueError("malformed labeling file: cycle, pos, label must be integers")
         if not (cycle in (1, 2) and 1 <= pos <= n):
             raise ValueError(f"labeling references unknown vertex: ({cycle},{pos})")
@@ -102,9 +113,12 @@ def _parse_budget(text: str) -> float:
         value = float(raw)
     except ValueError:
         raise ValueError(f"cannot parse time budget {text!r} (use e.g. 60s, 5m, 1h)") from None
-    if value < 0:
+    seconds = value * scale[unit]
+    if not math.isfinite(seconds):  # NaN would make a deadline no clock reaches
+        raise ValueError(f"time budget must be finite, got {text!r}")
+    if seconds < 0:
         raise ValueError("time budget must be nonnegative")
-    return value * scale[unit]
+    return seconds
 
 
 def cmd_rn(args: argparse.Namespace) -> int:

@@ -16,10 +16,16 @@ Coordinates wrap: cycle index modulo 2, position modulo n, both mapped back
 into 1-based ranges.  Wrapping happens when a Vertex is created (see
 ``normalize_vertex`` / ``PrismGraph.vertex``), never at lookup time.
 
-Distances are hop counts from an all-pairs breadth-first search run once at
-build time (delegated to scipy's C implementation).  The resulting matrix is
-frozen read-only, so built graphs are immutable and safe to share across
-threads.  ``build_graph`` memoizes instances keyed on (n, s).
+Distances are hop counts.  Shifting every position by the same amount maps
+edges to edges, so d((c, i), (c', j)) depends only on c, c' and (j - i)
+mod n, and the whole metric is two breadth-first-search rows, one from (1, 1)
+and one from (2, 1).  ``PrismGraph.rows`` holds them as a read-only
+(2, 2, n) array, so a graph costs O(n) memory and O(n) build time.  The
+dense 2n x 2n matrix ``PrismGraph.dist`` is derived from the rows on first
+access and cached; only small-n consumers (the exact search, the
+triple-budget sweep, the selftest graphs suite) read it.  Built graphs are
+immutable and safe to share across threads.  ``build_graph`` memoizes
+instances keyed on (n, s).
 """
 
 from __future__ import annotations
@@ -29,8 +35,6 @@ from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 __all__ = [
     "Vertex",
@@ -75,24 +79,43 @@ def _validate_params(n: int, s: int) -> None:
         )
 
 
-class PrismGraph:
-    """An immutable Z(n, s) instance with its all-pairs distance matrix.
+def _dense_from_rows(rows: np.ndarray) -> np.ndarray:
+    """The 2n x 2n matrix dist[c*n + i, c'*n + j] = rows[c, c', (j - i) mod n]."""
+    n = rows.shape[2]
+    k = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+    dist = np.block([[rows[0, 0][k], rows[0, 1][k]], [rows[1, 0][k], rows[1, 1][k]]])
+    dist.setflags(write=False)
+    return dist
 
-    Vertex (c, p) maps to matrix index (c - 1) * n + (p - 1); ``dist`` is a
-    read-only integer matrix of hop counts and ``diameter`` its maximum.
-    Use ``build_graph`` to obtain instances.
+
+class PrismGraph:
+    """An immutable Z(n, s) instance with its rotation-invariant metric.
+
+    ``rows[c, c', k]`` is the hop distance from (c + 1, 1) to (c' + 1, 1 + k)
+    (0-based c, c', k); ``diameter`` is its maximum.  Vertex (c, p) maps to
+    matrix index (c - 1) * n + (p - 1), and ``dist`` is the read-only dense
+    matrix of hop counts over those indices, built on first access.  Use
+    ``build_graph`` to obtain instances.
     """
 
-    __slots__ = ("n", "s", "dist", "diameter")
+    __slots__ = ("n", "s", "rows", "diameter", "_dist")
 
-    def __init__(self, n: int, s: int, dist: np.ndarray, diam: int):
+    def __init__(self, n: int, s: int, rows: np.ndarray, diam: int):
         self.n = n
         self.s = s
-        self.dist = dist
+        self.rows = rows
         self.diameter = diam
+        self._dist: np.ndarray | None = None
 
     def __repr__(self) -> str:
         return f"PrismGraph(n={self.n}, s={self.s}, diameter={self.diameter})"
+
+    @property
+    def dist(self) -> np.ndarray:
+        """Read-only 2n x 2n int32 distance matrix; O(n^2) memory, built lazily."""
+        if self._dist is None:
+            self._dist = _dense_from_rows(self.rows)
+        return self._dist
 
     @property
     def num_vertices(self) -> int:
@@ -121,57 +144,86 @@ class PrismGraph:
                 yield Vertex(c, p)
 
     def neighbors(self, v: Vertex) -> list[Vertex]:
-        row = self.dist[self.index(v)]
-        return [self.vertex_at(i) for i in np.flatnonzero(row == 1)]
+        """Adjacent vertices in (cycle, position) lexicographic order."""
+        i = self.index(v)
+        c, p = divmod(i, self.n)
+        out = []
+        for c2 in (0, 1):
+            ks = np.flatnonzero(self.rows[c, c2] == 1)
+            out += [Vertex(c2 + 1, int(q) + 1) for q in np.sort((p + ks) % self.n)]
+        return out
 
     def edges(self) -> list[tuple[Vertex, Vertex]]:
-        """Each edge once, endpoint indices ascending."""
-        ii, jj = np.nonzero(np.triu(self.dist == 1))
-        return [(self.vertex_at(int(i)), self.vertex_at(int(j))) for i, j in zip(ii, jj)]
+        """Each edge once, endpoint indices ascending, sorted by index pair."""
+        n = self.n
+        pos = np.arange(n)
+        ii, jj = [], []
+        for c in (0, 1):
+            for c2 in (0, 1):
+                ks = np.flatnonzero(self.rows[c, c2] == 1)
+                ii.append(np.repeat(c * n + pos, ks.size))
+                jj.append((c2 * n + (pos[:, None] + ks[None, :]) % n).ravel())
+        ii, jj = np.concatenate(ii), np.concatenate(jj)
+        keep = ii < jj
+        ii, jj = ii[keep], jj[keep]
+        order = np.lexsort((jj, ii))
+        return [(self.vertex_at(int(i)), self.vertex_at(int(j)))
+                for i, j in zip(ii[order], jj[order])]
 
     def distance(self, u: Vertex, v: Vertex) -> int:
-        return int(self.dist[self.index(u), self.index(v)])
+        (c, p), (c2, p2) = divmod(self.index(u), self.n), divmod(self.index(v), self.n)
+        return int(self.rows[c, c2, (p2 - p) % self.n])
+
+
+def _bfs_row(n: int, s: int, source: int) -> list[int]:
+    """Hop distances from vertex index ``source`` to every index of Z(n, s).
+
+    Index c * n + p is vertex (c + 1, p + 1).  (1, p) is joined to (2, p + d)
+    for each cross offset d, so (2, p) is joined to (1, p - d).
+    """
+    offsets = range(-((s - 1) // 2), s // 2 + 1)
+    steps = (
+        [(0, 1), (0, -1)] + [(n, d) for d in offsets],
+        [(n, 1), (n, -1)] + [(0, -d) for d in offsets],
+    )
+    dist = [-1] * (2 * n)
+    dist[source] = 0
+    queue = [source]
+    for u in queue:  # the list grows while it is read: a FIFO queue
+        du = dist[u] + 1
+        c = u >= n
+        p = u - n if c else u
+        for base, delta in steps[c]:
+            w = base + (p + delta) % n
+            if dist[w] < 0:
+                dist[w] = du
+                queue.append(w)
+    return dist
 
 
 @lru_cache(maxsize=128)
 def build_graph(n: int, s: int) -> PrismGraph:
-    """Construct Z(n, s) and precompute all hop distances.
+    """Construct Z(n, s) and its distance rows from (1, 1) and (2, 1).
 
     Raises ValueError("unsupported graph parameters") outside the supported
-    range.  The edge set is deduplicated, so the graph is simple even where
-    cross offsets would coincide after reduction mod n.
+    range.  Asserts that the graph is connected, that the rows describe a
+    symmetric metric (d(u, v) = d(v, u) and d(v, v) = 0) and that the
+    diameter matches the closed form.
     """
     _validate_params(n, s)
-    nv = 2 * n
+    rows = np.array([_bfs_row(n, s, 0), _bfs_row(n, s, n)], dtype=np.int32).reshape(2, 2, n)
+    assert (rows >= 0).all(), "prism graph must be connected"
+    # d((c, 1), (c', 1 + k)) == d((c', 1), (c, 1 - k)), and d(v, v) == 0
+    back = (-np.arange(n)) % n
+    assert (rows == rows.transpose(1, 0, 2)[:, :, back]).all()
+    assert rows[0, 0, 0] == rows[1, 1, 0] == 0
 
-    def idx(c: int, p: int) -> int:
-        return (c - 1) * n + (p - 1) % n
-
-    edge_set: set[tuple[int, int]] = set()
-    for c in (1, 2):
-        for p in range(1, n + 1):
-            a, b = idx(c, p), idx(c, p + 1)
-            edge_set.add((min(a, b), max(a, b)))
-    for p in range(1, n + 1):
-        for off in range(-((s - 1) // 2), s // 2 + 1):
-            a, b = idx(1, p), idx(2, p + off)
-            edge_set.add((min(a, b), max(a, b)))
-
-    rows = [a for a, b in edge_set] + [b for a, b in edge_set]
-    cols = [b for a, b in edge_set] + [a for a, b in edge_set]
-    adj = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(nv, nv))
-
-    d = shortest_path(adj, method="D", unweighted=True)
-    assert np.isfinite(d).all(), "prism graph must be connected"
-    dist = d.astype(np.int32)
-    assert (dist == dist.T).all() and (np.diag(dist) == 0).all()
-
-    diam = int(dist.max())
+    diam = int(rows.max())
     assert diam == (n + 3 - s) // 2, (
         f"diameter {diam} of Z({n},{s}) deviates from closed form {(n + 3 - s) // 2}"
     )
-    dist.setflags(write=False)
-    return PrismGraph(n, s, dist, diam)
+    rows.setflags(write=False)
+    return PrismGraph(n, s, rows, diam)
 
 
 def distance(g: PrismGraph, u: Vertex, v: Vertex) -> int:

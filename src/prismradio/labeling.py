@@ -111,9 +111,7 @@ def _split_index(j: int, n: int) -> tuple[int, bool]:
     return j // 2, False
 
 
-def position_case1(n: int, s: int, j: int) -> Vertex:
-    """Case-1 position of alpha_j: omega-steps on cycle 1, offset walk on cycle 2."""
-    _require_case(n, s, CaseId.CASE1, "position_case1")
+def _case1(n: int, s: int, j: int) -> Vertex:
     i, odd = _split_index(j, n)
     w = omega(n)
     if odd:
@@ -121,9 +119,7 @@ def position_case1(n: int, s: int, j: int) -> Vertex:
     return normalize_vertex(2, 1 + d_offset(n, s) + w * (i - 1), n)
 
 
-def position_case2(n: int, s: int, j: int) -> Vertex:
-    """Case-2 position of alpha_j (n = 4k, s in {1, 3})."""
-    _require_case(n, s, CaseId.CASE2, "position_case2")
+def _case2(n: int, s: int, j: int) -> Vertex:
     i, odd = _split_index(j, n)
     k = n // 4
     l = (i - 1) // 4
@@ -132,9 +128,7 @@ def position_case2(n: int, s: int, j: int) -> Vertex:
     return normalize_vertex(2 + l, 1 + k * (i + 1) - l, n)
 
 
-def position_case3(n: int, s: int, j: int) -> Vertex:
-    """Case-3 position of alpha_j (n = 4k, s = 2)."""
-    _require_case(n, s, CaseId.CASE3, "position_case3")
+def _case3(n: int, s: int, j: int) -> Vertex:
     i, odd = _split_index(j, n)
     k = n // 4
     l = (i - 1) // 2
@@ -143,9 +137,7 @@ def position_case3(n: int, s: int, j: int) -> Vertex:
     return normalize_vertex(i, 1 + k * (i + 1) - l, n)
 
 
-def position_case4(n: int, s: int, j: int) -> Vertex:
-    """Case-4 position of alpha_j (n = 4k + 2, k even, s = 3)."""
-    _require_case(n, s, CaseId.CASE4, "position_case4")
+def _case4(n: int, s: int, j: int) -> Vertex:
     i, odd = _split_index(j, n)
     k = (n - 2) // 4
     l = 0 if i <= 2 * k + 1 else 1
@@ -154,12 +146,39 @@ def position_case4(n: int, s: int, j: int) -> Vertex:
     return normalize_vertex(l, 2 + (i + 1) * k, n)
 
 
+# The position formulas without the case check: callers that have already
+# run case_select (construct_labeling, selftest) index this table directly.
 _POSITION_FOR_CASE: dict[CaseId, Callable[[int, int, int], Vertex]] = {
-    CaseId.CASE1: position_case1,
-    CaseId.CASE2: position_case2,
-    CaseId.CASE3: position_case3,
-    CaseId.CASE4: position_case4,
+    CaseId.CASE1: _case1,
+    CaseId.CASE2: _case2,
+    CaseId.CASE3: _case3,
+    CaseId.CASE4: _case4,
 }
+
+
+def position_case1(n: int, s: int, j: int) -> Vertex:
+    """Case-1 position of alpha_j: omega-steps on cycle 1, offset walk on cycle 2."""
+    _require_case(n, s, CaseId.CASE1, "position_case1")
+    return _case1(n, s, j)
+
+
+def position_case2(n: int, s: int, j: int) -> Vertex:
+    """Case-2 position of alpha_j (n = 4k, s in {1, 3})."""
+    _require_case(n, s, CaseId.CASE2, "position_case2")
+    return _case2(n, s, j)
+
+
+def position_case3(n: int, s: int, j: int) -> Vertex:
+    """Case-3 position of alpha_j (n = 4k, s = 2)."""
+    _require_case(n, s, CaseId.CASE3, "position_case3")
+    return _case3(n, s, j)
+
+
+def position_case4(n: int, s: int, j: int) -> Vertex:
+    """Case-4 position of alpha_j (n = 4k + 2, k even, s = 3)."""
+    _require_case(n, s, CaseId.CASE4, "position_case4")
+    return _case4(n, s, j)
+
 
 # Span-9 radio labeling of Z(4, 3), found once by exact_radio_number and
 # frozen as a regression constant (the graph falls outside the general pattern).

@@ -146,6 +146,19 @@ def test_verify_unknown_vertex(capsys, tmp_path):
     assert "unknown vertex" in err
 
 
+@pytest.mark.parametrize("field", ["cycle", "pos"])
+def test_verify_rejects_json_booleans(capsys, tmp_path, field):
+    # true must not pass for the integer 1 (which would make this file INVALID)
+    _, out, _ = run(capsys, "label", "--n", "5", "--s", "1", "--format", "json")
+    data = json.loads(out)
+    data["labels"][0][field] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--file", str(path))
+    assert code == 2
+    assert "must be integers" in err and out == ""
+
+
 def test_verify_ignores_stale_span_field(capsys, tmp_path):
     # hand-edited files are judged on radio validity, not bookkeeping
     _, out, _ = run(capsys, "label", "--n", "5", "--s", "1", "--format", "json")
@@ -183,6 +196,13 @@ def test_exact_bad_budget(capsys):
     code, _, err = run(capsys, "exact", "--n", "4", "--s", "1", "--budget", "soon")
     assert code == 2
     assert "time budget" in err
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf", "nans", "1e400m", "1e307h"])
+def test_exact_rejects_non_finite_budget(capsys, budget):
+    code, out, err = run(capsys, "exact", "--n", "4", "--s", "1", "--budget", budget)
+    assert code == 2
+    assert "time budget must be finite" in err and out == ""
 
 
 def test_table_text(capsys):

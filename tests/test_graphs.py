@@ -14,6 +14,7 @@ from prismradio import (
     principal_cycle,
     standard_cycle,
 )
+from reference import all_pairs_distances
 
 
 @given(st.integers(-20, 20), st.integers(-50, 50), st.integers(3, 40))
@@ -180,3 +181,27 @@ def test_is_v_tight_rejects_foreign_vertex():
 
 def test_build_graph_memoizes():
     assert build_graph(12, 2) is build_graph(12, 2)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_distances_match_scipy_all_pairs_bfs(s):
+    # the rows-derived matrix against scipy over the explicit edge list
+    for n in list(range(max(3, s), 41)) + [63, 64, 97, 128, 150, 199, 200]:
+        g = build_graph(n, s)
+        assert g.dist.dtype == np.int32
+        assert (g.dist == all_pairs_distances(n, s)).all(), (n, s)
+
+
+def test_rows_shape_and_read_only():
+    g = build_graph(50, 3)
+    assert g.rows.shape == (2, 2, 50) and g.rows.dtype == np.int32
+    with pytest.raises(ValueError):
+        g.rows[0, 0, 1] = 7
+
+
+def test_distance_rejects_unknown_vertex():
+    g = build_graph(9, 2)
+    with pytest.raises(ValueError, match="unknown vertex"):
+        g.distance(Vertex(1, 1), Vertex(1, 10))
+    with pytest.raises(ValueError, match="unknown vertex"):
+        g.distance(Vertex(3, 1), Vertex(1, 1))

@@ -14,8 +14,6 @@ from .graphs import (
     Vertex,
     build_graph,
     cycle_view,
-    diameter,
-    distance,
     is_v_tight,
     normalize_vertex,
     principal_cycle,
@@ -28,7 +26,9 @@ from .bounds import (
     in_phi_scope,
     lower_bound_rn,
     omega,
+    pair_gap,
     phi,
+    radio_number,
     triple_bound_violations,
 )
 from .labeling import (
@@ -42,7 +42,7 @@ from .labeling import (
     position_case3,
     position_case4,
 )
-from .verification import VerificationReport, Violation, span_of, verify
+from .verification import VerificationReport, Violation, verify
 from .exact import ExactResult, SearchConfig, exact_radio_number, greedy_span_for_order
 
 __version__ = "0.1.0"
@@ -53,8 +53,6 @@ __all__ = [
     "CycleView",
     "normalize_vertex",
     "build_graph",
-    "distance",
-    "diameter",
     "cycle_view",
     "principal_cycle",
     "standard_cycle",
@@ -63,6 +61,8 @@ __all__ = [
     "in_phi_scope",
     "phi",
     "lower_bound_rn",
+    "radio_number",
+    "pair_gap",
     "d_offset",
     "omega",
     "check_triple_bound",
@@ -79,7 +79,6 @@ __all__ = [
     "VerificationReport",
     "Violation",
     "verify",
-    "span_of",
     "SearchConfig",
     "ExactResult",
     "greedy_span_for_order",

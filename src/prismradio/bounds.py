@@ -14,7 +14,9 @@ gives the lower bound
 which the constructive labelings in ``labeling`` meet exactly.
 
 ``phi`` is a table lookup on (n mod 4, s) with n = 4k + r, k >= 1, valid for
-s in {1, 2, 3} except the single graph (n, s) = (4, 3).  ``d_offset`` and
+s in {1, 2, 3} except the single graph (n, s) = (4, 3); ``radio_number``
+adds the two special graphs.  ``pair_gap`` reads the gap from a graph's own
+metric instead of the table.  ``d_offset`` and
 ``omega`` are the position-offset and rotation-step helpers the construction
 uses: (1, y) and (2, y + d_offset) are always at distance exactly diam, and
 omega is the step between consecutive odd-indexed positions in the general
@@ -27,13 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import PrismGraph, Vertex
+from .graphs import PrismGraph, Vertex, _validate_params
 
 __all__ = [
     "PhiParams",
     "in_phi_scope",
     "phi",
     "lower_bound_rn",
+    "radio_number",
+    "pair_gap",
     "d_offset",
     "omega",
     "check_triple_bound",
@@ -84,6 +88,40 @@ def phi(n: int, s: int) -> int:
 def lower_bound_rn(n: int, s: int) -> int:
     """(n - 1) * phi(n, s) + 2; met with equality by the construction."""
     return (n - 1) * phi(n, s) + 2
+
+
+# Z(3, 3) is K_6; rn(Z(4, 3)) was proven by the exact search
+_SPECIAL_RN: dict[tuple[int, int], int] = {(3, 3): 6, (4, 3): 9}
+
+
+def radio_number(n: int, s: int) -> tuple[int, str]:
+    """rn(Z(n, s)) and its source, "formula" or "special".
+
+    Raises ValueError for unsupported parameters, and for n = 3 with s in
+    {1, 2}, which no closed form here covers (the exact search does).
+    """
+    _validate_params(n, s)
+    if (n, s) in _SPECIAL_RN:
+        return _SPECIAL_RN[(n, s)], "special"
+    if n == 3:
+        raise ValueError(f"(n={n}, s={s}) is outside theorem scope; use exact")
+    return lower_bound_rn(n, s), "formula"
+
+
+def pair_gap(g: PrismGraph) -> int:
+    """ceil((3 * (diam + 1) - T) / 2), T the largest distance sum of a vertex triple of g.
+
+    Labels two apart in sorted order differ by at least this: summing the
+    radio condition over the pairs of three consecutive vertices gives twice
+    their label range (the triple argument of Chartrand, Erwin, Harary and
+    Zhang, Bull. ICA 33 (2001)).  It equals phi(n, s) except for s = 3 with
+    4 | n, where it is one lower.  Rotation maps every triple onto one holding
+    (1, 1) or (2, 1), so those two sources suffice: O(n^2).  Repeated
+    vertices never raise T, since d(u, v) + d(u, w) + d(v, w) >= 2 d(u, v).
+    """
+    dist = g.dist
+    total = max(int((dist[u][:, None] + dist[u][None, :] + dist).max()) for u in (0, g.n))
+    return -(-(3 * (g.diameter + 1) - total) // 2)
 
 
 def d_offset(n: int, s: int) -> int:

@@ -5,8 +5,9 @@ labeling), verify (audit a labeling file), exact (branch-and-bound search),
 table (formula vs construction sweep), selftest (invariant suites).
 
 Exit codes: 0 success / labeling valid, 1 labeling invalid, 2 bad input,
-3 internal inconsistency (a result failed its own audit, or a selftest
-suite went red).
+3 internal inconsistency (a result failed its own audit, a selftest suite
+went red, or an unexpected exception, reported as one ``internal error:``
+line).
 
 The JSON labeling schema, shared by ``label --format json`` output and
 ``verify --file`` input, is::
@@ -28,7 +29,7 @@ import math
 import sys
 from typing import Iterator
 
-from .bounds import in_phi_scope, lower_bound_rn, phi
+from .bounds import phi, radio_number
 from .exact import SearchConfig, exact_radio_number
 from .graphs import PrismGraph, build_graph
 from .labeling import CaseId, Labeling, case_select, construct_labeling
@@ -122,15 +123,7 @@ def _parse_budget(text: str) -> float:
 
 
 def cmd_rn(args: argparse.Namespace) -> int:
-    case = case_select(args.n, args.s)
-    if case is CaseId.UNSUPPORTED:
-        raise ValueError(f"(n={args.n}, s={args.s}) is outside theorem scope; use exact")
-    if case is CaseId.SPECIAL_3_3:
-        value, method = 6, "special"
-    elif case is CaseId.SPECIAL_4_3:
-        value, method = 9, "special"
-    else:
-        value, method = lower_bound_rn(args.n, args.s), "formula"
+    value, method = radio_number(args.n, args.s)
     if args.format == "json":
         print(json.dumps({"n": args.n, "s": args.s, "rn": value, "method": method}))
     else:
@@ -197,12 +190,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_exact(args: argparse.Namespace) -> int:
     g = build_graph(args.n, args.s)
-    use_phi = in_phi_scope(args.n, args.s) and not args.no_phi_pruning
     cfg = SearchConfig(
         upper_bound_hint=args.hint,
         time_budget=None if args.budget is None else _parse_budget(args.budget),
-        use_phi_pruning=use_phi,
-        fix_first_vertex=args.fix_first_vertex,
     )
     result = exact_radio_number(g, cfg)
     report = verify(g, result.witness)
@@ -235,24 +225,18 @@ def _table_rows(n_min: int, n_max: int) -> Iterator[dict]:
         for s in (1, 2, 3):
             if s > n:
                 continue
-            case = case_select(n, s)
-            if case is CaseId.UNSUPPORTED:
+            if case_select(n, s) is CaseId.UNSUPPORTED:
                 yield {"n": n, "s": s, "phi": None, "rn_formula": None, "span": None,
                        "match": None, "note": "outside scope"}
                 continue
             g = build_graph(n, s)
             lab = construct_labeling(n, s)
             valid = verify(g, lab).valid
-            if case is CaseId.SPECIAL_3_3 or case is CaseId.SPECIAL_4_3:
-                formula = 6 if case is CaseId.SPECIAL_3_3 else 9
-                yield {"n": n, "s": s, "phi": None, "rn_formula": formula,
-                       "span": lab.span, "match": valid and lab.span == formula,
-                       "note": "special"}
-            else:
-                formula = lower_bound_rn(n, s)
-                yield {"n": n, "s": s, "phi": phi(n, s), "rn_formula": formula,
-                       "span": lab.span, "match": valid and lab.span == formula,
-                       "note": ""}
+            formula, method = radio_number(n, s)
+            special = method == "special"
+            yield {"n": n, "s": s, "phi": None if special else phi(n, s),
+                   "rn_formula": formula, "span": lab.span,
+                   "match": valid and lab.span == formula, "note": "special" if special else ""}
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -324,10 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("--budget", default=None, help="time budget, e.g. 60s, 5m")
     p_exact.add_argument("--hint", type=int, default=None,
                          help="initial incumbent span (must be a true upper bound)")
-    p_exact.add_argument("--no-phi-pruning", action="store_true",
-                         help="disable the phi-based remaining-vertex bound")
-    p_exact.add_argument("--fix-first-vertex", action="store_true",
-                         help="fix the first vertex after a vertex-transitivity check")
     p_exact.add_argument("--format", choices=["text", "json"], default="text")
     p_exact.set_defaults(func=cmd_exact)
 
@@ -353,6 +333,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except Exception as e:  # exit 1 means "labeling invalid"; a crash must not look like it
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -10,14 +10,14 @@ the best completed labeling as incumbent and pruning a branch as soon as its
 forced span plus an admissible bound on the remaining vertices reaches the
 incumbent.
 
-The remaining-vertex bound is (m - 1) for m vertices left, sharpened by
-floor(m / 2) * (phi(n, s) - 2) when phi pruning is enabled: labels two apart
-in sorted order must differ by at least phi, so m more labels cost at least
-floor(m / 2) * phi (+1 if m is odd) beyond the current maximum.  Pruning is
-tie-preserving (only branches strictly worse than the incumbent are cut), so
-the search always recovers an optimal witness.  Phi pruning is only sound
-where the phi table applies and raising is preferred over silently ignoring
-a misconfiguration.
+The remaining-vertex bound uses only the graph: labels two apart in sorted
+order differ by at least ``bounds.pair_gap(g)``, computed from g's metric and
+not from the phi table the search certifies, so m more labels cost at least
+max(m, floor(m / 2) * pair_gap + m mod 2) beyond the current maximum.
+Pruning is tie-preserving (only branches strictly worse than the incumbent
+are cut), so the search always recovers an optimal witness.  When verified
+automorphisms show g is vertex-transitive (every supported Z(n, s) is), the
+order starts at (1, 1): any order maps onto one that does, with equal span.
 
 The search is single-threaded and deterministic: children are expanded in
 ascending (forced label, vertex index) order, so nodes_explored is
@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bounds import in_phi_scope, phi
+from .bounds import pair_gap
 from .graphs import PrismGraph, Vertex
 from .labeling import Labeling, construct_labeling
 
@@ -46,22 +46,18 @@ _BUDGET_CHECK_INTERVAL = 4096
 
 @dataclass
 class SearchConfig:
-    """Knobs for the exact search.
+    """Caller-supplied limits of the exact search.
 
     upper_bound_hint: initial incumbent span; must be a true upper bound.
     time_budget: wall-clock seconds before the search stops with its best
         incumbent (proven_optimal False).
-    use_phi_pruning: sharpen the remaining-vertex bound with phi(n, s);
-        requires (n, s) inside the phi table's scope.
-    fix_first_vertex: place a fixed vertex first, cutting a symmetry factor;
-        engaged only after an automorphism check confirms the instance is
-        vertex-transitive, otherwise ignored.
+
+    Pruning and symmetry breaking are not configurable: both are derived
+    from the graph and always sound.
     """
 
     upper_bound_hint: int | None = None
     time_budget: float | None = None
-    use_phi_pruning: bool = False
-    fix_first_vertex: bool = False
 
 
 @dataclass(frozen=True)
@@ -157,17 +153,12 @@ def _is_vertex_transitive(g: PrismGraph) -> bool:
 def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> ExactResult:
     """Branch-and-bound search for the radio number of g.
 
-    Deterministic for a fixed configuration.  Disabling phi pruning never
-    changes rn, only nodes_explored.
+    Deterministic for a fixed configuration.
     """
     cfg = config or SearchConfig()
     n = g.n
     nv = 2 * n
-    if cfg.use_phi_pruning and not in_phi_scope(n, g.s):
-        raise ValueError(
-            f"outside theorem scope: phi pruning is unavailable for (n={n}, s={g.s})"
-        )
-    pair_step = phi(n, g.s) - 2 if cfg.use_phi_pruning else 0
+    pair_step = max(0, pair_gap(g) - 2)
     required = g.diameter + 1
     verts = list(g.vertices())
     dist = [[int(x) for x in row] for row in g.dist]
@@ -179,7 +170,7 @@ def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> Exa
             seed = construct_labeling(n, g.s)
             best_span = seed.span
             best_assignment = dict(seed.assignment)
-        except (ValueError, RuntimeError):
+        except ValueError:
             pass
     if best_assignment is None:
         span0, labels0 = greedy_span_for_order(g, verts)
@@ -189,9 +180,7 @@ def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> Exa
     if cfg.upper_bound_hint is not None:
         prune_ref = min(prune_ref, cfg.upper_bound_hint)
 
-    first_pool: Sequence[int] = range(nv)
-    if cfg.fix_first_vertex and _is_vertex_transitive(g):
-        first_pool = [0]
+    first_pool: Sequence[int] = [0] if _is_vertex_transitive(g) else range(nv)
 
     placed = [False] * nv
     lb = [0] * nv  # forced minimum label of each unplaced vertex

@@ -42,8 +42,6 @@ __all__ = [
     "CycleView",
     "normalize_vertex",
     "build_graph",
-    "distance",
-    "diameter",
     "cycle_view",
     "principal_cycle",
     "standard_cycle",
@@ -224,15 +222,6 @@ def build_graph(n: int, s: int) -> PrismGraph:
     )
     rows.setflags(write=False)
     return PrismGraph(n, s, rows, diam)
-
-
-def distance(g: PrismGraph, u: Vertex, v: Vertex) -> int:
-    """Hop distance between two (normalized) vertices of g."""
-    return g.distance(u, v)
-
-
-def diameter(g: PrismGraph) -> int:
-    return g.diameter
 
 
 @dataclass(frozen=True)

@@ -192,9 +192,10 @@ _SPECIAL_4_3_LABELS: dict[Vertex, int] = {
 class Labeling:
     """A total assignment of positive integer labels to the vertices of Z(n, s).
 
-    The container itself only enforces positive integer labels; distinctness
-    and the radio condition are audited by ``verification.verify`` so that
-    deliberately broken assignments can be represented and reported on.
+    The container itself only enforces positive integer labels below 2**63
+    (the verifier holds them in int64); distinctness and the radio condition
+    are audited by ``verification.verify`` so that deliberately broken
+    assignments can be represented and reported on.
     """
 
     n: int
@@ -204,8 +205,10 @@ class Labeling:
     def __post_init__(self) -> None:
         clean: dict[Vertex, int] = {}
         for v, c in self.assignment.items():
-            if not isinstance(c, int) or isinstance(c, bool) or c < 1:
-                raise ValueError(f"labels must be positive integers, got {c!r} at {v}")
+            if not isinstance(c, int) or isinstance(c, bool) or not 1 <= c < 2**63:
+                raise ValueError(
+                    f"labels must be positive integers below 2**63, got {c!r} at {v}"
+                )
             clean[Vertex(*v)] = c
         object.__setattr__(self, "assignment", MappingProxyType(clean))
 
@@ -239,8 +242,6 @@ def construct_labeling(n: int, s: int) -> Labeling:
         verts = [Vertex(c, p) for c in (1, 2) for p in (1, 2, 3)]
         return Labeling(n=3, s=3, assignment={v: i + 1 for i, v in enumerate(verts)})
     if case is CaseId.SPECIAL_4_3:
-        if not _SPECIAL_4_3_LABELS:
-            raise RuntimeError("Z(4, 3) witness constant missing")
         return Labeling(n=4, s=3, assignment=dict(_SPECIAL_4_3_LABELS))
 
     position = _POSITION_FOR_CASE[case]

@@ -28,8 +28,9 @@ from .bounds import (
     lower_bound_rn,
     omega,
     phi,
+    radio_number,
 )
-from .exact import SearchConfig, exact_radio_number
+from .exact import exact_radio_number
 from .graphs import Vertex, build_graph, is_v_tight, principal_cycle, standard_cycle
 from .labeling import (
     CaseId,
@@ -161,10 +162,9 @@ def _labeling_suite(n_max: int) -> SuiteResult:
         report = verify(g, lab)
         suite.check(report.valid,
                     f"constructed labeling of Z({n},{s}) is invalid: {report.violations[:1]}")
-        if case is CaseId.SPECIAL_3_3:
-            suite.check(lab.span == 6, "Z(3,3) labeling span is not 6")
-        elif case is CaseId.SPECIAL_4_3:
-            suite.check(lab.span == 9, "Z(4,3) witness span is not 9")
+        if case in (CaseId.SPECIAL_3_3, CaseId.SPECIAL_4_3):
+            rn = radio_number(n, s)[0]
+            suite.check(lab.span == rn, f"Z({n},{s}) labeling span is not {rn}")
         if case in _POSITION_FOR_CASE:
             position = _POSITION_FOR_CASE[case]
             seen = {position(n, s, j) for j in range(1, 2 * n + 1)}
@@ -208,12 +208,11 @@ def _verification_suite(n_max: int) -> SuiteResult:
 
 def _exact_suite(n_max: int) -> SuiteResult:
     suite = _Suite("exact")
-    instances = [(3, 3, 6)]
-    if n_max >= 4:
-        instances += [(4, 1, 11), (4, 2, 8), (4, 3, 9)]
-    for n, s, expected in instances:
+    instances = [(3, 3), (4, 1), (4, 2), (4, 3)] if n_max >= 4 else [(3, 3)]
+    for n, s in instances:
+        expected = radio_number(n, s)[0]
         g = build_graph(n, s)
-        res = exact_radio_number(g, SearchConfig(use_phi_pruning=in_phi_scope(n, s)))
+        res = exact_radio_number(g)
         suite.check(res.rn == expected and res.proven_optimal,
                     f"exact search on Z({n},{s}) returned {res.rn}, expected {expected}")
         suite.check(verify(g, res.witness).valid and res.witness.span == res.rn,

@@ -30,7 +30,7 @@ import numpy as np
 from .graphs import PrismGraph, Vertex
 from .labeling import Labeling
 
-__all__ = ["Violation", "VerificationReport", "verify", "span_of"]
+__all__ = ["Violation", "VerificationReport", "verify"]
 
 
 class Violation(NamedTuple):
@@ -66,13 +66,6 @@ class VerificationReport:
                 for w in self.violations
             ],
         }
-
-
-def span_of(labeling: Labeling) -> int:
-    """Largest label used; ValueError("empty labeling") when there is none."""
-    if not labeling.assignment:
-        raise ValueError("empty labeling")
-    return max(labeling.assignment.values())
 
 
 def _label_array(g: PrismGraph, labeling: Labeling) -> np.ndarray:

@@ -4,12 +4,14 @@
 straight from the definition of Z(n, s), so it shares nothing with the
 rotation-invariant rows of ``prismradio.graphs``.  ``all_pairs_violations``
 is the dense radio-condition check that ``verify`` replaced: it compares
-every pair, with no label window.
+every pair, with no label window.  ``brute_force_radio_number`` tries every
+vertex order, sharing no code with ``prismradio.exact``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -40,3 +42,27 @@ def all_pairs_violations(dist: np.ndarray, labels: list[int], diam: int):
     bad = dist[i, j] + gap < diam + 1
     return [(int(a), int(b), int(dist[a, b]), int(g))
             for a, b, g in zip(i[bad], j[bad], gap[bad])]
+
+
+def brute_force_radio_number(n: int, s: int) -> int:
+    """Least greedy span over all (2n)! vertex orders of Z(n, s).
+
+    A labeling sorts the vertices in some order, and for a fixed order each
+    label is at least the previous one plus one and at least
+    c(u) + diam + 1 - d(u, v) for every earlier u; taking the least such
+    value at each step is optimal for that order.  Practical for n <= 4 only.
+    """
+    dist = all_pairs_distances(n, s).tolist()
+    required = int(max(map(max, dist))) + 1
+    best = None
+    for order in permutations(range(2 * n)):
+        labels = [1]
+        for t in range(1, len(order)):
+            v = order[t]
+            labels.append(max(labels[-1] + 1,
+                              *(labels[j] + required - dist[order[j]][v] for j in range(t))))
+            if best is not None and labels[-1] >= best:
+                break
+        else:
+            best = labels[-1]
+    return best

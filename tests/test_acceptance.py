@@ -23,7 +23,6 @@ from prismradio import (
     construct_labeling,
     exact_radio_number,
     greedy_span_for_order,
-    in_phi_scope,
     is_v_tight,
     lower_bound_rn,
     omega,
@@ -83,14 +82,14 @@ def test_criterion_2_exact_search_matches_formula_small():
         cases = [(4, 1), (4, 2), (5, 1), (5, 2), (5, 3)]
         for n, s in cases:
             g = build_graph(n, s)
-            result = exact_radio_number(g, SearchConfig(use_phi_pruning=True))
+            result = exact_radio_number(g)
             assert result.proven_optimal, f"(n={n}, s={s}) not proven"
             want = lower_bound_rn(n, s)
             assert result.rn == want, f"exact {result.rn} != formula {want} at ({n},{s})"
             assert verify(g, result.witness).valid
         for (n, s), want in [((3, 3), 6), ((4, 3), 9)]:
             g = build_graph(n, s)
-            result = exact_radio_number(g, SearchConfig(use_phi_pruning=False))
+            result = exact_radio_number(g)
             assert result.proven_optimal
             assert result.rn == want, f"exact {result.rn} != {want} at ({n},{s})"
             assert verify(g, result.witness).valid
@@ -103,8 +102,7 @@ def test_criterion_2_stretch_n6_within_budget():
     with criterion(2, "stretch: exact search at n = 6"):
         for s in (1, 2, 3):
             g = build_graph(6, s)
-            cfg = SearchConfig(use_phi_pruning=in_phi_scope(6, s), time_budget=300.0)
-            result = exact_radio_number(g, cfg)
+            result = exact_radio_number(g, SearchConfig(time_budget=300.0))
             want = lower_bound_rn(6, s)
             assert verify(g, result.witness).valid
             assert result.rn == want, f"exact {result.rn} != formula {want} at (6,{s})"
@@ -209,8 +207,7 @@ def test_criterion_8_greedy_order_oracle():
         rng = random.Random(20260817)
         for n, s in [(4, 1), (4, 2), (4, 3), (3, 3)]:
             g = build_graph(n, s)
-            cfg = SearchConfig(use_phi_pruning=in_phi_scope(n, s))
-            result = exact_radio_number(g, cfg)
+            result = exact_radio_number(g)
             assert result.proven_optimal
             witness_order = [v for v, _ in sorted(result.witness.assignment.items(),
                                                   key=lambda item: item[1])]

@@ -9,6 +9,7 @@ from prismradio import (
     in_phi_scope,
     lower_bound_rn,
     omega,
+    pair_gap,
     phi,
     triple_bound_violations,
 )
@@ -35,6 +36,17 @@ def test_phi_params_decomposition():
 )
 def test_phi_table_values(n, s, expected):
     assert phi(n, s) == expected
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_pair_gap_from_the_metric_matches_phi(s):
+    # the graph-derived gap is phi, except one lower for s = 3 with n = 4k,
+    # where triples holding a cross-cycle partner pair reach distance sum n + 1
+    for n in range(4, 41):
+        if (n, s) == (4, 3):
+            continue
+        want = phi(n, s) - (s == 3 and n % 4 == 0)
+        assert pair_gap(build_graph(n, s)) == want, (n, s)
 
 
 def test_phi_rejects_out_of_scope():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from prismradio import cli
 from prismradio.cli import main
 
 
@@ -159,6 +160,28 @@ def test_verify_rejects_json_booleans(capsys, tmp_path, field):
     assert "must be integers" in err and out == ""
 
 
+def test_verify_rejects_labels_too_large_to_audit(capsys, tmp_path):
+    _, out, _ = run(capsys, "label", "--n", "3", "--s", "3", "--format", "json")
+    data = json.loads(out)
+    data["labels"][0]["label"] = 10**20
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--file", str(path))
+    assert code == 2
+    assert "below 2**63" in err and out == ""
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def crash(n, s):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "construct_labeling", crash)
+    code, out, err = run(capsys, "label", "--n", "5", "--s", "1")
+    assert code == 3
+    assert err.startswith("internal error: KeyError") and err.count("\n") == 1
+    assert "Traceback" not in err and out == ""
+
+
 def test_verify_ignores_stale_span_field(capsys, tmp_path):
     # hand-edited files are judged on radio validity, not bookkeeping
     _, out, _ = run(capsys, "label", "--n", "5", "--s", "1", "--format", "json")
@@ -190,6 +213,14 @@ def test_exact_budget_exhaustion(capsys):
     code, out, _ = run(capsys, "exact", "--n", "10", "--s", "1", "--budget", "0s")
     assert code == 0
     assert "rn = 47" in out and "budget exhausted" in out
+
+
+@pytest.mark.parametrize("flag", ["--no-phi-pruning", "--fix-first-vertex"])
+def test_exact_has_no_search_knobs(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "--n", "4", "--s", "1", flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_exact_bad_budget(capsys):

@@ -9,17 +9,16 @@ from prismradio import (
     construct_labeling,
     exact_radio_number,
     greedy_span_for_order,
-    in_phi_scope,
     lower_bound_rn,
     verify,
 )
 from prismradio.exact import _is_vertex_transitive
+from reference import brute_force_radio_number
 
 
 def _solve(n, s, **kwargs):
     g = build_graph(n, s)
-    cfg = SearchConfig(use_phi_pruning=in_phi_scope(n, s), **kwargs)
-    return g, exact_radio_number(g, cfg)
+    return g, exact_radio_number(g, SearchConfig(**kwargs))
 
 
 @pytest.mark.parametrize(
@@ -51,24 +50,17 @@ def test_exact_handles_graphs_without_construction():
         assert verify(g, result.witness).valid
 
 
-def test_phi_pruning_changes_nodes_not_answer():
-    g = build_graph(5, 1)
-    with_phi = exact_radio_number(g, SearchConfig(use_phi_pruning=True))
-    without = exact_radio_number(g, SearchConfig(use_phi_pruning=False))
-    assert with_phi.rn == without.rn == 14
-    assert with_phi.nodes_explored < without.nodes_explored
-
-
-def test_phi_pruning_out_of_scope_raises():
-    g = build_graph(3, 3)
-    with pytest.raises(ValueError, match="outside theorem scope"):
-        exact_radio_number(g, SearchConfig(use_phi_pruning=True))
+@pytest.mark.parametrize("n,s", [(n, s) for n in (3, 4) for s in (1, 2, 3)])
+def test_exact_matches_brute_force_over_all_orders(n, s):
+    result = exact_radio_number(build_graph(n, s))
+    assert result.proven_optimal
+    assert result.rn == brute_force_radio_number(n, s)
 
 
 def test_search_is_deterministic():
     g = build_graph(5, 2)
-    a = exact_radio_number(g, SearchConfig(use_phi_pruning=True))
-    b = exact_radio_number(g, SearchConfig(use_phi_pruning=True))
+    a = exact_radio_number(g)
+    b = exact_radio_number(g)
     assert (a.rn, a.nodes_explored) == (b.rn, b.nodes_explored)
 
 
@@ -87,21 +79,10 @@ def test_hint_below_optimum_raises():
 
 def test_zero_budget_returns_constructive_incumbent():
     g = build_graph(10, 1)
-    result = exact_radio_number(g, SearchConfig(use_phi_pruning=True, time_budget=0.0))
+    result = exact_radio_number(g, SearchConfig(time_budget=0.0))
     assert not result.proven_optimal
     assert result.rn == construct_labeling(10, 1).span
     assert verify(g, result.witness).valid
-
-
-def test_fix_first_vertex_preserves_answer():
-    for n, s in [(4, 1), (4, 3), (5, 2)]:
-        g = build_graph(n, s)
-        free = exact_radio_number(g, SearchConfig(use_phi_pruning=in_phi_scope(n, s)))
-        fixed = exact_radio_number(
-            g, SearchConfig(use_phi_pruning=in_phi_scope(n, s), fix_first_vertex=True)
-        )
-        assert fixed.rn == free.rn
-        assert fixed.nodes_explored <= free.nodes_explored
 
 
 @pytest.mark.parametrize("n,s", [(4, 1), (5, 2), (6, 3), (7, 1)])

@@ -7,8 +7,6 @@ from prismradio import (
     Vertex,
     build_graph,
     cycle_view,
-    diameter,
-    distance,
     is_v_tight,
     normalize_vertex,
     principal_cycle,
@@ -49,7 +47,7 @@ def test_diameter_matches_closed_form(s):
         if s > n:
             continue
         g = build_graph(n, s)
-        assert diameter(g) == (n + 3 - s) // 2
+        assert g.diameter == (n + 3 - s) // 2
 
 
 @pytest.mark.parametrize("n,s", [(3, 1), (3, 3), (4, 2), (7, 3), (10, 1), (12, 2)])
@@ -61,11 +59,11 @@ def test_every_vertex_has_degree_two_plus_s(n, s):
 
 def test_known_distances():
     g = build_graph(8, 1)
-    assert distance(g, Vertex(1, 1), Vertex(2, 5)) == 5
-    assert distance(g, Vertex(1, 1), Vertex(1, 5)) == 4
-    assert distance(g, Vertex(1, 1), Vertex(2, 1)) == 1
+    assert g.distance(Vertex(1, 1), Vertex(2, 5)) == 5
+    assert g.distance(Vertex(1, 1), Vertex(1, 5)) == 4
+    assert g.distance(Vertex(1, 1), Vertex(2, 1)) == 1
     g = build_graph(8, 2)
-    assert distance(g, Vertex(1, 1), Vertex(2, 6)) == 4
+    assert g.distance(Vertex(1, 1), Vertex(2, 6)) == 4
 
 
 def test_z33_is_complete():
@@ -74,7 +72,7 @@ def test_z33_is_complete():
     for u in g.vertices():
         for v in g.vertices():
             if u != v:
-                assert distance(g, u, v) == 1
+                assert g.distance(u, v) == 1
 
 
 @pytest.mark.parametrize("n,s", [(6, 1), (9, 2), (11, 3), (30, 1), (30, 2), (30, 3)])
@@ -94,7 +92,7 @@ def test_s1_distances_match_closed_form(n):
     for u in g.vertices():
         for v in g.vertices():
             ring = min(abs(u.position - v.position), n - abs(u.position - v.position))
-            assert distance(g, u, v) == abs(u.cycle - v.cycle) + ring
+            assert g.distance(u, v) == abs(u.cycle - v.cycle) + ring
 
 
 def test_distance_matrix_is_read_only():

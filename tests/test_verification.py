@@ -8,7 +8,6 @@ from prismradio import (
     Vertex,
     build_graph,
     construct_labeling,
-    span_of,
     verify,
 )
 from reference import all_pairs_distances, all_pairs_violations
@@ -71,9 +70,9 @@ def test_unknown_vertex_raises():
 
 
 def test_span_of():
-    assert span_of(construct_labeling(5, 1)) == 14
+    assert construct_labeling(5, 1).span == 14
     with pytest.raises(ValueError, match="empty labeling"):
-        span_of(Labeling(n=5, s=1, assignment={}))
+        Labeling(n=5, s=1, assignment={}).span
 
 
 def test_report_serializes_to_plain_dict():

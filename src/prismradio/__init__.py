@@ -9,7 +9,6 @@ script exposes all of it.
 """
 
 from .graphs import (
-    CycleView,
     PrismGraph,
     Vertex,
     build_graph,
@@ -36,11 +35,8 @@ from .labeling import (
     Labeling,
     case_select,
     construct_labeling,
+    label_order,
     label_sequence,
-    position_case1,
-    position_case2,
-    position_case3,
-    position_case4,
 )
 from .verification import VerificationReport, Violation, verify
 from .exact import ExactResult, SearchConfig, exact_radio_number, greedy_span_for_order
@@ -50,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Vertex",
     "PrismGraph",
-    "CycleView",
     "normalize_vertex",
     "build_graph",
     "cycle_view",
@@ -71,10 +66,7 @@ __all__ = [
     "Labeling",
     "case_select",
     "label_sequence",
-    "position_case1",
-    "position_case2",
-    "position_case3",
-    "position_case4",
+    "label_order",
     "construct_labeling",
     "VerificationReport",
     "Violation",

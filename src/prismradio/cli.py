@@ -31,10 +31,10 @@ from typing import Iterator
 
 from .bounds import phi, radio_number
 from .exact import SearchConfig, exact_radio_number
-from .graphs import PrismGraph, build_graph
+from .graphs import PrismGraph, Vertex, _validate_params, build_graph
 from .labeling import CaseId, Labeling, case_select, construct_labeling
 from .selftest import run_selftest
-from .verification import verify
+from .verification import _require_complete, verify
 
 # The library needs no scipy.  perfbench/repeat.py records
 # sys.modules["scipy"].__version__ after each benchmark run, so the bare
@@ -64,7 +64,11 @@ def labeling_to_dict(g: PrismGraph, lab: Labeling) -> dict:
 
 
 def labeling_from_dict(data: object) -> tuple[int, int, Labeling]:
-    """Parse the JSON labeling schema; ValueError on anything malformed."""
+    """Parse the JSON labeling schema; ValueError on anything malformed.
+
+    Works in time and memory proportional to the document: it builds no
+    graph, and a labeling that misses a vertex is rejected here.
+    """
     if not isinstance(data, dict):
         raise ValueError("malformed labeling file: top level must be an object")
     for key in ("n", "s", "labels"):
@@ -77,8 +81,8 @@ def labeling_from_dict(data: object) -> tuple[int, int, Labeling]:
     entries = data["labels"]
     if not isinstance(entries, list):
         raise ValueError("malformed labeling file: labels must be a list")
+    _validate_params(n, s)
     assignment: dict = {}
-    g = build_graph(n, s)  # validates (n, s)
     for entry in entries:
         if not isinstance(entry, dict) or not {"cycle", "pos", "label"} <= set(entry):
             raise ValueError("malformed labeling file: each label needs cycle, pos, label")
@@ -87,11 +91,14 @@ def labeling_from_dict(data: object) -> tuple[int, int, Labeling]:
             raise ValueError("malformed labeling file: cycle, pos, label must be integers")
         if not (cycle in (1, 2) and 1 <= pos <= n):
             raise ValueError(f"labeling references unknown vertex: ({cycle},{pos})")
-        v = g.vertex(cycle, pos)
+        v = Vertex(cycle, pos)
         if v in assignment:
             raise ValueError(f"malformed labeling file: vertex ({cycle},{pos}) labeled twice")
         assignment[v] = label
-    return n, s, Labeling(n=n, s=s, assignment=assignment)
+    lab = Labeling(n=n, s=s, assignment=assignment)
+    # before any graph exists, so a short file claiming a huge n costs little
+    _require_complete(n, lab.assignment)
+    return n, s, lab
 
 
 def _dot_lines(g: PrismGraph, lab: Labeling | None) -> Iterator[str]:
@@ -166,9 +173,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"cannot read {args.file}: {e}") from None
     except json.JSONDecodeError as e:
         raise ValueError(f"malformed labeling file: {e}") from None
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise ValueError("malformed labeling file: nested too deeply") from None
     n, s, lab = labeling_from_dict(data)
     g = build_graph(n, s)
-    report = verify(g, lab)  # raises on incomplete assignments
+    report = verify(g, lab)
     if args.format == "json":
         print(json.dumps(report.to_dict()))
     elif report.valid:

@@ -26,20 +26,24 @@ access and cached; only small-n consumers (the exact search, the
 triple-budget sweep, the selftest graphs suite) read it.  Built graphs are
 immutable and safe to share across threads.  ``build_graph`` memoizes
 instances keyed on (n, s).
+
+A cycle is a plain tuple of vertices.  ``cycle_view`` checks that a vertex
+list is a simple cycle of the graph, ``principal_cycle`` and
+``standard_cycle`` give the cycles the paper's lower bound works on, and
+``is_v_tight`` tells whether going around a cycle from v, the shorter way,
+reaches every entry in as few hops as the graph itself does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "Vertex",
     "PrismGraph",
-    "CycleView",
     "normalize_vertex",
     "build_graph",
     "cycle_view",
@@ -224,44 +228,12 @@ def build_graph(n: int, s: int) -> PrismGraph:
     return PrismGraph(n, s, rows, diam)
 
 
-@dataclass(frozen=True)
-class CycleView:
-    """An ordered simple cycle inside a host graph.
+def cycle_view(g: PrismGraph, vertices: Iterable[Vertex]) -> tuple[Vertex, ...]:
+    """Check that a vertex list is a simple cycle of g and return it as a tuple.
 
-    Consecutive entries (cyclically) are adjacent in the host graph and all
-    entries are distinct; ``cycle_view`` validates this.  Distances *along*
-    the view are index distances on the ring, independent of the host metric.
+    The list needs at least 3 entries, all distinct, with consecutive entries
+    (the last and the first included) adjacent in g.
     """
-
-    vertices: tuple[Vertex, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __iter__(self) -> Iterator[Vertex]:
-        return iter(self.vertices)
-
-    def __contains__(self, v: Vertex) -> bool:
-        return v in self.vertices
-
-    def index_of(self, v: Vertex) -> int:
-        try:
-            return self.vertices.index(v)
-        except ValueError:
-            raise ValueError(f"vertex not on cycle: {v}") from None
-
-    def cycle_distance(self, u: Vertex, v: Vertex) -> int:
-        """Hops between u and v going around the view itself."""
-        gap = abs(self.index_of(u) - self.index_of(v))
-        return min(gap, len(self.vertices) - gap)
-
-
-def cycle_view(g: PrismGraph, vertices: Iterable[Vertex]) -> CycleView:
-    """Validate a vertex list as a simple cycle of g and wrap it."""
     vs = tuple(vertices)
     if len(vs) < 3:
         raise ValueError("a cycle needs at least 3 vertices")
@@ -271,23 +243,23 @@ def cycle_view(g: PrismGraph, vertices: Iterable[Vertex]) -> CycleView:
         v = vs[(i + 1) % len(vs)]
         if g.distance(u, v) != 1:
             raise ValueError(f"consecutive cycle entries not adjacent: {u} -- {v}")
-    return CycleView(vs)
+    return vs
 
 
-def principal_cycle(g: PrismGraph, which: int) -> CycleView:
+def principal_cycle(g: PrismGraph, which: int) -> tuple[Vertex, ...]:
     """One of the two n-cycles the prism is built from (which in {1, 2})."""
     if which not in (1, 2):
         raise ValueError(f"principal cycle index must be 1 or 2, got {which}")
-    return CycleView(tuple(Vertex(which, p) for p in range(1, g.n + 1)))
+    return tuple(Vertex(which, p) for p in range(1, g.n + 1))
 
 
-def standard_cycle(g: PrismGraph) -> CycleView:
+def standard_cycle(g: PrismGraph) -> tuple[Vertex, ...]:
     """The canonical (n + 3 - s)-cycle through (1, 1).
 
     For s = 1 it runs (1,1), (1,2), (2,2), (2,3), ..., (2,n), (2,1); for
     s in {2, 3} it runs (1,1), (2,2), (2,3), ..., (2, n + 3 - s).  Its length
     equals n + 3 - s, i.e. twice the diameter or one more, and the cycle is
-    distance-true from (1, 1) (see ``is_v_tight``).
+    tight from (1, 1) (see ``is_v_tight``).
     """
     n = g.n
     if g.s == 1:
@@ -299,12 +271,18 @@ def standard_cycle(g: PrismGraph) -> CycleView:
     return cycle_view(g, vs)
 
 
-def is_v_tight(g: PrismGraph, cycle: CycleView, v: Vertex) -> bool:
-    """True iff along-cycle distances from v all equal host-graph distances.
+def is_v_tight(g: PrismGraph, cycle: Sequence[Vertex], v: Vertex) -> bool:
+    """True iff the cycle is tight from v: the hops from v to each entry,
+    going around the cycle the shorter way, equal the distance in g.
 
     Raises ValueError("vertex not on cycle") when v is not an entry of the
-    view.  A cycle that is v-tight for every v realizes the host metric on
-    its vertex set.
+    cycle.  A cycle that is v-tight for every v realizes the host metric on
+    its vertex set.  Costs O(len(cycle)) distance lookups.
     """
-    cycle.index_of(v)
-    return all(g.distance(v, u) == cycle.cycle_distance(v, u) for u in cycle)
+    try:
+        i = cycle.index(v)
+    except ValueError:
+        raise ValueError(f"vertex not on cycle: {v}") from None
+    length = len(cycle)
+    return all(g.distance(v, u) == min(abs(k - i), length - abs(k - i))
+               for k, u in enumerate(cycle))

@@ -37,8 +37,8 @@ from .labeling import (
     Labeling,
     case_select,
     construct_labeling,
+    label_order,
     label_sequence,
-    _POSITION_FOR_CASE,
 )
 from .verification import verify
 
@@ -109,8 +109,8 @@ def _graphs_suite(n_max: int) -> SuiteResult:
             suite.check(all(is_v_tight(g, pc, v) for v in pc),
                         f"principal cycle {which} of Z({n},{s}) not distance-true")
         sc = standard_cycle(g)
-        suite.check(sc.length == n + 3 - s,
-                    f"standard cycle of Z({n},{s}) has length {sc.length}")
+        suite.check(len(sc) == n + 3 - s,
+                    f"standard cycle of Z({n},{s}) has length {len(sc)}")
         suite.check(is_v_tight(g, sc, Vertex(1, 1)),
                     f"standard cycle of Z({n},{s}) not tight at (1,1)")
     return suite.result()
@@ -165,14 +165,12 @@ def _labeling_suite(n_max: int) -> SuiteResult:
         if case in (CaseId.SPECIAL_3_3, CaseId.SPECIAL_4_3):
             rn = radio_number(n, s)[0]
             suite.check(lab.span == rn, f"Z({n},{s}) labeling span is not {rn}")
-        if case in _POSITION_FOR_CASE:
-            position = _POSITION_FOR_CASE[case]
-            seen = {position(n, s, j) for j in range(1, 2 * n + 1)}
-            suite.check(len(seen) == 2 * n,
-                        f"position map for Z({n},{s}) is not a bijection")
+        else:
+            order = label_order(n, s)
+            suite.check(len(set(order)) == 2 * n,
+                        f"label order of Z({n},{s}) is not a bijection")
             suite.check(
-                all(g.distance(position(n, s, 2 * i - 1), position(n, s, 2 * i)) == g.diameter
-                    for i in range(1, n + 1)),
+                all(g.distance(u, v) == g.diameter for u, v in zip(order[::2], order[1::2])),
                 f"consecutive sorted pair not at diameter distance in Z({n},{s})",
             )
             seq = label_sequence(n, s)

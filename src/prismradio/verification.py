@@ -23,7 +23,7 @@ every pair is certified, by its distance or by its gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -76,7 +76,7 @@ def _label_array(g: PrismGraph, labeling: Labeling) -> np.ndarray:
     ValueError("labeling incomplete") when some vertex of g has no label.
     """
     n = g.n
-    labels = np.zeros(2 * n, dtype=np.int64)  # labels are positive: 0 marks "unset"
+    labels = np.zeros(2 * n, dtype=np.int64)
     for v, label in labeling.assignment.items():
         try:  # v may hold equal non-int numbers, such as 2.0 or NumPy integers
             c, p = int(v.cycle), int(v.position)
@@ -85,22 +85,36 @@ def _label_array(g: PrismGraph, labeling: Labeling) -> np.ndarray:
         if (c, p) != v or c not in (1, 2) or not 1 <= p <= n:
             raise ValueError(f"labeling references unknown vertex: {v}")
         labels[(c - 1) * n + p - 1] = label
-    if len(labeling.assignment) < 2 * n:
-        unset = np.flatnonzero(labels == 0)
-        raise ValueError(
-            f"labeling incomplete: {unset.size} vertices unlabeled "
-            f"(first: {g.vertex_at(int(unset[0]))})"
-        )
+    _require_complete(n, labeling.assignment)
     return labels
+
+
+def _require_complete(n: int, assignment: Mapping[Vertex, int]) -> None:
+    """Raise ValueError("labeling incomplete") unless all 2n vertices are labeled.
+
+    The keys must already be known to be distinct vertices of Z(n, s).  The
+    search for the first unlabeled vertex stops there, so it costs
+    O(len(assignment)) whatever n is.
+    """
+    missing = 2 * n - len(assignment)
+    if missing:
+        vertices = (Vertex(c, p) for c in (1, 2) for p in range(1, n + 1))
+        first = next(v for v in vertices if v not in assignment)
+        raise ValueError(f"labeling incomplete: {missing} vertices unlabeled (first: {first})")
 
 
 def verify(g: PrismGraph, labeling: Labeling) -> VerificationReport:
     """Check the radio condition on all pairs of g under the given labels.
 
-    Raises ValueError("labeling incomplete") when some vertex of g has no
-    label, and ValueError("labeling references unknown vertex") when the
+    Raises ValueError when the labeling is for another Z(n, s) than g,
+    ValueError("labeling incomplete") when some vertex of g has no label,
+    and ValueError("labeling references unknown vertex") when the
     assignment mentions a vertex outside g.
     """
+    if (labeling.n, labeling.s) != (g.n, g.s):
+        raise ValueError(
+            f"labeling is for Z({labeling.n},{labeling.s}), not for Z({g.n},{g.s})"
+        )
     n, nv = g.n, 2 * g.n
     labels = _label_array(g, labeling)
     required = g.diameter + 1

@@ -6,6 +6,9 @@ rotation-invariant rows of ``prismradio.graphs``.  ``all_pairs_violations``
 is the dense radio-condition check that ``verify`` replaced: it compares
 every pair, with no label window.  ``brute_force_radio_number`` tries every
 vertex order, sharing no code with ``prismradio.exact``.
+``scalar_label_order`` evaluates the construction's position formulas one
+index at a time in Python integers, as ``label_order`` did before it worked
+on NumPy arrays.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from itertools import permutations
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
+
+from prismradio.bounds import d_offset, omega
 
 
 @lru_cache(maxsize=None)
@@ -66,3 +71,25 @@ def brute_force_radio_number(n: int, s: int) -> int:
         else:
             best = labels[-1]
     return best
+
+
+def scalar_label_order(case: int, n: int, s: int) -> list[tuple[int, int]]:
+    """alpha_1..alpha_2n of construction case 1..4 as (cycle, position) pairs."""
+    out = []
+    for j in range(1, 2 * n + 1):
+        i, odd = (j + 1) // 2, j % 2 == 1
+        if case == 1:
+            w = omega(n)
+            c, p = (1, 1 + w * (i - 1)) if odd else (2, 1 + d_offset(n, s) + w * (i - 1))
+        elif case == 2:
+            k, l = n // 4, (i - 1) // 4
+            c, p = (1 + l, 1 + k * (i - 1) - l) if odd else (2 + l, 1 + k * (i + 1) - l)
+        elif case == 3:
+            k, l = n // 4, (i - 1) // 2
+            c, p = (i, 1 + k * (i - 1) - l) if odd else (i, 1 + k * (i + 1) - l)
+        else:
+            k = (n - 2) // 4
+            l = 0 if i <= 2 * k + 1 else 1
+            c, p = (l, 1 + (i - 1) * k) if odd else (l, 2 + (i + 1) * k)
+        out.append(((c - 1) % 2 + 1, (p - 1) % n + 1))
+    return out

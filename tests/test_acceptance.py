@@ -24,13 +24,10 @@ from prismradio import (
     exact_radio_number,
     greedy_span_for_order,
     is_v_tight,
+    label_order,
     lower_bound_rn,
     omega,
     phi,
-    position_case1,
-    position_case2,
-    position_case3,
-    position_case4,
     principal_cycle,
     standard_cycle,
     verify,
@@ -132,25 +129,17 @@ def test_criterion_4_triple_distance_budget_exhaustive():
 
 
 def test_criterion_5_position_maps_are_bijections():
-    # For every supported (n, s) up to n = 200, the selected position map
-    # sends sorted-label indices 1..2n onto the vertex set exactly once.
+    # For every supported (n, s) up to n = 200, the construction order
+    # alpha_1..alpha_2n visits every vertex exactly once.
     with criterion(5, "position maps are bijections, n <= 200"):
-        fn_for_case = {
-            CaseId.CASE1: position_case1,
-            CaseId.CASE2: position_case2,
-            CaseId.CASE3: position_case3,
-            CaseId.CASE4: position_case4,
-        }
         instances = 0
         for n in range(4, 201):
             for s in (1, 2, 3):
-                case = case_select(n, s)
-                if case not in fn_for_case:
+                if (n, s) == (4, 3):
                     continue
-                fn = fn_for_case[case]
-                image = [fn(n, s, j) for j in range(1, 2 * n + 1)]
+                image = label_order(n, s)
                 expected = {Vertex(c, p) for c in (1, 2) for p in range(1, n + 1)}
-                assert len(set(image)) == 2 * n, f"collision at (n={n}, s={s})"
+                assert len(image) == len(set(image)) == 2 * n, f"collision at (n={n}, s={s})"
                 assert set(image) == expected, f"not onto at (n={n}, s={s})"
                 instances += 1
         assert instances == 197 * 3 - 1  # everything but the (4, 3) special
@@ -191,7 +180,7 @@ def test_criterion_7_tight_cycles():
                 )
                 for which in (1, 2):
                     cyc = principal_cycle(g, which)
-                    rows = [g.index(v) for v in cyc.vertices]
+                    rows = [g.index(v) for v in cyc]
                     sub = g.dist[np.ix_(rows, rows)].astype(int)
                     assert (sub == ring).all(), f"principal cycle {which} not tight ({n},{s})"
                 sc = standard_cycle(g)

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prismradio import cli
+from prismradio import build_graph, cli, construct_labeling
 from prismradio.cli import main
 
 
@@ -125,6 +129,14 @@ def test_verify_truncated_file(capsys, tmp_path):
     assert "malformed" in err
 
 
+def test_verify_deeply_nested_file(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"n": 5, "s": 1, "labels": ' + "[" * 100_000)
+    code, out, err = run(capsys, "verify", "--file", str(path))
+    assert code == 2
+    assert "malformed labeling file: nested too deeply" in err and out == ""
+
+
 def test_verify_missing_vertex(capsys, tmp_path):
     _, out, _ = run(capsys, "label", "--n", "5", "--s", "1", "--format", "json")
     data = json.loads(out)
@@ -145,6 +157,19 @@ def test_verify_unknown_vertex(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--file", str(path))
     assert code == 2
     assert "unknown vertex" in err
+
+
+def test_verify_rejects_short_file_before_building_the_graph(capsys, tmp_path, monkeypatch):
+    # a file listing fewer than 2n vertices must cost what the file costs, not what n costs
+    def no_build(n, s):
+        raise AssertionError("graph built for an incomplete labeling")
+
+    monkeypatch.setattr(cli, "build_graph", no_build)
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"n": 500, "s": 2, "labels": [{"cycle": 1, "pos": 1, "label": 1}]}))
+    code, out, err = run(capsys, "verify", "--file", str(path))
+    assert code == 2
+    assert "labeling incomplete: 999 vertices unlabeled (first: (1,2))" in err and out == ""
 
 
 @pytest.mark.parametrize("field", ["cycle", "pos"])
@@ -296,3 +321,60 @@ def test_selftest_fault_does_not_leak(capsys):
     run(capsys, "selftest", "--n-max", "10", "--inject-fault", "phi")
     code, out, _ = run(capsys, "selftest", "--n-max", "10")
     assert code == 0 and "5/5" in out
+
+
+_JUNK = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.lists(st.lists(st.integers(-3, 3), max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
+)
+_ANY_INT = st.one_of(st.integers(-3, 12), st.integers(-(2**80), 2**80))
+
+
+@st.composite
+def _labeling_documents(draw):
+    """A valid labeling document with up to four defects drawn into it.
+
+    A defect is a missing key, a value of the wrong type, an integer that may
+    be out of range or huge (n, s, cycle, pos), a duplicated entry, a label
+    outside 1..2**63 - 1, or a list of labels cut short.
+    """
+    n, s = draw(st.sampled_from([(3, 3), (4, 1), (4, 3), (5, 2), (6, 3), (8, 2)]))
+    doc = cli.labeling_to_dict(build_graph(n, s), construct_labeling(n, s))
+    for _ in range(draw(st.integers(0, 4))):
+        labels = doc.get("labels")
+        entries = [e for e in labels if isinstance(e, dict)] if isinstance(labels, list) else []
+        target = draw(st.sampled_from(entries)) if entries and draw(st.booleans()) else doc
+        kind = draw(st.sampled_from(["drop", "junk", "int", "duplicate", "label", "truncate"]))
+        if kind == "truncate" and entries:
+            del labels[draw(st.integers(0, len(labels) - 1)):]
+        elif kind == "drop" and target:
+            del target[draw(st.sampled_from(sorted(target)))]
+        elif kind == "junk":
+            target[draw(st.sampled_from(sorted(target) or ["n"]))] = draw(_JUNK)
+        elif kind == "int":  # n, s, cycle or pos: in range, out of range, huge
+            key = draw(st.sampled_from(["n", "s"] if target is doc else ["cycle", "pos"]))
+            target[key] = draw(_ANY_INT)
+        elif kind == "duplicate" and entries:
+            labels.append(dict(draw(st.sampled_from(entries))))
+        elif kind == "label" and target is not doc:
+            target["label"] = draw(st.one_of(st.integers(max_value=0), st.integers(min_value=2**63),
+                                             st.integers(1, 40)))
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(_labeling_documents())
+def test_verify_file_fuzz_maps_every_document_to_a_documented_exit(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--file", str(path)])
+    assert code in (0, 1, 2), err.getvalue()
+    assert "internal error" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ")

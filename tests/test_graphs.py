@@ -123,7 +123,7 @@ def test_principal_cycles_are_tight(n, s):
     g = build_graph(n, s)
     for which in (1, 2):
         pc = principal_cycle(g, which)
-        assert pc.length == n
+        assert len(pc) == n
         for v in pc:
             assert is_v_tight(g, pc, v)
 
@@ -141,14 +141,14 @@ def test_standard_cycle_length_and_tightness(s):
             continue
         g = build_graph(n, s)
         sc = standard_cycle(g)
-        assert sc.length == n + 3 - s
-        assert sc.vertices[0] == Vertex(1, 1)
+        assert len(sc) == n + 3 - s
+        assert sc[0] == Vertex(1, 1)
         assert is_v_tight(g, sc, Vertex(1, 1))
 
 
 def test_standard_cycle_s1_route():
     g = build_graph(5, 1)
-    assert standard_cycle(g).vertices == (
+    assert standard_cycle(g) == (
         Vertex(1, 1), Vertex(1, 2), Vertex(2, 2), Vertex(2, 3),
         Vertex(2, 4), Vertex(2, 5), Vertex(2, 1),
     )

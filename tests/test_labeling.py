@@ -7,16 +7,18 @@ from prismradio import (
     build_graph,
     case_select,
     construct_labeling,
+    label_order,
     label_sequence,
     lower_bound_rn,
     phi,
-    position_case1,
-    position_case2,
-    position_case3,
-    position_case4,
     verify,
 )
-from prismradio.labeling import _POSITION_FOR_CASE
+from reference import scalar_label_order
+
+
+def alpha(n, s, j):
+    """alpha_j, 1-based as in the paper."""
+    return label_order(n, s)[j - 1]
 
 
 @pytest.mark.parametrize(
@@ -67,74 +69,78 @@ def test_label_sequence_shape(n, s):
 
 
 def test_position_case1_examples():
-    assert position_case1(5, 1, 1) == Vertex(1, 1)
-    assert position_case1(5, 1, 2) == Vertex(2, 4)
-    assert position_case1(5, 1, 3) == Vertex(1, 2)
-    assert position_case1(5, 1, 10) == Vertex(2, 3)
-    assert position_case1(7, 2, 2) == Vertex(2, 5)
+    assert alpha(5, 1, 1) == Vertex(1, 1)
+    assert alpha(5, 1, 2) == Vertex(2, 4)
+    assert alpha(5, 1, 3) == Vertex(1, 2)
+    assert alpha(5, 1, 10) == Vertex(2, 3)
+    assert alpha(7, 2, 2) == Vertex(2, 5)
 
 
 def test_position_case2_examples():
-    assert position_case2(8, 1, 1) == Vertex(1, 1)
-    assert position_case2(8, 1, 2) == Vertex(2, 5)
-    assert position_case2(8, 1, 9) == Vertex(2, 8)
-    assert position_case2(8, 1, 10) == Vertex(1, 4)
+    assert alpha(8, 1, 1) == Vertex(1, 1)
+    assert alpha(8, 1, 2) == Vertex(2, 5)
+    assert alpha(8, 1, 9) == Vertex(2, 8)
+    assert alpha(8, 1, 10) == Vertex(1, 4)
 
 
 def test_position_case3_examples():
-    assert position_case3(8, 2, 1) == Vertex(1, 1)
-    assert position_case3(8, 2, 2) == Vertex(1, 5)
-    assert position_case3(8, 2, 5) == Vertex(1, 4)
+    assert alpha(8, 2, 1) == Vertex(1, 1)
+    assert alpha(8, 2, 2) == Vertex(1, 5)
+    assert alpha(8, 2, 5) == Vertex(1, 4)
 
 
 def test_position_case4_examples():
     # raw cycle coordinate 0 normalizes to cycle 2
-    assert position_case4(10, 3, 1) == Vertex(2, 1)
-    assert position_case4(10, 3, 2) == Vertex(2, 6)
-    assert position_case4(10, 3, 4) == Vertex(2, 8)
-    assert position_case4(10, 3, 11) == Vertex(1, 1)
+    assert alpha(10, 3, 1) == Vertex(2, 1)
+    assert alpha(10, 3, 2) == Vertex(2, 6)
+    assert alpha(10, 3, 4) == Vertex(2, 8)
+    assert alpha(10, 3, 11) == Vertex(1, 1)
 
 
-def test_position_functions_reject_wrong_case():
-    with pytest.raises(ValueError, match="wrong case"):
-        position_case1(8, 1, 1)
-    with pytest.raises(ValueError, match="wrong case"):
-        position_case2(5, 1, 1)
-    with pytest.raises(ValueError, match="wrong case"):
-        position_case3(8, 1, 1)
-    with pytest.raises(ValueError, match="wrong case"):
-        position_case4(6, 3, 1)
+@pytest.mark.parametrize(
+    "n,s,message",
+    [(3, 1, "unsupported graph parameters"), (3, 2, "unsupported graph parameters"),
+     (3, 3, "labels it directly"), (4, 3, "labels it directly")],
+)
+def test_label_order_rejects_graphs_without_a_sorted_order(n, s, message):
+    with pytest.raises(ValueError, match=message):
+        label_order(n, s)
 
 
-def test_position_functions_reject_bad_index():
-    with pytest.raises(ValueError, match="out of range"):
-        position_case1(5, 1, 0)
-    with pytest.raises(ValueError, match="out of range"):
-        position_case1(5, 1, 11)
+def test_label_order_holds_plain_ints():
+    # NumPy scalars would leak into JSON output and Vertex comparisons
+    for v in label_order(2501, 2):
+        assert type(v.cycle) is int and type(v.position) is int
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_label_order_matches_scalar_formulas(s):
+    cases = {CaseId.CASE1: 1, CaseId.CASE2: 2, CaseId.CASE3: 3, CaseId.CASE4: 4}
+    for n in list(range(4, 201)) + [10_001, 10_002, 10_003, 10_004]:
+        case = case_select(n, s)
+        if case in cases:
+            assert label_order(n, s) == scalar_label_order(cases[case], n, s), (n, s)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_position_maps_are_bijections(s):
     for n in range(4, 101):
-        case = case_select(n, s)
-        if case not in _POSITION_FOR_CASE:
+        if (n, s) == (4, 3):
             continue
-        position = _POSITION_FOR_CASE[case]
-        images = {position(n, s, j) for j in range(1, 2 * n + 1)}
-        assert len(images) == 2 * n, (n, s)
+        order = label_order(n, s)
+        assert len(order) == len(set(order)) == 2 * n, (n, s)
+        assert all(v.cycle in (1, 2) and 1 <= v.position <= n for v in order), (n, s)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_consecutive_sorted_pairs_sit_at_diameter(s):
     for n in range(4, 61):
-        case = case_select(n, s)
-        if case not in _POSITION_FOR_CASE:
+        if (n, s) == (4, 3):
             continue
         g = build_graph(n, s)
-        position = _POSITION_FOR_CASE[case]
+        order = label_order(n, s)
         for i in range(1, n + 1):
-            u = position(n, s, 2 * i - 1)
-            v = position(n, s, 2 * i)
+            u, v = order[2 * i - 2], order[2 * i - 1]
             assert g.distance(u, v) == g.diameter, (n, s, i)
 
 

@@ -61,6 +61,16 @@ def test_incomplete_labeling_raises():
         verify(g, Labeling(n=5, s=2, assignment=partial))
 
 
+def test_verify_rejects_labeling_of_another_graph():
+    g = build_graph(5, 1)
+    with pytest.raises(ValueError, match=r"labeling is for Z\(5,2\), not for Z\(5,1\)"):
+        verify(g, construct_labeling(5, 2))
+    # same vertex set and labels, other n in the header
+    relabeled = Labeling(n=7, s=1, assignment=construct_labeling(5, 1).assignment)
+    with pytest.raises(ValueError, match="labeling is for Z"):
+        verify(g, relabeled)
+
+
 def test_unknown_vertex_raises():
     g = build_graph(5, 2)
     bad = {v: i + 1 for i, v in enumerate(g.vertices())}

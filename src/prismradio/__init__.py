@@ -19,7 +19,6 @@ from .graphs import (
     standard_cycle,
 )
 from .bounds import (
-    PhiParams,
     check_triple_bound,
     d_offset,
     in_phi_scope,
@@ -52,7 +51,6 @@ __all__ = [
     "principal_cycle",
     "standard_cycle",
     "is_v_tight",
-    "PhiParams",
     "in_phi_scope",
     "phi",
     "lower_bound_rn",

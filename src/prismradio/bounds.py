@@ -25,14 +25,11 @@ case of the construction (defined only for n not divisible by 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graphs import PrismGraph, Vertex, _validate_params
 
 __all__ = [
-    "PhiParams",
     "in_phi_scope",
     "phi",
     "lower_bound_rn",
@@ -44,34 +41,13 @@ __all__ = [
     "triple_bound_violations",
 ]
 
-# (r, s) -> step, where phi(4k + r, s) = k + step
+# (r, s) -> step, where phi(4k + r, s) = k + step, n = 4k + r with k >= 1
 _PHI_STEP: dict[tuple[int, int], int] = {
     (0, 1): 2, (0, 2): 1, (0, 3): 2,
     (1, 1): 2, (1, 2): 2, (1, 3): 1,
     (2, 1): 3, (2, 2): 2, (2, 3): 2,
     (3, 1): 2, (3, 2): 3, (3, 3): 2,
 }
-
-
-@dataclass(frozen=True)
-class PhiParams:
-    """The decomposition n = 4k + r (k >= 1) that keys the phi table."""
-
-    n: int
-    k: int
-    r: int
-    s: int
-
-    @classmethod
-    def resolve(cls, n: int, s: int) -> "PhiParams":
-        if s not in (1, 2, 3):
-            raise ValueError(f"outside theorem scope: s={s} (need s in {{1, 2, 3}})")
-        k, r = divmod(n, 4)
-        if k < 1 or n < 4:
-            raise ValueError(f"outside theorem scope: n={n} (need n >= 4)")
-        if (n, s) == (4, 3):
-            raise ValueError("outside theorem scope: (n, s) = (4, 3) is a special case")
-        return cls(n=n, k=k, r=r, s=s)
 
 
 def in_phi_scope(n: int, s: int) -> bool:
@@ -81,8 +57,14 @@ def in_phi_scope(n: int, s: int) -> bool:
 
 def phi(n: int, s: int) -> int:
     """Minimum gap between labels two apart in sorted order, table lookup."""
-    p = PhiParams.resolve(n, s)
-    return p.k + _PHI_STEP[(p.r, p.s)]
+    if s not in (1, 2, 3):
+        raise ValueError(f"outside theorem scope: s={s} (need s in {{1, 2, 3}})")
+    if n < 4:
+        raise ValueError(f"outside theorem scope: n={n} (need n >= 4)")
+    if (n, s) == (4, 3):
+        raise ValueError("outside theorem scope: (n, s) = (4, 3) is a special case")
+    k, r = divmod(n, 4)
+    return k + _PHI_STEP[(r, s)]
 
 
 def lower_bound_rn(n: int, s: int) -> int:
@@ -109,19 +91,29 @@ def radio_number(n: int, s: int) -> tuple[int, str]:
 
 
 def pair_gap(g: PrismGraph) -> int:
-    """ceil((3 * (diam + 1) - T) / 2), T the largest distance sum of a vertex triple of g.
+    """The least label range of three vertices consecutive in sorted order, from g's metric.
 
-    Labels two apart in sorted order differ by at least this: summing the
-    radio condition over the pairs of three consecutive vertices gives twice
-    their label range (the triple argument of Chartrand, Erwin, Harary and
-    Zhang, Bull. ICA 33 (2001)).  It equals phi(n, s) except for s = 3 with
-    4 | n, where it is one lower.  Rotation maps every triple onto one holding
-    (1, 1) or (2, 1), so those two sources suffice: O(n^2).  Repeated
-    vertices never raise T, since d(u, v) + d(u, w) + d(v, w) >= 2 d(u, v).
+    Labels two apart in sorted order differ by at least this.  For sorted
+    a, b, c with D = diam + 1, the radio condition and distinct labels give
+    c(b) - c(a) >= max(1, D - d(a, b)), c(c) - c(b) >= max(1, D - d(b, c))
+    and c(c) - c(a) >= D - d(a, c), so c(c) - c(a) is at least the larger of
+    the first two summed and the third; the bound is its least value over
+    triples of distinct vertices (the consecutive-triple argument of Liu and
+    Zhu, SIAM J. Discrete Math. 19 (2005)).  It is never below
+    ceil((3D - T) / 2), T the largest distance sum of a triple, and it
+    equals phi(n, s) for every s and 4 <= n <= 40.  Rotation maps every
+    middle vertex b onto (1, 1) or (2, 1), so those two suffice: O(n^2).
     """
     dist = g.dist
-    total = max(int((dist[u][:, None] + dist[u][None, :] + dist).max()) for u in (0, g.n))
-    return -(-(3 * (g.diameter + 1) - total) // 2)
+    reach = g.diameter + 1
+    idx = np.arange(2 * g.n)
+    gaps = []
+    for b in (0, g.n):
+        step = np.maximum(1, reach - dist[b])
+        gap = np.maximum(step[:, None] + step[None, :], reach - dist)
+        distinct = (idx[:, None] != idx[None, :]) & (idx[:, None] != b) & (idx[None, :] != b)
+        gaps.append(int(gap[distinct].min()))
+    return min(gaps)
 
 
 def d_offset(n: int, s: int) -> int:

@@ -31,10 +31,10 @@ from typing import Iterator
 
 from .bounds import phi, radio_number
 from .exact import SearchConfig, exact_radio_number
-from .graphs import PrismGraph, Vertex, _validate_params, build_graph
+from .graphs import PrismGraph, Vertex, build_graph
 from .labeling import CaseId, Labeling, case_select, construct_labeling
 from .selftest import run_selftest
-from .verification import _require_complete, verify
+from .verification import verify
 
 # The library needs no scipy.  perfbench/repeat.py records
 # sys.modules["scipy"].__version__ after each benchmark run, so the bare
@@ -58,16 +58,17 @@ def labeling_to_dict(g: PrismGraph, lab: Labeling) -> dict:
         "diameter": g.diameter,
         "span": lab.span,
         "labels": [
-            {"cycle": v.cycle, "pos": v.position, "label": c} for v, c in lab.items_sorted()
+            {"cycle": v.cycle, "pos": v.position, "label": c} for v, c in lab.assignment.items()
         ],
     }
 
 
-def labeling_from_dict(data: object) -> tuple[int, int, Labeling]:
+def labeling_from_dict(data: object) -> Labeling:
     """Parse the JSON labeling schema; ValueError on anything malformed.
 
-    Works in time and memory proportional to the document: it builds no
-    graph, and a labeling that misses a vertex is rejected here.
+    Checks the JSON types and that no vertex is listed twice; ``Labeling``
+    checks the rest.  Works in time and memory proportional to the document
+    and builds no graph, so a short file that names a huge n costs little.
     """
     if not isinstance(data, dict):
         raise ValueError("malformed labeling file: top level must be an object")
@@ -81,7 +82,6 @@ def labeling_from_dict(data: object) -> tuple[int, int, Labeling]:
     entries = data["labels"]
     if not isinstance(entries, list):
         raise ValueError("malformed labeling file: labels must be a list")
-    _validate_params(n, s)
     assignment: dict = {}
     for entry in entries:
         if not isinstance(entry, dict) or not {"cycle", "pos", "label"} <= set(entry):
@@ -89,26 +89,17 @@ def labeling_from_dict(data: object) -> tuple[int, int, Labeling]:
         cycle, pos, label = entry["cycle"], entry["pos"], entry["label"]
         if not (type(cycle) is int and type(pos) is int and type(label) is int):
             raise ValueError("malformed labeling file: cycle, pos, label must be integers")
-        if not (cycle in (1, 2) and 1 <= pos <= n):
-            raise ValueError(f"labeling references unknown vertex: ({cycle},{pos})")
         v = Vertex(cycle, pos)
         if v in assignment:
             raise ValueError(f"malformed labeling file: vertex ({cycle},{pos}) labeled twice")
         assignment[v] = label
-    lab = Labeling(n=n, s=s, assignment=assignment)
-    # before any graph exists, so a short file claiming a huge n costs little
-    _require_complete(n, lab.assignment)
-    return n, s, lab
+    return Labeling(n=n, s=s, assignment=assignment)
 
 
-def _dot_lines(g: PrismGraph, lab: Labeling | None) -> Iterator[str]:
+def _dot_lines(g: PrismGraph, lab: Labeling) -> Iterator[str]:
     yield f"graph Z_{g.n}_{g.s} {{"
-    for v in g.vertices():
-        node = f"c{v.cycle}_p{v.position}"
-        if lab is None:
-            yield f"  {node};"
-        else:
-            yield f'  {node} [label="{lab.label(v)}"];'
+    for v, c in lab.assignment.items():
+        yield f'  c{v.cycle}_p{v.position} [label="{c}"];'
     for u, v in g.edges():
         yield f"  c{u.cycle}_p{u.position} -- c{v.cycle}_p{v.position};"
     yield "}"
@@ -153,14 +144,14 @@ def cmd_label(args: argparse.Namespace) -> int:
         print(json.dumps(labeling_to_dict(g, lab)))
     elif args.format == "csv":
         print("cycle,pos,label")
-        for v, c in lab.items_sorted():
+        for v, c in lab.assignment.items():
             print(f"{v.cycle},{v.position},{c}")
     elif args.format == "dot":
         for line in _dot_lines(g, lab):
             print(line)
     else:
         print(f"Z({g.n},{g.s}): diameter {g.diameter}, span {lab.span}")
-        for v, c in lab.items_sorted():
+        for v, c in lab.assignment.items():
             print(f"({v.cycle},{v.position}) {c}")
     return EXIT_OK
 
@@ -175,8 +166,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"malformed labeling file: {e}") from None
     except RecursionError:  # the decoder recurses once per nesting level
         raise ValueError("malformed labeling file: nested too deeply") from None
-    n, s, lab = labeling_from_dict(data)
-    g = build_graph(n, s)
+    lab = labeling_from_dict(data)
+    g = build_graph(lab.n, lab.s)
     report = verify(g, lab)
     if args.format == "json":
         print(json.dumps(report.to_dict()))

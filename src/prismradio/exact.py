@@ -11,8 +11,9 @@ forced span plus an admissible bound on the remaining vertices reaches the
 incumbent.
 
 The remaining-vertex bound uses only the graph: labels two apart in sorted
-order differ by at least ``bounds.pair_gap(g)``, computed from g's metric and
-not from the phi table the search certifies, so m more labels cost at least
+order differ by at least ``bounds.pair_gap(g)``, the least label range of
+three consecutive vertices, computed from g's metric and not from the phi
+table the search certifies, so m more labels cost at least
 max(m, floor(m / 2) * pair_gap + m mod 2) beyond the current maximum.
 Pruning is tie-preserving (only branches strictly worse than the incumbent
 are cut), so the search always recovers an optimal witness.  When verified
@@ -160,22 +161,19 @@ def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> Exa
     nv = 2 * n
     pair_step = max(0, pair_gap(g) - 2)
     required = g.diameter + 1
-    verts = list(g.vertices())
     dist = [[int(x) for x in row] for row in g.dist]
 
     best_span: int | None = None
-    best_assignment: dict[Vertex, int] | None = None
+    best_labels: list[int] | None = None  # by vertex index
     if cfg.upper_bound_hint is None:
         try:
             seed = construct_labeling(n, g.s)
             best_span = seed.span
-            best_assignment = dict(seed.assignment)
+            best_labels = seed.labels.tolist()
         except ValueError:
             pass
-    if best_assignment is None:
-        span0, labels0 = greedy_span_for_order(g, verts)
-        best_span = span0
-        best_assignment = dict(zip(verts, labels0))
+    if best_labels is None:
+        best_span, best_labels = greedy_span_for_order(g, list(g.vertices()))
     prune_ref = best_span
     if cfg.upper_bound_hint is not None:
         prune_ref = min(prune_ref, cfg.upper_bound_hint)
@@ -193,7 +191,7 @@ def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> Exa
         return m - 1 + (m // 2) * pair_step
 
     def dfs(depth: int, last_label: int) -> None:
-        nonlocal nodes, best_span, best_assignment, prune_ref, stopped
+        nonlocal nodes, best_span, best_labels, prune_ref, stopped
         m = nv - depth
         pool = first_pool if depth == 0 else range(nv)
         children = []
@@ -216,8 +214,10 @@ def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> Exa
             if m == 1:
                 # order complete; the cut above guarantees c <= prune_ref
                 best_span = c
-                best_assignment = {verts[w]: cw for w, cw in trail}
-                best_assignment[verts[v]] = c
+                best_labels = [0] * nv
+                for w, cw in trail:
+                    best_labels[w] = cw
+                best_labels[v] = c
                 prune_ref = min(prune_ref, c)
                 continue
             placed[v] = True
@@ -248,7 +248,7 @@ def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> Exa
             "upper_bound_hint was below the optimum; search pruned against an "
             "infeasible bound and is inconclusive"
         )
-    witness = Labeling(n=n, s=g.s, assignment=best_assignment)
+    witness = Labeling.from_labels(n, g.s, best_labels)
     return ExactResult(
         rn=best_span,
         witness=witness,

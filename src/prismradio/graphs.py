@@ -21,11 +21,12 @@ edges to edges, so d((c, i), (c', j)) depends only on c, c' and (j - i)
 mod n, and the whole metric is two breadth-first-search rows, one from (1, 1)
 and one from (2, 1).  ``PrismGraph.rows`` holds them as a read-only
 (2, 2, n) array, so a graph costs O(n) memory and O(n) build time.  The
-dense 2n x 2n matrix ``PrismGraph.dist`` is derived from the rows on first
-access and cached; only small-n consumers (the exact search, the
-triple-budget sweep, the selftest graphs suite) read it.  Built graphs are
-immutable and safe to share across threads.  ``build_graph`` memoizes
-instances keyed on (n, s).
+dense 2n x 2n matrix ``PrismGraph.dist`` is derived from the rows on each
+access and not kept, so a graph held by the ``build_graph`` cache stays
+O(n); only small-n consumers (the exact search, the pair-gap bound, the
+triple-budget sweep, the selftest graphs suite) read it, each binding it
+once.  Built graphs are immutable and safe to share across threads.
+``build_graph`` memoizes instances keyed on (n, s).
 
 A cycle is a plain tuple of vertices.  ``cycle_view`` checks that a vertex
 list is a simple cycle of the graph, ``principal_cycle`` and
@@ -96,28 +97,25 @@ class PrismGraph:
     ``rows[c, c', k]`` is the hop distance from (c + 1, 1) to (c' + 1, 1 + k)
     (0-based c, c', k); ``diameter`` is its maximum.  Vertex (c, p) maps to
     matrix index (c - 1) * n + (p - 1), and ``dist`` is the read-only dense
-    matrix of hop counts over those indices, built on first access.  Use
+    matrix of hop counts over those indices, rebuilt on each access.  Use
     ``build_graph`` to obtain instances.
     """
 
-    __slots__ = ("n", "s", "rows", "diameter", "_dist")
+    __slots__ = ("n", "s", "rows", "diameter")
 
     def __init__(self, n: int, s: int, rows: np.ndarray, diam: int):
         self.n = n
         self.s = s
         self.rows = rows
         self.diameter = diam
-        self._dist: np.ndarray | None = None
 
     def __repr__(self) -> str:
         return f"PrismGraph(n={self.n}, s={self.s}, diameter={self.diameter})"
 
     @property
     def dist(self) -> np.ndarray:
-        """Read-only 2n x 2n int32 distance matrix; O(n^2) memory, built lazily."""
-        if self._dist is None:
-            self._dist = _dense_from_rows(self.rows)
-        return self._dist
+        """Read-only 2n x 2n int32 distance matrix; O(n^2) memory, built per access."""
+        return _dense_from_rows(self.rows)
 
     @property
     def num_vertices(self) -> int:

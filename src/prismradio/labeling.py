@@ -24,8 +24,17 @@ Each formula is evaluated over i = 1..n as a NumPy array.  Its raw values
 leave the 1-based ranges: positions run past n, and the cycle coordinate of
 cases 2-4 is any integer (i itself in case 3, 0 in case 4).  Both
 coordinates are wrapped as ``normalize_vertex`` does, so an even cycle
-coordinate means cycle 2 and an odd one cycle 1.  ``construct_labeling``
-zips the two sequences into a Labeling.
+coordinate means cycle 2 and an odd one cycle 1, and ``label_order``
+returns the vertex indices (cycle - 1) * n + position - 1 that
+``PrismGraph.index`` uses.  ``construct_labeling`` writes the label
+sequence into a label array at those indices.
+
+A ``Labeling`` is that array: one int64 label per vertex index, read-only.
+Its constructor is the one place that decides whether a vertex -> label
+mapping is a labeling of Z(n, s): every key a vertex of the graph, every
+label an integer in [1, 2**63), every vertex labeled.  Completeness is
+checked before the 2n array is allocated, so a mapping of a few entries
+that names a huge n costs what the mapping costs.
 
 Two graphs fall outside the pattern and are handled directly: Z(3, 3) is a
 complete graph on 6 vertices (any six distinct labels work; we use 1..6),
@@ -36,10 +45,10 @@ provided (``CaseId.UNSUPPORTED``); use the exact solver for those.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -91,8 +100,9 @@ def label_sequence(n: int, s: int) -> list[int]:
     return [first + i * step for i in range(n) for first in (1, 2)]
 
 
-def label_order(n: int, s: int) -> list[Vertex]:
-    """alpha_1, ..., alpha_2n: the vertices in the order label_sequence labels them.
+def label_order(n: int, s: int) -> np.ndarray:
+    """alpha_1, ..., alpha_2n as an int64 array of vertex indices
+    (``PrismGraph.index``), in the order label_sequence labels them.
 
     Cases 1-4 only; raises ValueError for the two specials and for n = 3
     with s < 3, which have no sorted-order construction.
@@ -127,55 +137,90 @@ def label_order(n: int, s: int) -> list[Vertex]:
     position = np.empty(2 * n, dtype=np.int64)
     for parity, (c, p) in enumerate((odd, even)):
         cycle[parity::2], position[parity::2] = c, p
-    # the wrap of normalize_vertex, on whole arrays
-    cycle, position = (cycle - 1) % 2 + 1, (position - 1) % n + 1
-    return list(map(Vertex, cycle.tolist(), position.tolist()))
+    # the wrap of normalize_vertex, on whole arrays, then the vertex index
+    return (cycle - 1) % 2 * n + (position - 1) % n
 
 
-# Span-9 radio labeling of Z(4, 3), found once by exact_radio_number and
-# frozen as a regression constant (the graph falls outside the general pattern).
-_SPECIAL_4_3_LABELS: dict[Vertex, int] = {
-    Vertex(1, 1): 9, Vertex(1, 2): 4, Vertex(1, 3): 8, Vertex(1, 4): 3,
-    Vertex(2, 1): 7, Vertex(2, 2): 2, Vertex(2, 3): 6, Vertex(2, 4): 1,
-}
+# Span-9 radio labeling of Z(4, 3) in vertex-index order (1,1)..(1,4),
+# (2,1)..(2,4), found once by exact_radio_number and frozen as a regression
+# constant (the graph falls outside the general pattern).
+_SPECIAL_4_3_LABELS = (9, 4, 8, 3, 7, 2, 6, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Labeling:
-    """A total assignment of positive integer labels to the vertices of Z(n, s).
+    """A total assignment of labels to the vertices of Z(n, s).
 
-    The container itself only enforces positive integer labels below 2**63
-    (the verifier holds them in int64); distinctness and the radio condition
-    are audited by ``verification.verify`` so that deliberately broken
-    assignments can be represented and reported on.
+    ``labels[(c - 1) * n + p - 1]`` is the label of vertex (c, p): a
+    read-only int64 array of length 2n.  The constructor takes a
+    vertex -> label mapping and raises ValueError unless (n, s) is a
+    supported graph, every key is a vertex (cycle, position) of it with
+    plain int coordinates, every label is an integer in [1, 2**63) (the
+    verifier holds them in int64) and every vertex is labeled.
+    Distinctness and the radio condition are audited by
+    ``verification.verify``, so that deliberately broken assignments can be
+    represented and reported on.
     """
 
     n: int
     s: int
-    assignment: Mapping[Vertex, int] = field(repr=False)
+    labels: np.ndarray
 
-    def __post_init__(self) -> None:
-        clean: dict[Vertex, int] = {}
-        for v, c in self.assignment.items():
-            if not isinstance(c, int) or isinstance(c, bool) or not 1 <= c < 2**63:
+    def __init__(self, n: int, s: int, assignment: Mapping[Vertex, int]) -> None:
+        _validate_params(n, s)
+        index, values = [], []
+        for v, c in assignment.items():
+            try:
+                cycle, pos = v
+            except (TypeError, ValueError):
+                cycle = pos = None
+            if not (type(cycle) is int and type(pos) is int
+                    and cycle in (1, 2) and 1 <= pos <= n):
+                raise ValueError(f"labeling references unknown vertex: {v}")
+            if type(c) is not int or not 1 <= c < 2**63:
                 raise ValueError(
                     f"labels must be positive integers below 2**63, got {c!r} at {v}"
                 )
-            clean[Vertex(*v)] = c
-        object.__setattr__(self, "assignment", MappingProxyType(clean))
+            index.append((cycle - 1) * n + pos - 1)
+            values.append(c)
+        # the keys are distinct vertices of Z(n, s), so only a short mapping misses one;
+        # the scan for the first gap stops within len(assignment) + 1 vertices
+        missing = 2 * n - len(index)
+        if missing:
+            vertices = (Vertex(c, p) for c in (1, 2) for p in range(1, n + 1))
+            first = next(v for v in vertices if v not in assignment)
+            raise ValueError(
+                f"labeling incomplete: {missing} vertices unlabeled (first: {first})"
+            )
+        labels = np.empty(2 * n, dtype=np.int64)
+        labels[index] = values
+        self._freeze(n, s, labels)
+
+    @classmethod
+    def from_labels(cls, n: int, s: int, labels: Iterable[int]) -> "Labeling":
+        """Trusted constructor from labels already in vertex-index order.
+
+        The caller guarantees 2n labels in [1, 2**63); nothing is checked.
+        """
+        lab = object.__new__(cls)
+        lab._freeze(n, s, np.array(labels, dtype=np.int64))
+        return lab
+
+    def _freeze(self, n: int, s: int, labels: np.ndarray) -> None:
+        labels.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "labels", labels)
+
+    @property
+    def assignment(self) -> Mapping[Vertex, int]:
+        """Read-only vertex -> label view, in (cycle, position) order."""
+        vertices = (Vertex(c, p) for c in (1, 2) for p in range(1, self.n + 1))
+        return MappingProxyType(dict(zip(vertices, self.labels.tolist())))
 
     @property
     def span(self) -> int:
-        if not self.assignment:
-            raise ValueError("empty labeling")
-        return max(self.assignment.values())
-
-    def label(self, v: Vertex) -> int:
-        return self.assignment[Vertex(*v)]
-
-    def items_sorted(self) -> list[tuple[Vertex, int]]:
-        """(vertex, label) pairs in (cycle, position) lexicographic order."""
-        return sorted(self.assignment.items())
+        return int(self.labels.max())
 
     def __repr__(self) -> str:
         return f"Labeling(n={self.n}, s={self.s}, span={self.span})"
@@ -187,8 +232,10 @@ def construct_labeling(n: int, s: int) -> Labeling:
     """
     case = case_select(n, s)
     if case is CaseId.SPECIAL_3_3:
-        verts = [Vertex(c, p) for c in (1, 2) for p in (1, 2, 3)]
-        return Labeling(n=3, s=3, assignment={v: i + 1 for i, v in enumerate(verts)})
+        return Labeling.from_labels(3, 3, range(1, 7))
     if case is CaseId.SPECIAL_4_3:
-        return Labeling(n=4, s=3, assignment=dict(_SPECIAL_4_3_LABELS))
-    return Labeling(n=n, s=s, assignment=dict(zip(label_order(n, s), label_sequence(n, s))))
+        return Labeling.from_labels(4, 3, _SPECIAL_4_3_LABELS)
+    order = label_order(n, s)  # first: its error names the graphs without a construction
+    labels = np.empty(2 * n, dtype=np.int64)
+    labels[order] = label_sequence(n, s)
+    return Labeling.from_labels(n, s, labels)

@@ -87,12 +87,12 @@ def _graphs_suite(n_max: int) -> SuiteResult:
             g.diameter == (n + 3 - s) // 2,
             f"diameter of Z({n},{s}) is {g.diameter}, closed form says {(n + 3 - s) // 2}",
         )
-        degrees = (g.dist == 1).sum(axis=0)
+        d = g.dist
+        degrees = (d == 1).sum(axis=0)
         suite.check(
             bool((degrees == 2 + s).all()),
             f"Z({n},{s}) has a vertex of degree != {2 + s}",
         )
-        d = g.dist
         suite.check(bool((d == d.T).all()) and bool((np.diag(d) == 0).all()),
                     f"distance matrix of Z({n},{s}) not a symmetric metric")
         if n <= 30:
@@ -166,7 +166,7 @@ def _labeling_suite(n_max: int) -> SuiteResult:
             rn = radio_number(n, s)[0]
             suite.check(lab.span == rn, f"Z({n},{s}) labeling span is not {rn}")
         else:
-            order = label_order(n, s)
+            order = [g.vertex_at(i) for i in label_order(n, s).tolist()]
             suite.check(len(set(order)) == 2 * n,
                         f"label order of Z({n},{s}) is not a bijection")
             suite.check(
@@ -192,13 +192,12 @@ def _verification_suite(n_max: int) -> SuiteResult:
             continue
         g = build_graph(n, s)
         lab = construct_labeling(n, s)
-        shifted = Labeling(n=n, s=s, assignment={v: c + 7 for v, c in lab.assignment.items()})
+        shifted = Labeling.from_labels(n, s, lab.labels + 7)
         suite.check(verify(g, shifted).valid,
                     f"label translation broke validity on Z({n},{s})")
-        items = lab.items_sorted()
-        broken = dict(lab.assignment)
-        broken[items[0][0]] = items[1][1]  # duplicate one label
-        report = verify(g, Labeling(n=n, s=s, assignment=broken))
+        broken = lab.labels.copy()
+        broken[0] = broken[1]  # duplicate one label
+        report = verify(g, Labeling.from_labels(n, s, broken))
         suite.check(not report.valid and any(w.label_gap == 0 for w in report.violations),
                     f"duplicate label not flagged on Z({n},{s})")
     return suite.result()

@@ -14,16 +14,18 @@ entries t places apart grows with t, so the sweep compares each vertex with
 the one t places later for t = 1, 2, ... and stops at the first t where no
 pair has gap <= diam (the consecutive-labels argument of Liu and Zhu,
 "Multilevel distance labelings for paths and cycles", SIAM J. Discrete Math.
-19 (2005)).  Distances come from the graph's O(n) rotation-invariant rows, so
-a construction with O(n) pairs in its window verifies in O(n log n) time and
-O(n) memory; ``pairs_checked`` still counts all nv(nv - 1)/2 pairs, because
-every pair is certified, by its distance or by its gap.
+19 (2005)).  Labels come straight from ``Labeling.labels``, which is indexed
+like the graph's vertices, and distances from the graph's O(n)
+rotation-invariant rows, so a construction with O(n) pairs in its window
+verifies in O(n log n) time and O(n) memory; ``pairs_checked`` still counts
+all nv(nv - 1)/2 pairs, because every pair is certified, by its distance or
+by its gap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,55 +70,18 @@ class VerificationReport:
         }
 
 
-def _label_array(g: PrismGraph, labeling: Labeling) -> np.ndarray:
-    """Labels indexed like g's vertices (index (c - 1) * n + p - 1).
-
-    Raises ValueError("labeling references unknown vertex") for the first
-    assignment key, in insertion order, that equals no vertex of g, and
-    ValueError("labeling incomplete") when some vertex of g has no label.
-    """
-    n = g.n
-    labels = np.zeros(2 * n, dtype=np.int64)
-    for v, label in labeling.assignment.items():
-        try:  # v may hold equal non-int numbers, such as 2.0 or NumPy integers
-            c, p = int(v.cycle), int(v.position)
-        except (TypeError, ValueError, OverflowError):
-            c = p = 0
-        if (c, p) != v or c not in (1, 2) or not 1 <= p <= n:
-            raise ValueError(f"labeling references unknown vertex: {v}")
-        labels[(c - 1) * n + p - 1] = label
-    _require_complete(n, labeling.assignment)
-    return labels
-
-
-def _require_complete(n: int, assignment: Mapping[Vertex, int]) -> None:
-    """Raise ValueError("labeling incomplete") unless all 2n vertices are labeled.
-
-    The keys must already be known to be distinct vertices of Z(n, s).  The
-    search for the first unlabeled vertex stops there, so it costs
-    O(len(assignment)) whatever n is.
-    """
-    missing = 2 * n - len(assignment)
-    if missing:
-        vertices = (Vertex(c, p) for c in (1, 2) for p in range(1, n + 1))
-        first = next(v for v in vertices if v not in assignment)
-        raise ValueError(f"labeling incomplete: {missing} vertices unlabeled (first: {first})")
-
-
 def verify(g: PrismGraph, labeling: Labeling) -> VerificationReport:
     """Check the radio condition on all pairs of g under the given labels.
 
-    Raises ValueError when the labeling is for another Z(n, s) than g,
-    ValueError("labeling incomplete") when some vertex of g has no label,
-    and ValueError("labeling references unknown vertex") when the
-    assignment mentions a vertex outside g.
+    Raises ValueError when the labeling is for another Z(n, s) than g; a
+    ``Labeling`` labels every vertex of its own graph by construction.
     """
     if (labeling.n, labeling.s) != (g.n, g.s):
         raise ValueError(
             f"labeling is for Z({labeling.n},{labeling.s}), not for Z({g.n},{g.s})"
         )
     n, nv = g.n, 2 * g.n
-    labels = _label_array(g, labeling)
+    labels = labeling.labels
     required = g.diameter + 1
     order = np.argsort(labels, kind="stable")
     sorted_labels = labels[order]

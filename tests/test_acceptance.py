@@ -137,7 +137,7 @@ def test_criterion_5_position_maps_are_bijections():
             for s in (1, 2, 3):
                 if (n, s) == (4, 3):
                     continue
-                image = label_order(n, s)
+                image = [build_graph(n, s).vertex_at(i) for i in label_order(n, s).tolist()]
                 expected = {Vertex(c, p) for c in (1, 2) for p in range(1, n + 1)}
                 assert len(image) == len(set(image)) == 2 * n, f"collision at (n={n}, s={s})"
                 assert set(image) == expected, f"not onto at (n={n}, s={s})"

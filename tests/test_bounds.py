@@ -1,7 +1,6 @@
 import pytest
 
 from prismradio import (
-    PhiParams,
     Vertex,
     build_graph,
     check_triple_bound,
@@ -15,11 +14,6 @@ from prismradio import (
 )
 from prismradio.bounds import _phi_from_triple_budget
 from prismradio.labeling import CaseId, case_select
-
-
-def test_phi_params_decomposition():
-    p = PhiParams.resolve(14, 2)
-    assert (p.n, p.k, p.r, p.s) == (14, 3, 2, 2)
 
 
 @pytest.mark.parametrize(
@@ -40,13 +34,11 @@ def test_phi_table_values(n, s, expected):
 
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_pair_gap_from_the_metric_matches_phi(s):
-    # the graph-derived gap is phi, except one lower for s = 3 with n = 4k,
-    # where triples holding a cross-cycle partner pair reach distance sum n + 1
+    # the consecutive-triple gap, read from the graph, is the table's phi
     for n in range(4, 41):
         if (n, s) == (4, 3):
             continue
-        want = phi(n, s) - (s == 3 and n % 4 == 0)
-        assert pair_gap(build_graph(n, s)) == want, (n, s)
+        assert pair_gap(build_graph(n, s)) == phi(n, s), (n, s)
 
 
 def test_phi_rejects_out_of_scope():

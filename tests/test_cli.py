@@ -165,11 +165,14 @@ def test_verify_rejects_short_file_before_building_the_graph(capsys, tmp_path, m
         raise AssertionError("graph built for an incomplete labeling")
 
     monkeypatch.setattr(cli, "build_graph", no_build)
-    path = tmp_path / "short.json"
-    path.write_text(json.dumps({"n": 500, "s": 2, "labels": [{"cycle": 1, "pos": 1, "label": 1}]}))
-    code, out, err = run(capsys, "verify", "--file", str(path))
-    assert code == 2
-    assert "labeling incomplete: 999 vertices unlabeled (first: (1,2))" in err and out == ""
+    for n in (500, 10**12):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"n": n, "s": 2,
+                                    "labels": [{"cycle": 1, "pos": 1, "label": 1}]}))
+        code, out, err = run(capsys, "verify", "--file", str(path))
+        assert code == 2
+        assert f"labeling incomplete: {2 * n - 1} vertices unlabeled (first: (1,2))" in err
+        assert out == ""
 
 
 @pytest.mark.parametrize("field", ["cycle", "pos"])
@@ -378,3 +381,86 @@ def test_verify_file_fuzz_maps_every_document_to_a_documented_exit(tmp_path_fact
     assert "internal error" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error: ")
+
+
+_JUNK_TOKENS = ["", "x", "1.5", "0x4", "--bogus", "-x", "--format=xml", "--no-phi-pruning", "-h"]
+_FLAGS = {  # subcommand -> (required flags, optional flags, --format choices)
+    "rn": (["--n", "--s"], ["--format"], ["text", "json"]),
+    "label": (["--n", "--s"], ["--format"], ["text", "json", "csv", "dot"]),
+    "verify": (["--file"], ["--format"], ["text", "json"]),
+    "exact": (["--n", "--s"], ["--budget", "--hint", "--format"], ["text", "json"]),
+    "table": ([], ["--n-min", "--n-max", "--format"], ["text", "json", "csv"]),
+    "selftest": ([], ["--n-max", "--inject-fault"], []),
+}
+
+
+@pytest.fixture(scope="module")
+def cli_fuzz_files(tmp_path_factory):
+    """Paths for verify --file: a valid labeling, an invalid one, junk, a directory, none."""
+    root = tmp_path_factory.mktemp("cli_fuzz")
+    doc = cli.labeling_to_dict(build_graph(6, 2), construct_labeling(6, 2))
+    (root / "valid.json").write_text(json.dumps(doc))
+    doc["labels"][0]["label"] = doc["labels"][1]["label"]
+    (root / "invalid.json").write_text(json.dumps(doc))
+    (root / "junk.json").write_text("{[")
+    return [str(root / name) for name in ("valid.json", "invalid.json", "junk.json", "", "absent")]
+
+
+@st.composite
+def _cli_argvs(draw, files):
+    """An argv for one subcommand: mostly its own flags with in-range values,
+    sometimes a required flag or a value left out, a flag of another
+    subcommand, a junk value or a junk token.
+
+    The sizes stay small: n <= 40, exact n <= 5 unless it has a --budget of
+    at most 0.1 s, table --n-max <= 30 and selftest --n-max <= 10.
+    """
+    rnd = draw(st.randoms(use_true_random=True))  # uniform odds: hypothesis favours edges
+
+    def maybe(odds):
+        return rnd.randrange(odds) == 0
+
+    def int_token(high):
+        return rnd.choice(_JUNK_TOKENS) if maybe(20) else str(rnd.randint(-3, high))
+
+    command = rnd.choice(sorted(_FLAGS))
+    required, optional, formats = _FLAGS[command]
+    flags = [f for f in required if not maybe(20)] + [f for f in optional if maybe(2)]
+    if maybe(10):
+        flags.append(rnd.choice(sorted({f for r, o, _ in _FLAGS.values() for f in r + o})))
+    budgeted = command == "exact" and "--budget" in flags
+    values = {
+        "--n": lambda: int_token(5 if command == "exact" and not budgeted
+                                 else 10 if command == "selftest" else 40),
+        "--s": lambda: int_token(4),
+        "--format": lambda: "xml" if maybe(10) else rnd.choice(formats),
+        "--file": lambda: rnd.choice(files),
+        "--budget": lambda: rnd.choice(["0s", "0.1s", "0.001m", "nan", "-1s", "soon", "1e400m"]),
+        "--hint": lambda: int_token(60),
+        "--n-min": lambda: int_token(40),
+        "--n-max": lambda: int_token(10 if command == "selftest" else 30),
+        "--inject-fault": lambda: "none" if maybe(10) else "phi",
+    }
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        if not maybe(30):
+            argv.append(values[flag]())
+    if maybe(10):
+        argv.insert(rnd.randint(0, len(argv)), rnd.choice(_JUNK_TOKENS))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cli_argument_fuzz_maps_every_argv_to_a_documented_exit(cli_fuzz_files, data):
+    argv = data.draw(_cli_argvs(cli_fuzz_files))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors exit 2, --help exits 0
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "internal error:" not in err.getvalue(), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from prismradio import (
@@ -18,7 +19,12 @@ from reference import scalar_label_order
 
 def alpha(n, s, j):
     """alpha_j, 1-based as in the paper."""
-    return label_order(n, s)[j - 1]
+    return build_graph(n, s).vertex_at(int(label_order(n, s)[j - 1]))
+
+
+def vertex_order(n, s):
+    """alpha_1, ..., alpha_2n as vertices."""
+    return [build_graph(n, s).vertex_at(i) for i in label_order(n, s).tolist()]
 
 
 @pytest.mark.parametrize(
@@ -108,9 +114,11 @@ def test_label_order_rejects_graphs_without_a_sorted_order(n, s, message):
 
 
 def test_label_order_holds_plain_ints():
-    # NumPy scalars would leak into JSON output and Vertex comparisons
-    for v in label_order(2501, 2):
-        assert type(v.cycle) is int and type(v.position) is int
+    # label_order is an index array; NumPy scalars must not leak out of a
+    # Labeling into JSON output and Vertex comparisons
+    assert label_order(2501, 2).dtype == np.int64
+    for v, c in construct_labeling(2501, 2).assignment.items():
+        assert type(v.cycle) is int and type(v.position) is int and type(c) is int
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
@@ -119,7 +127,7 @@ def test_label_order_matches_scalar_formulas(s):
     for n in list(range(4, 201)) + [10_001, 10_002, 10_003, 10_004]:
         case = case_select(n, s)
         if case in cases:
-            assert label_order(n, s) == scalar_label_order(cases[case], n, s), (n, s)
+            assert vertex_order(n, s) == scalar_label_order(cases[case], n, s), (n, s)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
@@ -127,7 +135,7 @@ def test_position_maps_are_bijections(s):
     for n in range(4, 101):
         if (n, s) == (4, 3):
             continue
-        order = label_order(n, s)
+        order = vertex_order(n, s)
         assert len(order) == len(set(order)) == 2 * n, (n, s)
         assert all(v.cycle in (1, 2) and 1 <= v.position <= n for v in order), (n, s)
 
@@ -138,7 +146,7 @@ def test_consecutive_sorted_pairs_sit_at_diameter(s):
         if (n, s) == (4, 3):
             continue
         g = build_graph(n, s)
-        order = label_order(n, s)
+        order = vertex_order(n, s)
         for i in range(1, n + 1):
             u, v = order[2 * i - 2], order[2 * i - 1]
             assert g.distance(u, v) == g.diameter, (n, s, i)
@@ -191,5 +199,24 @@ def test_labeling_is_frozen():
 
 
 def test_labeling_span_requires_labels():
-    with pytest.raises(ValueError, match="empty labeling"):
-        Labeling(n=5, s=1, assignment={}).span
+    with pytest.raises(ValueError, match="labeling incomplete"):
+        Labeling(n=5, s=1, assignment={})
+
+
+def test_labels_are_indexed_like_the_graph():
+    g = build_graph(5, 1)
+    lab = construct_labeling(5, 1)
+    assert lab.labels.dtype == np.int64 and lab.labels.shape == (10,)
+    assert lab.labels[g.index(Vertex(1, 1))] == 1 and lab.labels[g.index(Vertex(2, 4))] == 2
+    reordered = dict(reversed(list(lab.assignment.items())))
+    assert (Labeling(n=5, s=1, assignment=reordered).labels == lab.labels).all()
+    with pytest.raises(ValueError):
+        lab.labels[0] = 99
+
+
+@pytest.mark.parametrize("key", [(1, 9), (3, 1), (0, 1), (1.0, 1), (True, 1), (1, 2, 3), "ab", 7])
+def test_labeling_rejects_keys_that_are_not_vertices(key):
+    # the bad key comes first, so an equal vertex key later keeps its object
+    rest = {v: i + 1 for i, v in enumerate(build_graph(4, 1).vertices())}
+    with pytest.raises(ValueError, match="unknown vertex"):
+        Labeling(n=4, s=1, assignment={key: 1} | rest)

@@ -1,11 +1,11 @@
 """Radio labelings of generalized prism graphs Z(n, s), 1 <= s <= 3.
 
-The package builds the graphs with exact BFS distances (``graphs``), knows
-the tight lower bound (n - 1) * phi(n, s) + 2 and its gap parameters
-(``bounds``), constructs labelings meeting that bound (``labeling``), audits
-any labeling pair-by-pair (``verification``), and can prove radio numbers of
-small instances by branch-and-bound (``exact``).  The ``prismradio`` console
-script exposes all of it.
+The package builds the graphs with exact hop distances from a closed form
+(``graphs``), knows the tight lower bound (n - 1) * phi(n, s) + 2 and its
+gap parameters (``bounds``), constructs labelings meeting that bound
+(``labeling``), audits any labeling pair-by-pair (``verification``), and can
+prove radio numbers of small instances by branch-and-bound (``exact``).  The
+``prismradio`` console script exposes all of it.
 """
 
 from .graphs import (

@@ -18,15 +18,18 @@ into 1-based ranges.  Wrapping happens when a Vertex is created (see
 
 Distances are hop counts.  Shifting every position by the same amount maps
 edges to edges, so d((c, i), (c', j)) depends only on c, c' and (j - i)
-mod n, and the whole metric is two breadth-first-search rows, one from (1, 1)
-and one from (2, 1).  ``PrismGraph.rows`` holds them as a read-only
-(2, 2, n) array, so a graph costs O(n) memory and O(n) build time.  The
-dense 2n x 2n matrix ``PrismGraph.dist`` is derived from the rows on each
-access and not kept, so a graph held by the ``build_graph`` cache stays
-O(n); only small-n consumers (the exact search, the pair-gap bound, the
-triple-budget sweep, the selftest graphs suite) read it, each binding it
-once.  Built graphs are immutable and safe to share across threads.
-``build_graph`` memoizes instances keyed on (n, s).
+mod n, and the whole metric is two rows, one from (1, 1) and one from
+(2, 1).  For s <= 3 the rows have a closed form: a cross offset moves the
+position by at most 1, so crossing over and back (2 hops) shifts it by at
+most 2, which 2 ring hops do as well, and some shortest path crosses between
+the cycles at most once (see ``build_graph``).  ``PrismGraph.rows`` holds
+the rows as a read-only (2, 2, n) array, so a graph costs O(n) memory and
+O(n) NumPy build time.  The dense 2n x 2n matrix ``PrismGraph.dist`` is
+derived from the rows on each access and not kept, so a graph held by the
+``build_graph`` cache stays O(n); only small-n consumers (the exact search,
+the pair-gap bound, the triple-budget sweep, the selftest graphs suite) read
+it, each binding it once.  Built graphs are immutable and safe to share
+across threads.  ``build_graph`` memoizes instances keyed on (n, s).
 
 A cycle is a plain tuple of vertices.  ``cycle_view`` checks that a vertex
 list is a simple cycle of the graph, ``principal_cycle`` and
@@ -175,46 +178,34 @@ class PrismGraph:
         return int(self.rows[c, c2, (p2 - p) % self.n])
 
 
-def _bfs_row(n: int, s: int, source: int) -> list[int]:
-    """Hop distances from vertex index ``source`` to every index of Z(n, s).
-
-    Index c * n + p is vertex (c + 1, p + 1).  (1, p) is joined to (2, p + d)
-    for each cross offset d, so (2, p) is joined to (1, p - d).
-    """
-    offsets = range(-((s - 1) // 2), s // 2 + 1)
-    steps = (
-        [(0, 1), (0, -1)] + [(n, d) for d in offsets],
-        [(n, 1), (n, -1)] + [(0, -d) for d in offsets],
-    )
-    dist = [-1] * (2 * n)
-    dist[source] = 0
-    queue = [source]
-    for u in queue:  # the list grows while it is read: a FIFO queue
-        du = dist[u] + 1
-        c = u >= n
-        p = u - n if c else u
-        for base, delta in steps[c]:
-            w = base + (p + delta) % n
-            if dist[w] < 0:
-                dist[w] = du
-                queue.append(w)
-    return dist
-
-
 @lru_cache(maxsize=128)
 def build_graph(n: int, s: int) -> PrismGraph:
     """Construct Z(n, s) and its distance rows from (1, 1) and (2, 1).
 
-    Raises ValueError("unsupported graph parameters") outside the supported
-    range.  Asserts that the graph is connected, that the rows describe a
-    symmetric metric (d(u, v) = d(v, u) and d(v, v) = 0) and that the
-    diameter matches the closed form.
+    The rows come from the one-crossing lemma: for s <= 3 every cross
+    offset sigma lies in {-1, 0, 1}, so a path that crosses to the other
+    cycle and back moves the position by at most 2 in 2 hops, no further
+    than 2 ring hops, and some shortest path crosses at most once.  With
+    ring(k) = min(k, n - k),
+
+        d((c, 1), (c, 1 + k)) = ring(k),
+        d((1, 1), (2, 1 + k)) = 1 + min over sigma of ring(k - sigma),
+        d((2, 1), (1, 1 + k)) = 1 + min over sigma of ring(k + sigma).
+
+    The lemma fails for s >= 4, which is rejected.  Raises
+    ValueError("unsupported graph parameters") outside the supported range.
+    Asserts that the rows describe a symmetric metric (d(u, v) = d(v, u)
+    and d(v, v) = 0) and that the diameter matches the closed form.
     """
     _validate_params(n, s)
-    rows = np.array([_bfs_row(n, s, 0), _bfs_row(n, s, n)], dtype=np.int32).reshape(2, 2, n)
-    assert (rows >= 0).all(), "prism graph must be connected"
+    k = np.arange(n)
+    ring = np.minimum(k, n - k).astype(np.int32)
+    sigma = np.arange(-((s - 1) // 2), s // 2 + 1)[:, None]  # the cross offsets
+    to_2 = 1 + ring[(k - sigma) % n].min(axis=0)
+    to_1 = 1 + ring[(k + sigma) % n].min(axis=0)
+    rows = np.stack([ring, to_2, to_1, ring]).reshape(2, 2, n)
     # d((c, 1), (c', 1 + k)) == d((c', 1), (c, 1 - k)), and d(v, v) == 0
-    back = (-np.arange(n)) % n
+    back = (-k) % n
     assert (rows == rows.transpose(1, 0, 2)[:, :, back]).all()
     assert rows[0, 0, 0] == rows[1, 1, 0] == 0
 

@@ -1,7 +1,8 @@
 """Cross-module invariant suites backing the ``prismradio selftest`` command.
 
 Each suite re-derives facts one module promises from another module's
-independent route: graph diameters against the closed form, the phi table
+independent route: graph diameters against the closed form, the distance
+matrix against the Bellman equations of the edge rule, the phi table
 against its first-principles ceiling derivation, constructions against the
 pair-by-pair verifier, and the exact solver against formula values on tiny
 instances.  A suite reports its first failing check, so a defect localizes
@@ -31,7 +32,7 @@ from .bounds import (
     radio_number,
 )
 from .exact import exact_radio_number
-from .graphs import Vertex, build_graph, is_v_tight, principal_cycle, standard_cycle
+from .graphs import Vertex, build_graph, is_v_tight, standard_cycle
 from .labeling import (
     CaseId,
     Labeling,
@@ -79,6 +80,21 @@ def _supported_params(n_max: int):
                 yield n, s
 
 
+def _neighbours(n: int, s: int) -> np.ndarray:
+    """(2n, 2 + s) vertex indices adjacent to each index, from the edge rule.
+
+    (1, p) is joined to (1, p +- 1) and to (2, p + d) for each cross offset
+    d, and (2, p) to (2, p +- 1) and to (1, p - d).
+    """
+    pos = np.arange(n)[:, None]
+    offsets = np.arange(-((s - 1) // 2), s // 2 + 1)
+    ring = np.array([1, -1])
+    return np.concatenate([
+        np.hstack([(pos + ring) % n, n + (pos + offsets) % n]),
+        np.hstack([n + (pos + ring) % n, (pos - offsets) % n]),
+    ])
+
+
 def _graphs_suite(n_max: int) -> SuiteResult:
     suite = _Suite("graphs")
     for n, s in _supported_params(n_max):
@@ -98,15 +114,16 @@ def _graphs_suite(n_max: int) -> SuiteResult:
         if n <= 30:
             ok = all(bool((d <= d[:, k][:, None] + d[k][None, :]).all()) for k in range(2 * n))
             suite.check(ok, f"triangle inequality fails in Z({n},{s})")
-        if s == 1:
-            pos = np.arange(n)
-            ring = np.minimum(np.abs(pos[:, None] - pos[None, :]), n - np.abs(pos[:, None] - pos[None, :]))
-            closed = np.block([[ring, ring + 1], [ring + 1, ring]])
-            suite.check(bool((d == closed).all()),
-                        f"s=1 closed-form distances disagree with BFS on Z({n},1)")
+        # Bellman equations of the defined edges: their only solution is the hop metric
+        bellman = np.where(np.eye(2 * n, dtype=bool), 0, 1 + d[:, _neighbours(n, s)].min(axis=2))
+        suite.check(bool((d == bellman).all()),
+                    f"distance matrix of Z({n},{s}) is not the hop metric of its edges")
+        pos = np.arange(n)
+        gap = np.abs(pos[:, None] - pos[None, :])
+        ring = np.minimum(gap, n - gap)
         for which in (1, 2):
-            pc = principal_cycle(g, which)
-            suite.check(all(is_v_tight(g, pc, v) for v in pc),
+            block = slice((which - 1) * n, which * n)  # principal cycle `which`, in cycle order
+            suite.check(bool((d[block, block] == ring).all()),
                         f"principal cycle {which} of Z({n},{s}) not distance-true")
         sc = standard_cycle(g)
         suite.check(len(sc) == n + 3 - s,

@@ -2,10 +2,13 @@
 
 ``all_pairs_distances`` runs scipy's all-pairs BFS over an edge list written
 straight from the definition of Z(n, s), so it shares nothing with the
-rotation-invariant rows of ``prismradio.graphs``.  ``all_pairs_violations``
-is the dense radio-condition check that ``verify`` replaced: it compares
-every pair, with no label window.  ``brute_force_radio_number`` tries every
-vertex order, sharing no code with ``prismradio.exact``.
+rotation-invariant rows of ``prismradio.graphs``.  ``bfs_row`` is a
+pure-Python breadth-first search from one vertex over the same edge rule,
+the oracle for the closed-form rows at n up to about 2 * 10^5.
+``all_pairs_violations`` is the dense radio-condition check that ``verify``
+replaced: it compares every pair, with no label window.
+``brute_force_radio_number`` tries every vertex order, sharing no code with
+``prismradio.exact``.
 ``scalar_label_order`` evaluates the construction's position formulas one
 index at a time in Python integers, as ``label_order`` did before it worked
 on NumPy arrays.
@@ -37,6 +40,32 @@ def all_pairs_distances(n: int, s: int) -> np.ndarray:
     d = shortest_path(adj, method="D", unweighted=True)
     assert np.isfinite(d).all()
     return d.astype(np.int32)
+
+
+def bfs_row(n: int, s: int, source: int) -> list[int]:
+    """Hop distances from vertex index ``source`` to every index of Z(n, s).
+
+    Index c * n + p is vertex (c + 1, p + 1).  (1, p) is joined to (2, p + d)
+    for each cross offset d, so (2, p) is joined to (1, p - d).
+    """
+    offsets = range(-((s - 1) // 2), s // 2 + 1)
+    steps = (
+        [(0, 1), (0, -1)] + [(n, d) for d in offsets],
+        [(n, 1), (n, -1)] + [(0, -d) for d in offsets],
+    )
+    dist = [-1] * (2 * n)
+    dist[source] = 0
+    queue = [source]
+    for u in queue:  # the list grows while it is read: a FIFO queue
+        du = dist[u] + 1
+        c = u >= n
+        p = u - n if c else u
+        for base, delta in steps[c]:
+            w = base + (p + delta) % n
+            if dist[w] < 0:
+                dist[w] = du
+                queue.append(w)
+    return dist
 
 
 def all_pairs_violations(dist: np.ndarray, labels: list[int], diam: int):

@@ -107,14 +107,15 @@ def test_criterion_2_stretch_n6_within_budget():
             print(f"  n=6 s={s}: rn={result.rn} ({status}, {result.nodes_explored} nodes)")
 
 
-def test_criterion_3_bfs_diameter_matches_closed_form():
-    # BFS diameter equals floor((n + 3 - s) / 2) for all s, 3 <= n <= 200.
-    with criterion(3, "BFS diameter equals closed form, n <= 200", budget=60.0):
+def test_criterion_3_metric_diameter_matches_closed_form():
+    # The largest entry of the distance matrix equals floor((n + 3 - s) / 2)
+    # for all s, 3 <= n <= 200.
+    with criterion(3, "metric diameter equals closed form, n <= 200", budget=60.0):
         for n in range(3, 201):
             for s in (1, 2, 3):
                 g = build_graph(n, s)
-                bfs_diam = int(g.dist.max())
-                assert bfs_diam == (n + 3 - s) // 2, f"diameter mismatch at (n={n}, s={s})"
+                diam = int(g.dist.max())
+                assert diam == (n + 3 - s) // 2, f"diameter mismatch at (n={n}, s={s})"
 
 
 def test_criterion_4_triple_distance_budget_exhaustive():

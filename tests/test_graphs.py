@@ -12,7 +12,7 @@ from prismradio import (
     principal_cycle,
     standard_cycle,
 )
-from reference import all_pairs_distances
+from reference import all_pairs_distances, bfs_row
 
 
 @given(st.integers(-20, 20), st.integers(-50, 50), st.integers(3, 40))
@@ -203,3 +203,12 @@ def test_distance_rejects_unknown_vertex():
         g.distance(Vertex(1, 1), Vertex(1, 10))
     with pytest.raises(ValueError, match="unknown vertex"):
         g.distance(Vertex(3, 1), Vertex(1, 1))
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_rows_match_breadth_first_search(s):
+    # the closed-form rows against a BFS from (1, 1) and from (2, 1)
+    for n in list(range(max(3, s), 301)) + [10001, 10002, 10003, 10004, 199999]:
+        rows = build_graph(n, s).rows
+        want = np.array([bfs_row(n, s, 0), bfs_row(n, s, n)]).reshape(2, 2, n)
+        assert (rows == want).all(), (n, s)

@@ -7,7 +7,8 @@ table (formula vs construction sweep), selftest (invariant suites).
 Exit codes: 0 success / labeling valid, 1 labeling invalid, 2 bad input,
 3 internal inconsistency (a result failed its own audit, a selftest suite
 went red, or an unexpected exception, reported as one ``internal error:``
-line).
+line).  A reader that closes stdout early (``| head``) changes nothing:
+the rest of the output is dropped and the command exits with its own code.
 
 The JSON labeling schema, shared by ``label --format json`` output and
 ``verify --file`` input, is::
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Iterator
 
@@ -49,6 +51,22 @@ EXIT_OK = 0
 EXIT_INVALID_LABELING = 1
 EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
+
+
+def _print(*args, **kwargs) -> None:
+    """print() to stdout that outlives its reader: once the pipe is closed,
+    stdout is pointed at the null device, so no later write nor the flush at
+    exit meets it, and the command keeps the exit code it decided."""
+    try:
+        print(*args, **kwargs)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):  # no real file descriptor
+            sys.stdout = open(os.devnull, "w")
+        finally:
+            os.close(devnull)
 
 
 def labeling_to_dict(g: PrismGraph, lab: Labeling) -> dict:
@@ -123,9 +141,9 @@ def _parse_budget(text: str) -> float:
 def cmd_rn(args: argparse.Namespace) -> int:
     value, method = radio_number(args.n, args.s)
     if args.format == "json":
-        print(json.dumps({"n": args.n, "s": args.s, "rn": value, "method": method}))
+        _print(json.dumps({"n": args.n, "s": args.s, "rn": value, "method": method}))
     else:
-        print(value)
+        _print(value)
     return EXIT_OK
 
 
@@ -141,18 +159,18 @@ def cmd_label(args: argparse.Namespace) -> int:
         )
         return EXIT_INTERNAL
     if args.format == "json":
-        print(json.dumps(labeling_to_dict(g, lab)))
+        _print(json.dumps(labeling_to_dict(g, lab)))
     elif args.format == "csv":
-        print("cycle,pos,label")
+        _print("cycle,pos,label")
         for v, c in lab.assignment.items():
-            print(f"{v.cycle},{v.position},{c}")
+            _print(f"{v.cycle},{v.position},{c}")
     elif args.format == "dot":
         for line in _dot_lines(g, lab):
-            print(line)
+            _print(line)
     else:
-        print(f"Z({g.n},{g.s}): diameter {g.diameter}, span {lab.span}")
+        _print(f"Z({g.n},{g.s}): diameter {g.diameter}, span {lab.span}")
         for v, c in lab.assignment.items():
-            print(f"({v.cycle},{v.position}) {c}")
+            _print(f"({v.cycle},{v.position}) {c}")
     return EXIT_OK
 
 
@@ -170,21 +188,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     g = build_graph(lab.n, lab.s)
     report = verify(g, lab)
     if args.format == "json":
-        print(json.dumps(report.to_dict()))
+        _print(json.dumps(report.to_dict()))
     elif report.valid:
-        print(f"valid: span={report.span}, pairs_checked={report.pairs_checked}")
+        _print(f"valid: span={report.span}, pairs_checked={report.pairs_checked}")
     else:
-        print(
+        _print(
             f"INVALID: {len(report.violations)} violations "
             f"(span={report.span}, pairs_checked={report.pairs_checked})"
         )
         for w in report.violations[:20]:
-            print(
+            _print(
                 f"  {w.u} -- {w.v}: distance {w.distance} + gap {w.label_gap} "
                 f"< required {w.required}"
             )
         if len(report.violations) > 20:
-            print(f"  ... and {len(report.violations) - 20} more")
+            _print(f"  ... and {len(report.violations) - 20} more")
     return EXIT_OK if report.valid else EXIT_INVALID_LABELING
 
 
@@ -201,7 +219,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
         return EXIT_INTERNAL
     status = "proven optimal" if result.proven_optimal else "budget exhausted (upper bound)"
     if args.format == "json":
-        print(
+        _print(
             json.dumps(
                 {
                     "n": args.n,
@@ -214,9 +232,9 @@ def cmd_exact(args: argparse.Namespace) -> int:
             )
         )
     else:
-        print(f"rn = {result.rn}")
-        print(f"status = {status}")
-        print(f"nodes_explored = {result.nodes_explored}")
+        _print(f"rn = {result.rn}")
+        _print(f"status = {status}")
+        _print(f"nodes_explored = {result.nodes_explored}")
     return EXIT_OK
 
 
@@ -244,14 +262,14 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise ValueError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     rows = list(_table_rows(args.n_min, args.n_max))
     if args.format == "json":
-        print(json.dumps(rows))
+        _print(json.dumps(rows))
     elif args.format == "csv":
-        print("n,s,phi,rn_formula,span,match,note")
+        _print("n,s,phi,rn_formula,span,match,note")
         for r in rows:
             cells = [r["n"], r["s"], r["phi"], r["rn_formula"], r["span"], r["match"], r["note"]]
-            print(",".join("" if c is None else str(c) for c in cells))
+            _print(",".join("" if c is None else str(c) for c in cells))
     else:
-        print(f"{'n':>4} {'s':>2} {'phi':>4} {'rn':>6} {'span':>6} {'match':>6} note")
+        _print(f"{'n':>4} {'s':>2} {'phi':>4} {'rn':>6} {'span':>6} {'match':>6} note")
         for r in rows:
             def cell(x, width):
                 if x is None:
@@ -259,7 +277,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                 elif isinstance(x, bool):
                     x = "yes" if x else "NO"
                 return f"{x:>{width}}"
-            print(
+            _print(
                 f"{r['n']:>4} {r['s']:>2} {cell(r['phi'], 4)} {cell(r['rn_formula'], 6)} "
                 f"{cell(r['span'], 6)} {cell(r['match'], 6)} {r['note']}"
             )
@@ -271,9 +289,9 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_selftest(args: argparse.Namespace) -> int:
     results = run_selftest(n_max=args.n_max, inject_fault=args.inject_fault)
     for r in results:
-        print(f"{r.name}: {'PASS' if r.passed else 'FAIL'} ({r.detail})")
+        _print(f"{r.name}: {'PASS' if r.passed else 'FAIL'} ({r.detail})")
     failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} suites passed")
+    _print(f"{len(results) - len(failed)}/{len(results)} suites passed")
     return EXIT_OK if not failed else EXIT_INTERNAL
 
 
@@ -329,7 +347,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        _print(end="", flush=True)  # a reader gone after the last write shows here, not at exit
+        return code
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT

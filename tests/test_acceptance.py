@@ -11,27 +11,22 @@ import random
 import time
 from contextlib import contextmanager
 
-import numpy as np
-
 from prismradio import (
-    CaseId,
     SearchConfig,
-    Vertex,
     build_graph,
-    case_select,
     check_triple_bound,
-    construct_labeling,
     exact_radio_number,
     greedy_span_for_order,
-    is_v_tight,
-    label_order,
     lower_bound_rn,
-    omega,
-    phi,
-    principal_cycle,
-    standard_cycle,
     verify,
 )
+from prismradio.selftest import _bounds_suite, _graphs_suite, _labeling_suite
+
+
+def assert_suite_passes(suite, n_max: int) -> None:
+    """Run one selftest suite, the registry of the invariant, up to n_max."""
+    result = suite(n_max)
+    assert result.passed, f"{result.name} suite at n_max={n_max}: {result.detail}"
 
 
 @contextmanager
@@ -52,23 +47,11 @@ def criterion(num: int, summary: str, budget: float | None = None):
 
 
 def test_criterion_1_construction_is_valid_and_optimal():
-    # Every supported (n, s) with 4 <= n <= 100, except the (4, 3) special:
-    # the construction verifies with zero violations and its span equals
-    # (n - 1) * phi(n, s) + 2 exactly.  Budget: 10 seconds total.
+    # Every supported (n, s) with 4 <= n <= 100: the construction verifies
+    # with zero violations and its span equals (n - 1) * phi(n, s) + 2
+    # exactly, or the special value for (4, 3).  Budget: 10 seconds total.
     with criterion(1, "construction valid and span-optimal, n <= 100", budget=10.0):
-        checked = 0
-        for n in range(4, 101):
-            for s in (1, 2, 3):
-                if (n, s) == (4, 3):
-                    continue
-                g = build_graph(n, s)
-                lab = construct_labeling(n, s)
-                report = verify(g, lab)
-                assert report.valid, f"construction invalid for (n={n}, s={s})"
-                want = (n - 1) * phi(n, s) + 2
-                assert lab.span == want, f"span {lab.span} != {want} for (n={n}, s={s})"
-                checked += 1
-        assert checked == 97 * 3 - 1
+        assert_suite_passes(_labeling_suite, 100)
 
 
 def test_criterion_2_exact_search_matches_formula_small():
@@ -111,11 +94,7 @@ def test_criterion_3_metric_diameter_matches_closed_form():
     # The largest entry of the distance matrix equals floor((n + 3 - s) / 2)
     # for all s, 3 <= n <= 200.
     with criterion(3, "metric diameter equals closed form, n <= 200", budget=60.0):
-        for n in range(3, 201):
-            for s in (1, 2, 3):
-                g = build_graph(n, s)
-                diam = int(g.dist.max())
-                assert diam == (n + 3 - s) // 2, f"diameter mismatch at (n={n}, s={s})"
+        assert_suite_passes(_graphs_suite, 200)
 
 
 def test_criterion_4_triple_distance_budget_exhaustive():
@@ -133,35 +112,14 @@ def test_criterion_5_position_maps_are_bijections():
     # For every supported (n, s) up to n = 200, the construction order
     # alpha_1..alpha_2n visits every vertex exactly once.
     with criterion(5, "position maps are bijections, n <= 200"):
-        instances = 0
-        for n in range(4, 201):
-            for s in (1, 2, 3):
-                if (n, s) == (4, 3):
-                    continue
-                image = [build_graph(n, s).vertex_at(i) for i in label_order(n, s).tolist()]
-                expected = {Vertex(c, p) for c in (1, 2) for p in range(1, n + 1)}
-                assert len(image) == len(set(image)) == 2 * n, f"collision at (n={n}, s={s})"
-                assert set(image) == expected, f"not onto at (n={n}, s={s})"
-                instances += 1
-        assert instances == 197 * 3 - 1  # everything but the (4, 3) special
+        assert_suite_passes(_labeling_suite, 200)
 
 
 def test_criterion_6_gap_and_rotation_inequalities():
     # Across the whole case-1 space up to n = 200: phi + omega >= diam + 1,
     # and phi - omega >= 1 when n - s is even, >= 2 when n - s is odd.
     with criterion(6, "phi/omega inequalities over case-1 space, n <= 200"):
-        seen = 0
-        for n in range(4, 201):
-            for s in (1, 2, 3):
-                if case_select(n, s) is not CaseId.CASE1:
-                    continue
-                g = build_graph(n, s)
-                f, w = phi(n, s), omega(n)
-                assert f + w >= g.diameter + 1, f"phi+omega too small at (n={n}, s={s})"
-                need = 1 if (n - s) % 2 == 0 else 2
-                assert f - w >= need, f"phi-omega below {need} at (n={n}, s={s})"
-                seen += 1
-        assert seen > 300  # case 1 covers most of the space
+        assert_suite_passes(_bounds_suite, 200)
 
 
 def test_criterion_7_tight_cycles():
@@ -169,24 +127,7 @@ def test_criterion_7_tight_cycles():
     # (along-cycle distance equals graph distance for every pair), and the
     # standard cycle has length n + 3 - s and is (1, 1)-tight.
     with criterion(7, "principal cycles tight, standard cycle (1,1)-tight, n <= 100"):
-        for n in range(3, 101):
-            for s in (1, 2, 3):
-                if s > n:
-                    continue
-                g = build_graph(n, s)
-                idx = np.arange(n)
-                ring = np.minimum(
-                    np.abs(idx[:, None] - idx[None, :]),
-                    n - np.abs(idx[:, None] - idx[None, :]),
-                )
-                for which in (1, 2):
-                    cyc = principal_cycle(g, which)
-                    rows = [g.index(v) for v in cyc]
-                    sub = g.dist[np.ix_(rows, rows)].astype(int)
-                    assert (sub == ring).all(), f"principal cycle {which} not tight ({n},{s})"
-                sc = standard_cycle(g)
-                assert len(sc) == n + 3 - s, f"standard cycle length off at ({n},{s})"
-                assert is_v_tight(g, sc, Vertex(1, 1)), f"standard cycle not (1,1)-tight ({n},{s})"
+        assert_suite_passes(_graphs_suite, 100)
 
 
 def test_criterion_8_greedy_order_oracle():

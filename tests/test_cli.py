@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -210,6 +214,49 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     assert "Traceback" not in err and out == ""
 
 
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("command,want", [("label", 0), ("verify", 1)])
+def test_closed_stdout_keeps_the_exit_code(capsys, monkeypatch, tmp_path, command, want):
+    _, out, _ = run(capsys, "label", "--n", "8", "--s", "2", "--format", "json")
+    data = json.loads(out)
+    data["labels"][0]["label"] = data["labels"][1]["label"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    argv = {"label": ["label", "--n", "50", "--s", "1", "--format", "csv"],
+            "verify": ["verify", "--file", str(path)]}[command]
+    pipe = _ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", pipe)
+    code = main(argv)
+    dropped = sys.stdout
+    assert dropped is not pipe  # later writes went to the null device
+    dropped.close()
+    assert code == want
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_pipe_exits_zero_without_a_message():
+    # the output (about 160 kB) outgrows the pipe, so the write meets the closed end
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "prismradio.cli", "label", "--n", "2000", "--s", "1",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
 def test_verify_ignores_stale_span_field(capsys, tmp_path):
     # hand-edited files are judged on radio validity, not bookkeeping
     _, out, _ = run(capsys, "label", "--n", "5", "--s", "1", "--format", "json")
@@ -310,8 +357,10 @@ def test_selftest_passes(capsys):
     assert "5/5 suites passed" in out
 
 
-def test_selftest_fault_localizes_to_bounds(capsys):
-    code, out, _ = run(capsys, "selftest", "--n-max", "10", "--inject-fault", "phi")
+@pytest.mark.parametrize("n_max", ["4", "10"])
+def test_selftest_fault_localizes_to_bounds(capsys, n_max):
+    # the fault sits at n = 6; the phi sweep reaches n = 40 even below that
+    code, out, _ = run(capsys, "selftest", "--n-max", n_max, "--inject-fault", "phi")
     assert code == 3
     lines = out.strip().splitlines()
     failing = [l for l in lines if "FAIL" in l]

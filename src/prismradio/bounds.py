@@ -16,11 +16,12 @@ which the constructive labelings in ``labeling`` meet exactly.
 ``phi`` is a table lookup on (n mod 4, s) with n = 4k + r, k >= 1, valid for
 s in {1, 2, 3} except the single graph (n, s) = (4, 3); ``radio_number``
 adds the two special graphs.  ``pair_gap`` reads the gap from a graph's own
-metric instead of the table.  ``d_offset`` and
-``omega`` are the position-offset and rotation-step helpers the construction
-uses: (1, y) and (2, y + d_offset) are always at distance exactly diam, and
-omega is the step between consecutive odd-indexed positions in the general
-case of the construction (defined only for n not divisible by 4).
+metric and ``triple_bound_violations`` sweeps the triple budget, both up to
+rotation from (1, 1) and (2, 1).  ``d_offset`` and ``omega`` are the
+position-offset and rotation-step helpers the construction uses: (1, y) and
+(2, y + d_offset) are always at distance exactly diam, and omega is the step
+between consecutive odd-indexed positions in the general case of the
+construction (defined only for n not divisible by 4).
 """
 
 from __future__ import annotations
@@ -150,10 +151,13 @@ def omega(n: int) -> int:
     return k if k % 2 == 1 else k + 1
 
 
-def triple_bound_violations(
-    g: PrismGraph,
-) -> list[tuple[Vertex, Vertex, Vertex, int]]:
-    """Exhaustively find vertex triples whose pairwise distances sum past n + 3 - s.
+def triple_bound_violations(g: PrismGraph) -> list[tuple[Vertex, Vertex, Vertex, int]]:
+    """Vertex triples whose pairwise distances sum past n + 3 - s, up to rotation.
+
+    Rotation maps any vertex of a triple onto (1, 1) or (2, 1), so as in
+    ``pair_gap`` one O(n^2) sum matrix per anchor covers every triple: each
+    violating triple is a rotation of some listed (anchor, u, v, total),
+    u before v in index order, and every listed one violates.
 
     For s = 3, triples containing both (1, j) and (2, j) for some j are
     exempt: that pair is adjacent, yet both of its ends can sit at full
@@ -162,34 +166,20 @@ def triple_bound_violations(
     from the sweep rather than reported.
     """
     n, nv = g.n, 2 * g.n
-    limit = g.n + 3 - g.s
+    limit = n + 3 - g.s
     dist = g.dist
+    partner = (np.arange(nv) + n) % nv
     out: list[tuple[Vertex, Vertex, Vertex, int]] = []
-
-    partner_pair = np.zeros((nv, nv), dtype=bool)
-    if g.s == 3:
-        for i in range(n):
-            partner_pair[i, i + n] = partner_pair[i + n, i] = True
-
-    for i in range(nv - 2):
-        row = dist[i, i + 1 :]
-        sub = dist[i + 1 :, i + 1 :]
-        totals = row[:, None] + row[None, :] + sub
-        mask = np.triu(np.ones_like(sub, dtype=bool), k=1)
-        if g.s == 3:
-            mask &= ~partner_pair[i + 1 :, i + 1 :]
-            bad_with_i = partner_pair[i, i + 1 :]
-            mask[bad_with_i, :] = False
-            mask[:, bad_with_i] = False
-        for j, k in np.argwhere(mask & (totals > limit)):
-            out.append(
-                (
-                    g.vertex_at(i),
-                    g.vertex_at(i + 1 + int(j)),
-                    g.vertex_at(i + 1 + int(k)),
-                    int(totals[j, k]),
-                )
-            )
+    for a in (0, n):
+        totals = dist[a][:, None] + dist[a][None, :] + dist
+        keep = np.triu(np.ones((nv, nv), dtype=bool), k=1)
+        keep[a] = keep[:, a] = False
+        if g.s == 3:  # the exempt pairs: (u, v) themselves, or the anchor with u or v
+            keep[np.arange(nv), partner] = False
+            keep[partner[a]] = keep[:, partner[a]] = False
+        anchor = g.vertex_at(a)
+        for u, v in np.argwhere(keep & (totals > limit)).tolist():
+            out.append((anchor, g.vertex_at(u), g.vertex_at(v), int(totals[u, v])))
     return out
 
 

@@ -27,13 +27,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 from typing import Iterator
 
 from .bounds import phi, radio_number
 from .exact import SearchConfig, exact_radio_number
-from .graphs import PrismGraph, Vertex, build_graph
+from .graphs import PrismGraph, build_graph
 from .labeling import CaseId, Labeling, case_select, construct_labeling
 from .selftest import run_selftest
 from .verification import verify
@@ -53,12 +54,14 @@ EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _print(*args, **kwargs) -> None:
+def _print(*args, **kwargs) -> bool:
     """print() to stdout that outlives its reader: once the pipe is closed,
     stdout is pointed at the null device, so no later write nor the flush at
-    exit meets it, and the command keeps the exit code it decided."""
+    exit meets it, and the command keeps the exit code it decided.  False
+    when the reader has gone."""
     try:
         print(*args, **kwargs)
+        return True
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         try:
@@ -67,6 +70,7 @@ def _print(*args, **kwargs) -> None:
             sys.stdout = open(os.devnull, "w")
         finally:
             os.close(devnull)
+        return False
 
 
 def labeling_to_dict(g: PrismGraph, lab: Labeling) -> dict:
@@ -84,9 +88,10 @@ def labeling_to_dict(g: PrismGraph, lab: Labeling) -> dict:
 def labeling_from_dict(data: object) -> Labeling:
     """Parse the JSON labeling schema; ValueError on anything malformed.
 
-    Checks the JSON types and that no vertex is listed twice; ``Labeling``
-    checks the rest.  Works in time and memory proportional to the document
-    and builds no graph, so a short file that names a huge n costs little.
+    Checks the JSON types and that no vertex is listed twice, keying the
+    labels by plain (cycle, pos) tuples; ``Labeling`` checks the rest.
+    Works in time and memory proportional to the document and builds no
+    graph, so a short file that names a huge n costs little.
     """
     if not isinstance(data, dict):
         raise ValueError("malformed labeling file: top level must be an object")
@@ -100,27 +105,38 @@ def labeling_from_dict(data: object) -> Labeling:
     entries = data["labels"]
     if not isinstance(entries, list):
         raise ValueError("malformed labeling file: labels must be a list")
-    assignment: dict = {}
-    for entry in entries:
-        if not isinstance(entry, dict) or not {"cycle", "pos", "label"} <= set(entry):
-            raise ValueError("malformed labeling file: each label needs cycle, pos, label")
-        cycle, pos, label = entry["cycle"], entry["pos"], entry["label"]
-        if not (type(cycle) is int and type(pos) is int and type(label) is int):
-            raise ValueError("malformed labeling file: cycle, pos, label must be integers")
-        v = Vertex(cycle, pos)
-        if v in assignment:
-            raise ValueError(f"malformed labeling file: vertex ({cycle},{pos}) labeled twice")
-        assignment[v] = label
+    fields = operator.itemgetter("cycle", "pos", "label")
+    try:
+        rows = [fields(entry) for entry in entries]
+    except (KeyError, TypeError):  # a missing key, or an entry that is no object
+        raise ValueError("malformed labeling file: each label needs cycle, pos, label") from None
+    if {type(x) for row in rows for x in row} - {int}:
+        raise ValueError("malformed labeling file: cycle, pos, label must be integers")
+    assignment = {(cycle, pos): label for cycle, pos, label in rows}
+    if len(assignment) < len(rows):
+        seen = set()
+        for cycle, pos, _ in rows:
+            if (cycle, pos) in seen:
+                raise ValueError(f"malformed labeling file: vertex ({cycle},{pos}) labeled twice")
+            seen.add((cycle, pos))
     return Labeling(n=n, s=s, assignment=assignment)
 
 
-def _dot_lines(g: PrismGraph, lab: Labeling) -> Iterator[str]:
-    yield f"graph Z_{g.n}_{g.s} {{"
-    for v, c in lab.assignment.items():
-        yield f'  c{v.cycle}_p{v.position} [label="{c}"];'
-    for u, v in g.edges():
-        yield f"  c{u.cycle}_p{u.position} -- c{v.cycle}_p{v.position};"
-    yield "}"
+def _label_lines(g: PrismGraph, lab: Labeling, fmt: str) -> Iterator[str]:
+    """The lines of ``label --format text|csv|dot``, each formatted when it is asked for."""
+    items = lab.assignment.items()
+    if fmt == "csv":
+        yield "cycle,pos,label"
+        yield from (f"{v.cycle},{v.position},{c}" for v, c in items)
+    elif fmt == "dot":
+        yield f"graph Z_{g.n}_{g.s} {{"
+        yield from (f'  c{v.cycle}_p{v.position} [label="{c}"];' for v, c in items)
+        for u, v in g.edges():
+            yield f"  c{u.cycle}_p{u.position} -- c{v.cycle}_p{v.position};"
+        yield "}"
+    else:
+        yield f"Z({g.n},{g.s}): diameter {g.diameter}, span {lab.span}"
+        yield from (f"({v.cycle},{v.position}) {c}" for v, c in items)
 
 
 def _parse_budget(text: str) -> float:
@@ -160,17 +176,8 @@ def cmd_label(args: argparse.Namespace) -> int:
         return EXIT_INTERNAL
     if args.format == "json":
         _print(json.dumps(labeling_to_dict(g, lab)))
-    elif args.format == "csv":
-        _print("cycle,pos,label")
-        for v, c in lab.assignment.items():
-            _print(f"{v.cycle},{v.position},{c}")
-    elif args.format == "dot":
-        for line in _dot_lines(g, lab):
-            _print(line)
     else:
-        _print(f"Z({g.n},{g.s}): diameter {g.diameter}, span {lab.span}")
-        for v, c in lab.assignment.items():
-            _print(f"({v.cycle},{v.position}) {c}")
+        all(map(_print, _label_lines(g, lab, args.format)))  # stops once the reader has gone
     return EXIT_OK
 
 

@@ -16,9 +16,10 @@ three consecutive vertices, computed from g's metric and not from the phi
 table the search certifies, so m more labels cost at least
 max(m, floor(m / 2) * pair_gap + m mod 2) beyond the current maximum.
 Pruning is tie-preserving (only branches strictly worse than the incumbent
-are cut), so the search always recovers an optimal witness.  When verified
-automorphisms show g is vertex-transitive (every supported Z(n, s) is), the
-order starts at (1, 1): any order maps onto one that does, with equal span.
+are cut), so the search always recovers an optimal witness.  When
+automorphisms verified on g's two metric rows (rotation and a cycle swap)
+show g is vertex-transitive (every supported Z(n, s) is), the order starts
+at (1, 1): any order maps onto one that does, with equal span.
 
 The search is single-threaded and deterministic: children are expanded in
 ascending (forced label, vertex index) order, so nodes_explored is
@@ -35,6 +36,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .bounds import pair_gap
 from .graphs import PrismGraph, Vertex
@@ -103,52 +106,19 @@ def greedy_span_for_order(
     return labels[-1], labels
 
 
-def _rotation_perm(n: int) -> list[int]:
-    return [(i // n) * n + (i % n + 1) % n for i in range(2 * n)]
-
-
 def _is_vertex_transitive(g: PrismGraph) -> bool:
-    """Confirm transitivity from explicitly verified automorphisms.
+    """Confirm transitivity from automorphisms verified on g's two metric rows.
 
-    Candidate maps (position rotation; cycle swaps (1,p) -> (2,p+t),
-    (2,p) -> (1,p+u)) are checked edge-by-edge against the graph; the orbit
-    of one vertex under the verified maps must cover all of V.
+    Rotation preserves every rotation-invariant metric and carries (1, 1) over
+    cycle 1.  A cycle swap (1, p) -> (2, p + t), (2, p) -> (1, p + u) carries
+    it to cycle 2, and it preserves every distance (so it is an automorphism)
+    exactly when rows[0, 0] == rows[1, 1] and rows[1, 0] is rows[0, 1]
+    rolled by u - t.
     """
-    n, nv = g.n, 2 * g.n
-    dist = g.dist
-    edges = [(i, j) for i in range(nv) for j in range(i + 1, nv) if dist[i, j] == 1]
-
-    def is_automorphism(perm: list[int]) -> bool:
-        return all(dist[perm[a], perm[b]] == 1 for a, b in edges)
-
-    generators = []
-    rot = _rotation_perm(n)
-    if is_automorphism(rot):
-        generators.append(rot)
-    for t in range(n):
-        found = False
-        for u in range(n):
-            perm = [0] * nv
-            for p in range(n):
-                perm[p] = n + (p + t) % n
-                perm[n + p] = (p + u) % n
-            if is_automorphism(perm):
-                generators.append(perm)
-                found = True
-                break
-        if found:
-            break
-
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for perm in generators:
-            y = perm[x]
-            if y not in orbit:
-                orbit.add(y)
-                frontier.append(y)
-    return len(orbit) == nv
+    rows = g.rows
+    return np.array_equal(rows[0, 0], rows[1, 1]) and any(
+        np.array_equal(rows[1, 0], np.roll(rows[0, 1], shift)) for shift in range(g.n)
+    )
 
 
 def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> ExactResult:
@@ -161,7 +131,7 @@ def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> Exa
     nv = 2 * n
     pair_step = max(0, pair_gap(g) - 2)
     required = g.diameter + 1
-    dist = [[int(x) for x in row] for row in g.dist]
+    dist = g.dist.tolist()
 
     best_span: int | None = None
     best_labels: list[int] | None = None  # by vertex index

@@ -26,10 +26,10 @@ the cycles at most once (see ``build_graph``).  ``PrismGraph.rows`` holds
 the rows as a read-only (2, 2, n) array, so a graph costs O(n) memory and
 O(n) NumPy build time.  The dense 2n x 2n matrix ``PrismGraph.dist`` is
 derived from the rows on each access and not kept, so a graph held by the
-``build_graph`` cache stays O(n); only small-n consumers (the exact search,
-the pair-gap bound, the triple-budget sweep, the selftest graphs suite) read
-it, each binding it once.  Built graphs are immutable and safe to share
-across threads.  ``build_graph`` memoizes instances keyed on (n, s).
+``build_graph`` cache stays O(n); only the exact search, the pair-gap bound
+and the triple-budget sweep read it, at small n, each binding it once.
+Built graphs are immutable and safe to share across threads.
+``build_graph`` memoizes instances keyed on (n, s).
 
 A cycle is a plain tuple of vertices.  ``cycle_view`` checks that a vertex
 list is a simple cycle of the graph, ``principal_cycle`` and
@@ -119,10 +119,6 @@ class PrismGraph:
     def dist(self) -> np.ndarray:
         """Read-only 2n x 2n int32 distance matrix; O(n^2) memory, built per access."""
         return _dense_from_rows(self.rows)
-
-    @property
-    def num_vertices(self) -> int:
-        return 2 * self.n
 
     def vertex(self, cycle: int, position: int) -> Vertex:
         """Normalizing vertex factory for this graph's n."""

@@ -153,10 +153,11 @@ class Labeling:
 
     ``labels[(c - 1) * n + p - 1]`` is the label of vertex (c, p): a
     read-only int64 array of length 2n.  The constructor takes a
-    vertex -> label mapping and raises ValueError unless (n, s) is a
-    supported graph, every key is a vertex (cycle, position) of it with
-    plain int coordinates, every label is an integer in [1, 2**63) (the
-    verifier holds them in int64) and every vertex is labeled.
+    vertex -> label mapping, whose keys may also be plain (cycle, position)
+    tuples, and raises ValueError unless (n, s) is a supported graph, every
+    key is a vertex (cycle, position) of it with plain int coordinates,
+    every label is an integer in [1, 2**63) (the verifier holds them in
+    int64) and every vertex is labeled.
     Distinctness and the radio condition are audited by
     ``verification.verify``, so that deliberately broken assignments can be
     represented and reported on.
@@ -176,11 +177,11 @@ class Labeling:
                 cycle = pos = None
             if not (type(cycle) is int and type(pos) is int
                     and cycle in (1, 2) and 1 <= pos <= n):
-                raise ValueError(f"labeling references unknown vertex: {v}")
+                shown = v if cycle is None else Vertex(cycle, pos)
+                raise ValueError(f"labeling references unknown vertex: {shown}")
             if type(c) is not int or not 1 <= c < 2**63:
-                raise ValueError(
-                    f"labels must be positive integers below 2**63, got {c!r} at {v}"
-                )
+                raise ValueError(f"labels must be positive integers below 2**63, "
+                                 f"got {c!r} at {Vertex(cycle, pos)}")
             index.append((cycle - 1) * n + pos - 1)
             values.append(c)
         # the keys are distinct vertices of Z(n, s), so only a short mapping misses one;

@@ -3,14 +3,15 @@
 The five suites are the one registry of the paper's invariants; the
 acceptance tests run them at their own n ranges rather than restating them.
 Each suite re-derives facts one module promises from another module's
-independent route: graph diameters against the closed form, the distance
-matrix against the Bellman equations of the edge rule (whose only solution
-is the hop metric, so it is also symmetric and obeys the triangle
-inequality), the phi table against ``pair_gap`` of the built graph (the
-consecutive-triple bound read from the graph's own metric), constructions
-against the pair-by-pair verifier, and the exact solver against formula
-values on tiny instances.  A suite reports its first failing check, so a
-defect localizes to the module whose suite goes red.
+independent route: graph diameters against the closed form, the metric
+rows from (1, 1) and (2, 1), which rotation extends to the whole metric,
+against the Bellman equations of the edge rule from those two sources
+(whose only solution is the hop metric, so it is also symmetric and obeys
+the triangle inequality), the phi table against ``pair_gap`` of the built
+graph (the consecutive-triple bound read from the graph's own metric),
+constructions against the pair-by-pair verifier, and the exact solver
+against formula values on tiny instances.  A suite reports its first
+failing check, so a defect localizes to the module whose suite goes red.
 
 ``inject_fault="phi"`` deliberately perturbs one phi-table entry for the
 duration of the run (test mode for the localization story itself); the
@@ -102,27 +103,24 @@ def _graphs_suite(n_max: int) -> SuiteResult:
     suite = _Suite("graphs")
     for n, s in _supported_params(n_max):
         g = build_graph(n, s)
-        d = g.dist
+        # rotation is an automorphism, so the rows from (1, 1) and (2, 1) are the metric
+        d = g.rows.reshape(2, 2 * n)
         suite.check(
             int(d.max()) == g.diameter == (n + 3 - s) // 2,
             f"diameter of Z({n},{s}) is {int(d.max())}, closed form says {(n + 3 - s) // 2}",
         )
-        degrees = (d == 1).sum(axis=0)
-        suite.check(
-            bool((degrees == 2 + s).all()),
-            f"Z({n},{s}) has a vertex of degree != {2 + s}",
-        )
-        # Bellman equations of the defined edges: their only solution is the hop
-        # metric of the undirected edge rule, hence symmetric and a metric
-        bellman = np.where(np.eye(2 * n, dtype=bool), 0, 1 + d[:, _neighbours(n, s)].min(axis=2))
+        suite.check(bool(((d == 1).sum(axis=1) == 2 + s).all()),
+                    f"Z({n},{s}) has a vertex of degree != {2 + s}")
+        # Bellman equations of the defined edges from both sources: their only
+        # solution is the hop metric of the undirected edge rule, hence a metric
+        source = np.arange(2 * n) == np.array([[0], [n]])
+        bellman = np.where(source, 0, 1 + d[:, _neighbours(n, s)].min(axis=2))
         suite.check(bool((d == bellman).all()),
                     f"distance matrix of Z({n},{s}) is not the hop metric of its edges")
         pos = np.arange(n)
-        gap = np.abs(pos[:, None] - pos[None, :])
-        ring = np.minimum(gap, n - gap)
-        for which in (1, 2):
-            block = slice((which - 1) * n, which * n)  # principal cycle `which`, in cycle order
-            suite.check(bool((d[block, block] == ring).all()),
+        ring = np.minimum(pos, n - pos)
+        for which in (1, 2):  # principal cycle `which`, in cycle order
+            suite.check(bool((d[which - 1, (which - 1) * n:which * n] == ring).all()),
                         f"principal cycle {which} of Z({n},{s}) not distance-true")
         sc = standard_cycle(g)
         suite.check(len(sc) == n + 3 - s and sc[0] == Vertex(1, 1),
@@ -153,12 +151,8 @@ def _bounds_suite(n_max: int) -> SuiteResult:
             suite.check(step - w >= slack, f"phi - omega < {slack} at (n={n}, s={s})")
     for n, s in _supported_params(n_max):
         g = build_graph(n, s)
-        off = d_offset(n, s)
-        suite.check(
-            all(g.distance(Vertex(1, y), g.vertex(2, y + off)) == g.diameter
-                for y in range(1, n + 1)),
-            f"d_offset does not realize the diameter on Z({n},{s})",
-        )
+        suite.check(int(g.rows[0, 1, d_offset(n, s) % n]) == g.diameter,
+                    f"d_offset does not realize the diameter on Z({n},{s})")
         if n <= 16:
             suite.check(check_triple_bound(g),
                         f"triple-distance budget exceeded in Z({n},{s})")

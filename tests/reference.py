@@ -2,7 +2,14 @@
 
 ``all_pairs_distances`` runs scipy's all-pairs BFS over an edge list written
 straight from the definition of Z(n, s), so it shares nothing with the
-rotation-invariant rows of ``prismradio.graphs``.  ``bfs_row`` is a
+rotation-invariant rows of ``prismradio.graphs``; ``bicirculant_distances``
+does the same for other pairs of joined n-cycles, such as the generalized
+Petersen graphs.  ``swap_orbit_is_everything`` walks the orbit of (1, 1)
+under the rotation and cycle-swap maps, each checked edge by edge on the
+dense matrix, and ``triple_budget_violations`` sweeps every triple with
+``itertools.combinations``: the oracles of the symmetry check in
+``prismradio.exact`` and of the anchored sweep in ``prismradio.bounds``,
+which both read only the two metric rows.  ``bfs_row`` is a
 pure-Python breadth-first search from one vertex over the same edge rule,
 the oracle for the closed-form rows at n up to about 2 * 10^5.
 ``all_pairs_violations`` is the dense radio-condition check that ``verify``
@@ -17,29 +24,75 @@ on NumPy arrays.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from prismradio.bounds import d_offset, omega
+from prismradio.graphs import PrismGraph
 
 
-@lru_cache(maxsize=None)
-def all_pairs_distances(n: int, s: int) -> np.ndarray:
-    """Hop counts of Z(n, s); index (c - 1) * n + (p - 1) is vertex (c, p)."""
+def bicirculant_distances(n: int, step: int, offsets) -> np.ndarray:
+    """Hop counts of two n-cycles, (1, p) -- (1, p + 1) and (2, p) -- (2, p + step),
+    joined by (1, p) -- (2, p + d) for d in offsets; index (c - 1) * n + (p - 1)."""
     edges = []
     for p in range(n):
         edges.append((p, (p + 1) % n))  # ring of cycle 1
-        edges.append((n + p, n + (p + 1) % n))  # ring of cycle 2
-        for d in range(-((s - 1) // 2), s // 2 + 1):
-            edges.append((p, n + (p + d) % n))  # (1, p) -- (2, p + d)
+        edges.append((n + p, n + (p + step) % n))  # ring of cycle 2
+        edges += [(p, n + (p + d) % n) for d in offsets]  # (1, p) -- (2, p + d)
     a, b = np.array(edges).T
     adj = csr_matrix((np.ones(2 * a.size), (np.r_[a, b], np.r_[b, a])), shape=(2 * n, 2 * n))
     d = shortest_path(adj, method="D", unweighted=True)
     assert np.isfinite(d).all()
     return d.astype(np.int32)
+
+
+@lru_cache(maxsize=None)
+def all_pairs_distances(n: int, s: int) -> np.ndarray:
+    """Hop counts of Z(n, s); index (c - 1) * n + (p - 1) is vertex (c, p)."""
+    return bicirculant_distances(n, 1, range(-((s - 1) // 2), s // 2 + 1))
+
+
+def graph_of(dist: np.ndarray, s: int) -> PrismGraph:
+    """A PrismGraph with the rows of a rotation-invariant ``dist``, for any s."""
+    n = len(dist) // 2
+    return PrismGraph(n, s, dist[[0, n]].reshape(2, 2, n), int(dist.max()))
+
+
+def swap_orbit_is_everything(dist: np.ndarray) -> bool:
+    """Whether the edge-preserving maps among the rotation p -> p + 1 and the
+    swaps (1, p) -> (2, p + t), (2, p) -> (1, p + u) carry (1, 1) to every
+    vertex of the graph with hop counts ``dist``, each map tried edge by edge."""
+    n = len(dist) // 2
+    c, p = np.divmod(np.arange(2 * n), n)
+    maps = [c * n + (p + 1) % n]
+    maps += [np.where(c == 0, n + (p + t) % n, (p + u) % n) for t in range(n) for u in range(n)]
+    a, b = np.nonzero(dist == 1)
+    maps = [m for m in maps if (dist[m[a], m[b]] == 1).all()]
+    orbit: set = {0}
+    while True:
+        grown = orbit | {int(m[x]) for m in maps for x in orbit}
+        if grown == orbit:
+            return len(orbit) == 2 * n
+        orbit = grown
+
+
+def triple_budget_violations(dist: np.ndarray, s: int) -> set:
+    """((i, j, k), total) for every index triple i < j < k whose pairwise
+    distances sum past n + 3 - s, leaving out for s = 3 the triples that
+    hold some pair i, i + n."""
+    n = len(dist) // 2
+    out = set()
+    for t in combinations(range(2 * n), 3):
+        if s == 3 and any(y - x == n for x, y in combinations(t, 2)):
+            continue
+        i, j, k = t
+        total = int(dist[i, j] + dist[i, k] + dist[j, k])
+        if total > n + 3 - s:
+            out.add((t, total))
+    return out
 
 
 def bfs_row(n: int, s: int, source: int) -> list[int]:

@@ -11,6 +11,12 @@ from prismradio import (
     phi,
     triple_bound_violations,
 )
+from reference import (
+    all_pairs_distances,
+    bicirculant_distances,
+    graph_of,
+    triple_budget_violations,
+)
 
 
 @pytest.mark.parametrize(
@@ -69,3 +75,27 @@ def test_triple_bound_exemption_is_needed_for_s3():
 
 def test_triple_bound_violations_empty_on_supported_graphs():
     assert triple_bound_violations(build_graph(9, 2)) == []
+
+
+def _up_to_rotation(n, violations):
+    """Each (triple, total) with the triple replaced by the least sorted rotation of it."""
+    def least(t):
+        return min(tuple(sorted(i // n * n + (i + r) % n for i in t)) for r in range(n))
+    return {(least(t), total) for t, total in violations}
+
+
+def test_anchored_triple_sweep_matches_every_triple_up_to_rotation():
+    # the supported graphs meet the budget; the rows of Z(n, 1) fail the budget
+    # of s = 2 and 3, and those of GP(9, 3) and GP(12, 3) fail it within cycle 2
+    cases = [(all_pairs_distances(n, s), s) for n in range(3, 13) for s in (1, 2, 3) if s <= n]
+    cases += [(all_pairs_distances(n, 1), s) for n in range(3, 13) for s in (2, 3)]
+    cases += [(bicirculant_distances(9, 3, (0,)), 1), (bicirculant_distances(12, 3, (0,)), 2)]
+    failing = 0
+    for dist, s in cases:
+        g = graph_of(dist, s)
+        expected = triple_budget_violations(dist, s)
+        found = [(tuple(g.index(v) for v in t[:3]), t[3]) for t in triple_bound_violations(g)]
+        assert _up_to_rotation(g.n, found) == _up_to_rotation(g.n, expected), (g, s)
+        assert check_triple_bound(g) == (not expected)
+        failing += bool(expected)
+    assert failing >= 10

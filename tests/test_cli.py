@@ -240,6 +240,18 @@ def test_closed_stdout_keeps_the_exit_code(capsys, monkeypatch, tmp_path, comman
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "dot"])
+def test_closed_stdout_stops_the_output(monkeypatch, tmp_path, fmt):
+    sink = tmp_path / "sink"  # stands in for the null device, to see what still reaches it
+    sink.write_text("")
+    monkeypatch.setattr(os, "devnull", str(sink))
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["label", "--n", "50", "--s", "1", "--format", fmt])
+    sys.stdout.close()
+    assert code == 0
+    assert sink.read_text() == ""  # no line after the first failed write
+
+
 def test_closed_stdout_pipe_exits_zero_without_a_message():
     # the output (about 160 kB) outgrows the pipe, so the write meets the closed end
     src = Path(cli.__file__).resolve().parents[1]
@@ -482,7 +494,8 @@ def _cli_argvs(draw, files):
         "--n": lambda: int_token(5 if command == "exact" and not budgeted
                                  else 10 if command == "selftest" else 40),
         "--s": lambda: int_token(4),
-        "--format": lambda: "xml" if maybe(10) else rnd.choice(formats),
+        # selftest has no --format, so a stray one always gets the junk value
+        "--format": lambda: "xml" if maybe(10) or not formats else rnd.choice(formats),
         "--file": lambda: rnd.choice(files),
         "--budget": lambda: rnd.choice(["0s", "0.1s", "0.001m", "nan", "-1s", "soon", "1e400m"]),
         "--hint": lambda: int_token(60),

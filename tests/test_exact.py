@@ -13,7 +13,13 @@ from prismradio import (
     verify,
 )
 from prismradio.exact import _is_vertex_transitive
-from reference import brute_force_radio_number
+from reference import (
+    all_pairs_distances,
+    bicirculant_distances,
+    brute_force_radio_number,
+    graph_of,
+    swap_orbit_is_everything,
+)
 
 
 def _solve(n, s, **kwargs):
@@ -88,6 +94,32 @@ def test_zero_budget_returns_constructive_incumbent():
 @pytest.mark.parametrize("n,s", [(4, 1), (5, 2), (6, 3), (7, 1)])
 def test_prisms_are_vertex_transitive(n, s):
     assert _is_vertex_transitive(build_graph(n, s))
+
+
+def test_transitivity_matches_the_orbit_oracle_on_supported_graphs():
+    for n in range(3, 13):
+        for s in range(1, min(n, 3) + 1):
+            expected = swap_orbit_is_everything(all_pairs_distances(n, s))
+            assert _is_vertex_transitive(build_graph(n, s)) == expected, (n, s)
+
+
+@pytest.mark.parametrize(
+    "n,step,offsets,expected",
+    [
+        # generalized Petersen graphs GP(n, k): no swap keeps the inner ring step
+        (5, 2, (0,), False), (7, 2, (0,), False), (8, 3, (0,), False), (13, 5, (0,), False),
+        # rings with equal steps, so rows[0, 0] == rows[1, 1]; a swap exists iff
+        # the cross offsets are a reflection of themselves
+        (10, 1, (0, 1, 3), False), (12, 1, (0, 1, 5), False),
+        (10, 1, (0, 2), True), (12, 1, (0, 3), True),
+        # Z(n, s) for s >= 4, which build_graph does not cover
+        (15, 1, (-1, 0, 1, 2), True), (14, 1, (-2, -1, 0, 1, 2), True),
+    ],
+)
+def test_transitivity_matches_the_orbit_oracle_on_other_bicirculants(n, step, offsets, expected):
+    dist = bicirculant_distances(n, step, offsets)
+    assert swap_orbit_is_everything(dist) == expected
+    assert _is_vertex_transitive(graph_of(dist, 1)) == expected
 
 
 def test_greedy_is_optimal_on_witness_order():

@@ -17,9 +17,13 @@ The JSON labeling schema, shared by ``label --format json`` output and
      "labels": [{"cycle": 1|2, "pos": int, "label": int}, ...]}
 
 with labels sorted by (cycle, pos).  On input, n, s, and labels are
-required; diameter and span are recomputed rather than trusted.  CSV output
-has a cycle,pos,label header row, and DOT output names nodes c<cycle>_p<pos>
-inside graph Z_<n>_<s>.
+required; diameter and span are recomputed rather than trusted.  The reader
+pulls the cycle, pos and label columns out of the entries, and
+``Labeling.from_columns`` checks them as whole columns (see ``labeling``);
+the entries may come in any order.  The writers format the label array a
+chunk of vertices at a time, so output never holds one object per vertex.
+CSV output has a cycle,pos,label header row, and DOT output names nodes
+c<cycle>_p<pos> inside graph Z_<n>_<s>.
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ import math
 import operator
 import os
 import sys
-from typing import Iterator
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .bounds import phi, radio_number
 from .exact import SearchConfig, exact_radio_number
@@ -73,23 +79,11 @@ def _print(*args, **kwargs) -> bool:
         return False
 
 
-def labeling_to_dict(g: PrismGraph, lab: Labeling) -> dict:
-    return {
-        "n": g.n,
-        "s": g.s,
-        "diameter": g.diameter,
-        "span": lab.span,
-        "labels": [
-            {"cycle": v.cycle, "pos": v.position, "label": c} for v, c in lab.assignment.items()
-        ],
-    }
-
-
 def labeling_from_dict(data: object) -> Labeling:
     """Parse the JSON labeling schema; ValueError on anything malformed.
 
-    Checks the JSON types and that no vertex is listed twice, keying the
-    labels by plain (cycle, pos) tuples; ``Labeling`` checks the rest.
+    Checks the document's layout and pulls the cycle, pos and label
+    columns out of its entries; ``Labeling.from_columns`` checks the rest.
     Works in time and memory proportional to the document and builds no
     graph, so a short file that names a huge n costs little.
     """
@@ -105,38 +99,72 @@ def labeling_from_dict(data: object) -> Labeling:
     entries = data["labels"]
     if not isinstance(entries, list):
         raise ValueError("malformed labeling file: labels must be a list")
-    fields = operator.itemgetter("cycle", "pos", "label")
     try:
-        rows = [fields(entry) for entry in entries]
+        # one column at a time: zip(*rows) would build a tuple per entry
+        cycle, pos, label = (list(map(operator.itemgetter(key), entries))
+                             for key in ("cycle", "pos", "label"))
     except (KeyError, TypeError):  # a missing key, or an entry that is no object
         raise ValueError("malformed labeling file: each label needs cycle, pos, label") from None
-    if {type(x) for row in rows for x in row} - {int}:
-        raise ValueError("malformed labeling file: cycle, pos, label must be integers")
-    assignment = {(cycle, pos): label for cycle, pos, label in rows}
-    if len(assignment) < len(rows):
-        seen = set()
-        for cycle, pos, _ in rows:
-            if (cycle, pos) in seen:
-                raise ValueError(f"malformed labeling file: vertex ({cycle},{pos}) labeled twice")
-            seen.add((cycle, pos))
-    return Labeling(n=n, s=s, assignment=assignment)
+    return Labeling.from_columns(n, s, cycle, pos, label)
 
 
-def _label_lines(g: PrismGraph, lab: Labeling, fmt: str) -> Iterator[str]:
-    """The lines of ``label --format text|csv|dot``, each formatted when it is asked for."""
-    items = lab.assignment.items()
-    if fmt == "csv":
-        yield "cycle,pos,label"
-        yield from (f"{v.cycle},{v.position},{c}" for v, c in items)
-    elif fmt == "dot":
-        yield f"graph Z_{g.n}_{g.s} {{"
-        yield from (f'  c{v.cycle}_p{v.position} [label="{c}"];' for v, c in items)
-        for u, v in g.edges():
-            yield f"  c{u.cycle}_p{u.position} -- c{v.cycle}_p{v.position};"
-        yield "}"
-    else:
-        yield f"Z({g.n},{g.s}): diameter {g.diameter}, span {lab.span}"
-        yield from (f"({v.cycle},{v.position}) {c}" for v, c in items)
+# Vertices per piece of output: the text of one piece is built at a time.
+_CHUNK = 1 << 14
+
+# One labeled vertex of cycle c per output format: a %-template of (pos, label).
+_ENTRY = {
+    "json": lambda c: f'{{"cycle": {c}, "pos": %d, "label": %d}}',
+    "csv": lambda c: f"{c},%d,%d",
+    "text": lambda c: f"({c},%d) %d",
+    "dot": lambda c: f'  c{c}_p%d [label="%d"];',
+}
+
+
+def _labeled_vertices(lab: Labeling, fmt: str, sep: str) -> Iterator[str]:
+    """Every vertex with its label in index order, as ``_ENTRY[fmt]`` formats
+    it, joined by ``sep``, in pieces of at most ``_CHUNK`` vertices."""
+    n = lab.n
+    for c in (1, 2):
+        for p in range(1, n + 1, _CHUNK):
+            k = min(_CHUNK, n + 1 - p)
+            start = (c - 1) * n + p - 1
+            values = np.empty(2 * k, dtype=np.int64)  # pos, label, pos, label, ...
+            values[0::2] = np.arange(p, p + k)
+            values[1::2] = lab.labels[start:start + k]
+            piece = sep.join([_ENTRY[fmt](c)] * k) % tuple(values.tolist())
+            yield piece if start == 0 else sep + piece
+
+
+def _labeling_json(g: PrismGraph, lab: Labeling) -> Iterator[str]:
+    """The JSON labeling schema of ``lab`` in pieces, the text json.dumps gives."""
+    yield (f'{{"n": {g.n}, "s": {g.s}, "diameter": {g.diameter}, "span": {lab.span}, '
+           f'"labels": [')
+    yield from _labeled_vertices(lab, "json", ", ")
+    yield "]}"
+
+
+def _label_output(g: PrismGraph, lab: Labeling, fmt: str) -> Iterator[str]:
+    """The output of ``label --format fmt`` in pieces, each formatted when it is asked for."""
+    if fmt == "json":
+        yield from _labeling_json(g, lab)
+        yield "\n"
+        return
+    yield {"csv": "cycle,pos,label",
+           "dot": f"graph Z_{g.n}_{g.s} {{",
+           "text": f"Z({g.n},{g.s}): diameter {g.diameter}, span {lab.span}"}[fmt] + "\n"
+    yield from _labeled_vertices(lab, fmt, "\n")
+    yield "\n"
+    if fmt == "dot":
+        edges = g.edges()
+        for k in range(0, len(edges), _CHUNK):
+            yield "".join(f"  c{u.cycle}_p{u.position} -- c{v.cycle}_p{v.position};\n"
+                          for u, v in edges[k:k + _CHUNK])
+        yield "}\n"
+
+
+def _write(pieces: Iterable[str]) -> None:
+    """Print the pieces back to back, stopping once the reader has gone."""
+    all(_print(piece, end="") for piece in pieces)
 
 
 def _parse_budget(text: str) -> float:
@@ -174,10 +202,7 @@ def cmd_label(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_INTERNAL
-    if args.format == "json":
-        _print(json.dumps(labeling_to_dict(g, lab)))
-    else:
-        all(map(_print, _label_lines(g, lab, args.format)))  # stops once the reader has gone
+    _write(_label_output(g, lab, args.format))
     return EXIT_OK
 
 
@@ -226,18 +251,11 @@ def cmd_exact(args: argparse.Namespace) -> int:
         return EXIT_INTERNAL
     status = "proven optimal" if result.proven_optimal else "budget exhausted (upper bound)"
     if args.format == "json":
-        _print(
-            json.dumps(
-                {
-                    "n": args.n,
-                    "s": args.s,
-                    "rn": result.rn,
-                    "proven_optimal": result.proven_optimal,
-                    "nodes_explored": result.nodes_explored,
-                    "witness": labeling_to_dict(g, result.witness),
-                }
-            )
-        )
+        head = json.dumps({"n": args.n, "s": args.s, "rn": result.rn,
+                           "proven_optimal": result.proven_optimal,
+                           "nodes_explored": result.nodes_explored})
+        # the object reopened after its last key, for the witness to go last
+        _write([head[:-1], ', "witness": ', *_labeling_json(g, result.witness), "}\n"])
     else:
         _print(f"rn = {result.rn}")
         _print(f"status = {status}")

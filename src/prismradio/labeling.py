@@ -30,11 +30,16 @@ returns the vertex indices (cycle - 1) * n + position - 1 that
 sequence into a label array at those indices.
 
 A ``Labeling`` is that array: one int64 label per vertex index, read-only.
-Its constructor is the one place that decides whether a vertex -> label
-mapping is a labeling of Z(n, s): every key a vertex of the graph, every
-label an integer in [1, 2**63), every vertex labeled.  Completeness is
-checked before the 2n array is allocated, so a mapping of a few entries
-that names a huge n costs what the mapping costs.
+Its two checked constructors, from a vertex -> label mapping and from the
+(cycle, pos, label) columns of a labeling file, are the one place that
+decides whether entries form a labeling of Z(n, s): every entry a vertex of
+the graph with a label in [1, 2**63), every vertex labeled once.  Both
+split their input into columns and check them with whole-array operations:
+range comparisons, a count of the entries for completeness and, for file
+columns, which can list a vertex twice, one stable sort.  A value too
+large for int64 keeps its column in Python ints, so it is judged exactly.
+Completeness is decided before the 2n array is allocated, so a few entries
+that name a huge n cost what the entries cost.
 
 Two graphs fall outside the pattern and are handled directly: Z(3, 3) is a
 complete graph on 6 vertices (any six distinct labels work; we use 1..6),
@@ -147,17 +152,82 @@ def label_order(n: int, s: int) -> np.ndarray:
 _SPECIAL_4_3_LABELS = (9, 4, 8, 3, 7, 2, 6, 1)
 
 
+_MAX_LABEL = 2**63 - 1  # labels are held in int64
+
+
+def _int_column(values: list) -> np.ndarray:
+    """Plain ints as an int64 array, or as an object array of the Python
+    ints when one of them does not fit int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _first_repeat(cycle: np.ndarray, pos: np.ndarray) -> int | None:
+    """Index of the first entry whose (cycle, pos) pair an earlier entry has."""
+    order = np.lexsort((pos, cycle))  # stable: a run of equal pairs keeps input order
+    c, p = cycle[order], pos[order]
+    again = order[1:][(c[1:] == c[:-1]) & (p[1:] == p[:-1])]
+    return int(again.min()) if again.size else None
+
+
+def _first_unlabeled(n: int, cycle: np.ndarray, pos: np.ndarray) -> Vertex:
+    """The first vertex in index order that no entry names, for fewer than
+    2n entries that name distinct vertices."""
+    c = 1 if np.count_nonzero(cycle == 1) < n else 2
+    p = pos[cycle == c]
+    # k distinct positions leave a gap at or below k + 1
+    seen = np.zeros(len(p) + 2, dtype=bool)
+    seen[p[p <= len(p) + 1].astype(np.int64)] = True
+    return Vertex(c, int(seen[1:].argmin()) + 1)
+
+
+def _checked_labels(n: int, s: int, cycle: np.ndarray, pos: np.ndarray, label: np.ndarray,
+                    shown) -> np.ndarray:
+    """The label array of entries that name distinct (cycle, pos) pairs.
+
+    Raises ValueError for the first fault in this order: (n, s) is no
+    supported graph; the first entry, in input order, whose vertex is not
+    one of Z(n, s) or, failing that, whose label is outside [1, 2**63); a
+    vertex no entry names.  ``shown(i)`` gives the vertex and the label of
+    entry i as the messages show them.  Nothing of length 2n is allocated
+    unless there are 2n entries.
+    """
+    _validate_params(n, s)
+    vertex_ok = ((cycle == 1) | (cycle == 2)) & (pos >= 1) & (pos <= n)
+    bad = ~(vertex_ok & (label >= 1) & (label <= _MAX_LABEL))
+    if bad.any():
+        i = int(bad.argmax())
+        vertex, value = shown(i)
+        if not vertex_ok[i]:
+            raise ValueError(f"labeling references unknown vertex: {vertex}")
+        raise ValueError(f"labels must be positive integers below 2**63, got {value!r} at {vertex}")
+    missing = 2 * n - len(label)
+    if missing:
+        raise ValueError(f"labeling incomplete: {missing} vertices unlabeled "
+                         f"(first: {_first_unlabeled(n, cycle, pos)})")
+    labels = np.empty(2 * n, dtype=np.int64)
+    labels[(cycle - 1) * n + pos - 1] = label
+    return labels
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class Labeling:
     """A total assignment of labels to the vertices of Z(n, s).
 
     ``labels[(c - 1) * n + p - 1]`` is the label of vertex (c, p): a
-    read-only int64 array of length 2n.  The constructor takes a
-    vertex -> label mapping, whose keys may also be plain (cycle, position)
-    tuples, and raises ValueError unless (n, s) is a supported graph, every
-    key is a vertex (cycle, position) of it with plain int coordinates,
-    every label is an integer in [1, 2**63) (the verifier holds them in
-    int64) and every vertex is labeled.
+    read-only int64 array of length 2n.  Both checked constructors split
+    their input into (cycle, pos, label) columns and apply one rule to them
+    with whole-array operations: (n, s) is a supported graph, every entry
+    names a vertex (cycle, position) of it with plain int coordinates and
+    carries an integer label in [1, 2**63) (the verifier holds them in
+    int64), and every vertex is labeled once.  The first entry in input
+    order that breaks the rule is the one reported, its vertex before its
+    label; a missing vertex is reported last.
+    The constructor takes a vertex -> label mapping, whose keys may also be
+    plain (cycle, position) tuples; ``from_columns`` takes the columns of a
+    labeling file.
     Distinctness and the radio condition are audited by
     ``verification.verify``, so that deliberately broken assignments can be
     represented and reported on.
@@ -168,34 +238,47 @@ class Labeling:
     labels: np.ndarray
 
     def __init__(self, n: int, s: int, assignment: Mapping[Vertex, int]) -> None:
-        _validate_params(n, s)
-        index, values = [], []
-        for v, c in assignment.items():
+        keys, values = list(assignment), list(assignment.values())
+        cycle, pos = [], []
+        for v in keys:
             try:
-                cycle, pos = v
+                c, p = v
             except (TypeError, ValueError):
-                cycle = pos = None
-            if not (type(cycle) is int and type(pos) is int
-                    and cycle in (1, 2) and 1 <= pos <= n):
-                shown = v if cycle is None else Vertex(cycle, pos)
-                raise ValueError(f"labeling references unknown vertex: {shown}")
-            if type(c) is not int or not 1 <= c < 2**63:
-                raise ValueError(f"labels must be positive integers below 2**63, "
-                                 f"got {c!r} at {Vertex(cycle, pos)}")
-            index.append((cycle - 1) * n + pos - 1)
-            values.append(c)
-        # the keys are distinct vertices of Z(n, s), so only a short mapping misses one;
-        # the scan for the first gap stops within len(assignment) + 1 vertices
-        missing = 2 * n - len(index)
-        if missing:
-            vertices = (Vertex(c, p) for c in (1, 2) for p in range(1, n + 1))
-            first = next(v for v in vertices if v not in assignment)
-            raise ValueError(
-                f"labeling incomplete: {missing} vertices unlabeled (first: {first})"
-            )
-        labels = np.empty(2 * n, dtype=np.int64)
-        labels[index] = values
-        self._freeze(n, s, labels)
+                c = p = None
+            cycle.append(c)
+            pos.append(p)
+
+        def shown(i):
+            vertex = keys[i] if cycle[i] is None else Vertex(cycle[i], pos[i])
+            return vertex, values[i]
+
+        # a value that is no plain int (bool and float too) becomes 0, which the rule rejects
+        cycle_col, pos_col, label_col = (
+            _int_column([x if type(x) is int else 0 for x in column])
+            for column in (cycle, pos, values))
+        self._freeze(n, s, _checked_labels(n, s, cycle_col, pos_col, label_col, shown))
+
+    @classmethod
+    def from_columns(cls, n: int, s: int, cycle: list, pos: list, label: list) -> "Labeling":
+        """Checked constructor from the columns of a labeling file: entry i
+        labels vertex (cycle[i], pos[i]) with label[i].
+
+        Besides the rule of the class, every value must be a plain int and
+        no vertex may be listed twice; those two faults are reported first,
+        in that order, even when (n, s) is no supported graph.
+        """
+        if not set(map(type, cycle)) | set(map(type, pos)) | set(map(type, label)) <= {int}:
+            raise ValueError("malformed labeling file: cycle, pos, label must be integers")
+        cycle_col, pos_col = _int_column(cycle), _int_column(pos)
+        twice = _first_repeat(cycle_col, pos_col)
+        if twice is not None:
+            raise ValueError(f"malformed labeling file: vertex "
+                             f"{Vertex(cycle[twice], pos[twice])} labeled twice")
+        lab = object.__new__(cls)
+        lab._freeze(n, s, _checked_labels(
+            n, s, cycle_col, pos_col, _int_column(label),
+            lambda i: (Vertex(cycle[i], pos[i]), label[i])))
+        return lab
 
     @classmethod
     def from_labels(cls, n: int, s: int, labels: Iterable[int]) -> "Labeling":

@@ -19,6 +19,11 @@ replaced: it compares every pair, with no label window.
 ``scalar_label_order`` evaluates the construction's position formulas one
 index at a time in Python integers, as ``label_order`` did before it worked
 on NumPy arrays.
+``entry_labels`` and ``labels_from_document`` check a labeling one entry at
+a time, keyed by (cycle, pos) tuples, as ``Labeling`` and the CLI reader did
+before they worked on int64 columns; ``labeling_document`` (serialized by
+``json.dumps``) and ``label_lines`` write one vertex at a time, as the CLI
+did before it wrote the label array in chunks.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from prismradio.bounds import d_offset, omega
-from prismradio.graphs import PrismGraph
+from prismradio.graphs import PrismGraph, Vertex, _validate_params
 
 
 def bicirculant_distances(n: int, step: int, offsets) -> np.ndarray:
@@ -175,3 +180,85 @@ def scalar_label_order(case: int, n: int, s: int) -> list[tuple[int, int]]:
             c, p = (l, 1 + (i - 1) * k) if odd else (l, 2 + (i + 1) * k)
         out.append(((c - 1) % 2 + 1, (p - 1) % n + 1))
     return out
+
+
+def entry_labels(n: int, s: int, assignment) -> list[int]:
+    """The labels of a vertex -> label mapping in vertex-index order, or the
+    ValueError of its first fault, checking one entry at a time."""
+    _validate_params(n, s)
+    labels = {}
+    for v, c in assignment.items():
+        try:
+            cycle, pos = v
+        except (TypeError, ValueError):
+            cycle = pos = None
+        if not (type(cycle) is int and type(pos) is int
+                and cycle in (1, 2) and 1 <= pos <= n):
+            shown = v if cycle is None else Vertex(cycle, pos)
+            raise ValueError(f"labeling references unknown vertex: {shown}")
+        if type(c) is not int or not 1 <= c < 2**63:
+            raise ValueError(f"labels must be positive integers below 2**63, "
+                             f"got {c!r} at {Vertex(cycle, pos)}")
+        labels[(cycle - 1) * n + pos - 1] = c
+    missing = 2 * n - len(labels)
+    if missing:
+        first = next(i for i in range(2 * n) if i not in labels)
+        raise ValueError(f"labeling incomplete: {missing} vertices unlabeled "
+                         f"(first: {Vertex(first // n + 1, first % n + 1)})")
+    return [labels[i] for i in range(2 * n)]
+
+
+def labels_from_document(data) -> list[int]:
+    """The labels of a document in the JSON labeling schema, or the
+    ValueError of its first fault, checking one entry at a time."""
+    if not isinstance(data, dict):
+        raise ValueError("malformed labeling file: top level must be an object")
+    for key in ("n", "s", "labels"):
+        if key not in data:
+            raise ValueError(f"malformed labeling file: missing key {key!r}")
+    n, s = data["n"], data["s"]
+    if type(n) is not int or type(s) is not int:
+        raise ValueError("malformed labeling file: n and s must be integers")
+    entries = data["labels"]
+    if not isinstance(entries, list):
+        raise ValueError("malformed labeling file: labels must be a list")
+    try:
+        rows = [(e["cycle"], e["pos"], e["label"]) for e in entries]
+    except (KeyError, TypeError):
+        raise ValueError("malformed labeling file: each label needs cycle, pos, label") from None
+    if any(type(x) is not int for row in rows for x in row):
+        raise ValueError("malformed labeling file: cycle, pos, label must be integers")
+    assignment = {}
+    for cycle, pos, label in rows:
+        if (cycle, pos) in assignment:
+            raise ValueError(f"malformed labeling file: vertex ({cycle},{pos}) labeled twice")
+        assignment[(cycle, pos)] = label
+    return entry_labels(n, s, assignment)
+
+
+def labeling_document(g: PrismGraph, lab) -> dict:
+    """The JSON labeling schema of ``lab`` as nested dicts, one per vertex."""
+    return {
+        "n": g.n,
+        "s": g.s,
+        "diameter": g.diameter,
+        "span": lab.span,
+        "labels": [
+            {"cycle": v.cycle, "pos": v.position, "label": c} for v, c in lab.assignment.items()
+        ],
+    }
+
+
+def label_lines(g: PrismGraph, lab, fmt: str) -> list[str]:
+    """The lines of ``label --format text|csv|dot``, one vertex at a time."""
+    items = lab.assignment.items()
+    if fmt == "csv":
+        return ["cycle,pos,label"] + [f"{v.cycle},{v.position},{c}" for v, c in items]
+    if fmt == "dot":
+        return ([f"graph Z_{g.n}_{g.s} {{"]
+                + [f'  c{v.cycle}_p{v.position} [label="{c}"];' for v, c in items]
+                + [f"  c{u.cycle}_p{u.position} -- c{v.cycle}_p{v.position};"
+                   for u, v in g.edges()]
+                + ["}"])
+    return ([f"Z({g.n},{g.s}): diameter {g.diameter}, span {lab.span}"]
+            + [f"({v.cycle},{v.position}) {c}" for v, c in items])

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prismradio import build_graph, cli, construct_labeling
+from prismradio import build_graph, cli, construct_labeling, exact_radio_number
 from prismradio.cli import main
+from reference import label_lines, labeling_document, labels_from_document
 
 
 def run(capsys, *argv):
@@ -93,6 +94,31 @@ def test_label_unsupported(capsys):
     code, _, err = run(capsys, "label", "--n", "3", "--s", "2")
     assert code == 2
     assert "unsupported graph parameters" in err
+
+
+@pytest.mark.parametrize("n,s", [(3, 3), (4, 3), (6, 2), (2501, 2), (2 * cli._CHUNK + 5, 1)])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text", "dot"])
+def test_label_output_matches_the_vertex_by_vertex_writer(capsys, n, s, fmt):
+    # the last n spans six pieces of output, two of them cut at a cycle's end
+    code, out, err = run(capsys, "label", "--n", str(n), "--s", str(s), "--format", fmt)
+    g, lab = build_graph(n, s), construct_labeling(n, s)
+    if fmt == "json":
+        expected = json.dumps(labeling_document(g, lab)) + "\n"
+    else:
+        expected = "".join(line + "\n" for line in label_lines(g, lab, fmt))
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
+def test_exact_json_witness_matches_the_vertex_by_vertex_writer(capsys):
+    code, out, _ = run(capsys, "exact", "--n", "5", "--s", "1", "--format", "json")
+    g = build_graph(5, 1)
+    result = exact_radio_number(g)
+    expected = {"n": 5, "s": 1, "rn": result.rn, "proven_optimal": result.proven_optimal,
+                "nodes_explored": result.nodes_explored,
+                "witness": labeling_document(g, result.witness)}
+    assert code == 0
+    assert out == json.dumps(expected) + "\n"
 
 
 def test_verify_round_trip(capsys, tmp_path):
@@ -404,16 +430,19 @@ def _labeling_documents(draw):
 
     A defect is a missing key, a value of the wrong type, an integer that may
     be out of range or huge (n, s, cycle, pos), a duplicated entry, a label
-    outside 1..2**63 - 1, or a list of labels cut short.
+    outside 1..2**63 - 1, a list of labels cut short or put in another order.
     """
     n, s = draw(st.sampled_from([(3, 3), (4, 1), (4, 3), (5, 2), (6, 3), (8, 2)]))
-    doc = cli.labeling_to_dict(build_graph(n, s), construct_labeling(n, s))
+    doc = labeling_document(build_graph(n, s), construct_labeling(n, s))
     for _ in range(draw(st.integers(0, 4))):
         labels = doc.get("labels")
         entries = [e for e in labels if isinstance(e, dict)] if isinstance(labels, list) else []
         target = draw(st.sampled_from(entries)) if entries and draw(st.booleans()) else doc
-        kind = draw(st.sampled_from(["drop", "junk", "int", "duplicate", "label", "truncate"]))
-        if kind == "truncate" and entries:
+        kind = draw(st.sampled_from(["drop", "junk", "int", "duplicate", "label", "truncate",
+                                     "shuffle"]))
+        if kind == "shuffle" and entries:
+            labels[:] = draw(st.permutations(labels))
+        elif kind == "truncate" and entries:
             del labels[draw(st.integers(0, len(labels) - 1)):]
         elif kind == "drop" and target:
             del target[draw(st.sampled_from(sorted(target)))]
@@ -444,6 +473,70 @@ def test_verify_file_fuzz_maps_every_document_to_a_documented_exit(tmp_path_fact
         assert err.getvalue().startswith("error: ")
 
 
+def _read(read, doc):
+    """The labels a reader finds in ``doc``, or the text of its ValueError."""
+    try:
+        labels = read(doc)
+    except ValueError as e:
+        return str(e)
+    return list(labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_labeling_documents())
+def test_reader_matches_the_entry_by_entry_reference(doc):
+    assert _read(lambda d: cli.labeling_from_dict(d).labels.tolist(), doc) == \
+        _read(labels_from_document, doc)
+
+
+def _entry(index, **fields):
+    return lambda doc: doc["labels"][index].update(fields)
+
+
+def _extra(*entries):
+    return lambda doc: doc["labels"].extend(map(dict, entries))
+
+
+_READER_CASES = {  # edits of the Z(5,1) construction, applied in order
+    "cycle 2**80": [_entry(3, cycle=2**80)],
+    "pos 2**80": [_entry(3, pos=2**80)],
+    "pos -2**80": [_entry(3, pos=-(2**80))],
+    "label 2**63": [_entry(3, label=2**63)],
+    "label -2**63 - 1": [_entry(3, label=-(2**63) - 1)],
+    "label true": [_entry(3, label=True)],
+    "duplicated out-of-range vertex": [_extra({"cycle": 7, "pos": -3, "label": 1},
+                                              {"cycle": 7, "pos": -3, "label": 2})],
+    "duplicate after an unknown vertex": [_entry(1, pos=99),
+                                          _extra({"cycle": 2, "pos": 1, "label": 5})],
+    "duplicate with bad n": [lambda doc: doc.update(n=2),
+                             _extra({"cycle": 1, "pos": 1, "label": 3})],
+    "unknown vertex, then bad label": [_entry(2, pos=99), _entry(6, label=0)],
+    "bad label, then unknown vertex": [_entry(2, label=0), _entry(6, pos=99)],
+    "bad label at an unknown vertex": [_entry(4, cycle=3, label=0)],
+    "shuffled, one vertex short": [lambda doc: doc.update(labels=doc["labels"][:0:-1])],
+    "n 10**12, two entries": [lambda doc: doc.update(n=10**12, labels=doc["labels"][:2])],
+    "n 2**80, a position past 2**63": [lambda doc: doc.update(n=2**80, labels=[]),
+                                       _extra({"cycle": 1, "pos": 2**70, "label": 1},
+                                              {"cycle": 2, "pos": 1, "label": 2})],
+    "n 2**80, a position past n": [lambda doc: doc.update(n=2**80, labels=[]),
+                                   _extra({"cycle": 1, "pos": 2**70, "label": 1},
+                                          {"cycle": 2, "pos": 2**81, "label": 2})],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_READER_CASES))
+def test_verify_file_faults_match_the_entry_by_entry_reference(capsys, tmp_path, case):
+    doc = labeling_document(build_graph(5, 1), construct_labeling(5, 1))
+    for edit in _READER_CASES[case]:
+        edit(doc)
+    expected = _read(labels_from_document, doc)
+    assert isinstance(expected, str), expected
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--file", str(path))
+    assert (code, out, err) == (2, "", f"error: {expected}\n")
+
+
 _JUNK_TOKENS = ["", "x", "1.5", "0x4", "--bogus", "-x", "--format=xml", "--no-phi-pruning", "-h"]
 _FLAGS = {  # subcommand -> (required flags, optional flags, --format choices)
     "rn": (["--n", "--s"], ["--format"], ["text", "json"]),
@@ -459,7 +552,7 @@ _FLAGS = {  # subcommand -> (required flags, optional flags, --format choices)
 def cli_fuzz_files(tmp_path_factory):
     """Paths for verify --file: a valid labeling, an invalid one, junk, a directory, none."""
     root = tmp_path_factory.mktemp("cli_fuzz")
-    doc = cli.labeling_to_dict(build_graph(6, 2), construct_labeling(6, 2))
+    doc = labeling_document(build_graph(6, 2), construct_labeling(6, 2))
     (root / "valid.json").write_text(json.dumps(doc))
     doc["labels"][0]["label"] = doc["labels"][1]["label"]
     (root / "invalid.json").write_text(json.dumps(doc))

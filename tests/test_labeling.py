@@ -14,7 +14,10 @@ from prismradio import (
     phi,
     verify,
 )
-from reference import scalar_label_order
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reference import entry_labels, scalar_label_order
 
 
 def alpha(n, s, j):
@@ -183,3 +186,44 @@ def test_labeling_rejects_keys_that_are_not_vertices(key):
     rest = {v: i + 1 for i, v in enumerate(build_graph(4, 1).vertices())}
     with pytest.raises(ValueError, match="unknown vertex"):
         Labeling(n=4, s=1, assignment={key: 1} | rest)
+
+
+_ODD_KEYS = [(1, 9), (3, 1), (0, 1), (1, 0), (1.0, 1), (True, 1), (1, np.int64(2)), (None, 5),
+             (2**80, 1), (1, -(2**80)), (1, 2, 3), "ab", 7, None, frozenset()]
+_ODD_LABELS = [0, -1, 1.5, True, None, "3", np.int64(3), 2**63, -(2**63) - 1, 2**63 - 1]
+
+
+@st.composite
+def _assignments(draw):
+    """(n, s, mapping): a construction keyed by vertices and plain tuples,
+    reordered, with up to three keys dropped, odd keys added or odd labels."""
+    n, s = draw(st.sampled_from([(3, 3), (4, 1), (5, 2), (8, 3)]))
+    items = [(tuple(v) if draw(st.booleans()) else v, c)
+             for v, c in construct_labeling(n, s).assignment.items()]
+    items = draw(st.permutations(items))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(items)))
+        kind = draw(st.sampled_from(["drop", "key", "label"]))
+        if kind == "drop" and items:
+            del items[min(at, len(items) - 1)]
+        elif kind == "key":
+            items.insert(at, (draw(st.sampled_from(_ODD_KEYS)), draw(st.integers(1, 40))))
+        elif kind == "label" and items:
+            at = min(at, len(items) - 1)
+            items[at] = (items[at][0], draw(st.sampled_from(_ODD_LABELS)))
+    return n, s, dict(items)
+
+
+def _labels_or_error(read, *args):
+    try:
+        return list(read(*args))
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_assignments())
+def test_mapping_constructor_matches_the_entry_by_entry_reference(case):
+    n, s, mapping = case
+    got = _labels_or_error(lambda: Labeling(n=n, s=s, assignment=mapping).labels.tolist())
+    assert got == _labels_or_error(entry_labels, n, s, mapping)

@@ -135,6 +135,18 @@ def _labeled_vertices(lab: Labeling, fmt: str, sep: str) -> Iterator[str]:
             yield piece if start == 0 else sep + piece
 
 
+def _edge_lines(g: PrismGraph) -> Iterator[str]:
+    """The DOT edge lines of g in ``edges()`` order, ``_CHUNK`` edges per piece."""
+    ii, jj = g.edge_indices()
+    for k in range(0, ii.size, _CHUNK):
+        i, j = ii[k:k + _CHUNK], jj[k:k + _CHUNK]
+        values = np.empty((i.size, 4), dtype=np.int64)  # cycle, pos of each end, per edge
+        values[:, 0], values[:, 1] = np.divmod(i, g.n)
+        values[:, 2], values[:, 3] = np.divmod(j, g.n)
+        values += 1
+        yield "  c%d_p%d -- c%d_p%d;\n" * i.size % tuple(values.ravel().tolist())
+
+
 def _labeling_json(g: PrismGraph, lab: Labeling) -> Iterator[str]:
     """The JSON labeling schema of ``lab`` in pieces, the text json.dumps gives."""
     yield (f'{{"n": {g.n}, "s": {g.s}, "diameter": {g.diameter}, "span": {lab.span}, '
@@ -155,10 +167,7 @@ def _label_output(g: PrismGraph, lab: Labeling, fmt: str) -> Iterator[str]:
     yield from _labeled_vertices(lab, fmt, "\n")
     yield "\n"
     if fmt == "dot":
-        edges = g.edges()
-        for k in range(0, len(edges), _CHUNK):
-            yield "".join(f"  c{u.cycle}_p{u.position} -- c{v.cycle}_p{v.position};\n"
-                          for u, v in edges[k:k + _CHUNK])
+        yield from _edge_lines(g)
         yield "}\n"
 
 

@@ -19,11 +19,19 @@ Pruning is tie-preserving (only branches strictly worse than the incumbent
 are cut), so the search always recovers an optimal witness.  When
 automorphisms verified on g's two metric rows (rotation and a cycle swap)
 show g is vertex-transitive (every supported Z(n, s) is), the order starts
-at (1, 1): any order maps onto one that does, with equal span.
+at (1, 1): any order maps onto one that does, with equal span.  The rows
+also verify a reflection r that fixes (1, 1) (see ``_reflection``; every
+Z(n, s) has one).  While every placed vertex is a fixed point of r, the
+order and its image under r share the placed prefix and the span, so of
+each pair of children v, r(v) only the one with the smaller index is
+expanded.
 
 The search is single-threaded and deterministic: children are expanded in
 ascending (forced label, vertex index) order, so nodes_explored is
-reproducible for a given configuration.  ``upper_bound_hint`` seeds the
+reproducible for a given configuration.  It runs on an explicit stack of
+frames, one per depth, each holding its children already cut and sorted,
+its unplaced vertices and their forced labels, so a search 2n deep needs
+no recursion.  ``upper_bound_hint`` seeds the
 incumbent and must be a genuine upper bound (e.g. the span of a known valid
 labeling); a hint below the optimum makes the search inconclusive and raises.
 Without a hint the incumbent is seeded from ``construct_labeling`` when that
@@ -121,6 +129,27 @@ def _is_vertex_transitive(g: PrismGraph) -> bool:
     )
 
 
+def _reflection(g: PrismGraph) -> list[int] | None:
+    """A reflection fixing (1, 1), verified on g's two metric rows, as an index map.
+
+    With positions counted from 0, r maps (1, p) to (1, -p) and (2, p) to
+    (2, k - p).  Within a cycle it preserves every distance of an undirected
+    rotation-invariant metric, whose rows[0, 0] and rows[1, 1] are symmetric
+    under negation, and across the cycles exactly when
+    rows[0, 1][x] == rows[0, 1][(k - x) mod n] for every x.  Returns r[i],
+    the index of the image of vertex index i, for the first k that works, or
+    None when none does.  For Z(n, s), k = floor(s / 2) - floor((s - 1) / 2)
+    works, since it maps the cross offsets onto themselves.
+    """
+    n = g.n
+    cross = g.rows[0, 1]
+    x = np.arange(n)
+    for k in range(n):
+        if np.array_equal(cross, cross[(k - x) % n]):
+            return np.concatenate([(-x) % n, n + (k - x) % n]).tolist()
+    return None
+
+
 def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> ExactResult:
     """Branch-and-bound search for the radio number of g.
 
@@ -130,8 +159,8 @@ def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> Exa
     n = g.n
     nv = 2 * n
     pair_step = max(0, pair_gap(g) - 2)
-    required = g.diameter + 1
-    dist = g.dist.tolist()
+    # off[v][u] = diam + 1 - d(v, u) >= 1: how far u's label must lie above v's
+    off = (g.diameter + 1 - g.dist).tolist()
 
     best_span: int | None = None
     best_labels: list[int] | None = None  # by vertex index
@@ -148,65 +177,68 @@ def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> Exa
     if cfg.upper_bound_hint is not None:
         prune_ref = min(prune_ref, cfg.upper_bound_hint)
 
-    first_pool: Sequence[int] = [0] if _is_vertex_transitive(g) else range(nv)
+    pinned = _is_vertex_transitive(g)
+    refl = _reflection(g) if pinned else None
+    # tails[m]: with m vertices unplaced, a child labeled c forces a span of at
+    # least c + tails[m] + 1, since m - 1 more labels cost at least
+    # max(m - 1, floor((m - 1) / 2) * pair_gap + (m - 1) mod 2)
+    tails = [m - 2 + (m - 1) // 2 * pair_step for m in range(nv + 1)]
 
-    placed = [False] * nv
-    lb = [0] * nv  # forced minimum label of each unplaced vertex
-    trail: list[tuple[int, int]] = []
+    # A frame is one node of the tree: an iterator over its children
+    # (label, position in rest), ascending and already cut against prune_ref;
+    # its unplaced vertices, ascending, with their forced labels; tails[m];
+    # and whether every placed vertex is a fixed point of refl.
+    root_kids = [(1, 0)] if pinned else [(1, v) for v in range(nv)]
+    stack = [(iter(root_kids), list(range(nv)), [1] * nv, tails[nv], refl is not None)]
+    path = [0] * nv  # path[d]: the vertex placed at depth d
+    path_labels = [0] * nv
     nodes = 0
     stopped = False
     deadline = None if cfg.time_budget is None else time.monotonic() + cfg.time_budget
 
-    def rem_bound(m: int) -> int:
-        return m - 1 + (m // 2) * pair_step
-
-    def dfs(depth: int, last_label: int) -> None:
-        nonlocal nodes, best_span, best_labels, prune_ref, stopped
-        m = nv - depth
-        pool = first_pool if depth == 0 else range(nv)
-        children = []
-        for v in pool:
-            if not placed[v]:
-                c = lb[v] if lb[v] > last_label else last_label + 1
-                children.append((c, v))
-        children.sort()
-        tail_bound = rem_bound(m - 1)
-        for c, v in children:
-            if stopped:
-                return
-            if c + tail_bound >= prune_ref:
-                break  # children are label-sorted: the rest are no better
+    while stack and not stopped:
+        kids, rest, lbs, tail, sym = stack[-1]
+        for c, i in kids:
+            if c + tail >= prune_ref:
+                stack.pop()  # children are label-sorted: the rest are no better
+                break
             nodes += 1
-            if deadline is not None and nodes % _BUDGET_CHECK_INTERVAL == 0:
-                if time.monotonic() > deadline:
-                    stopped = True
-                    return
-            if m == 1:
+            if (deadline is not None and nodes % _BUDGET_CHECK_INTERVAL == 0
+                    and time.monotonic() > deadline):
+                stopped = True
+                break
+            v = rest[i]
+            depth = nv - len(rest)
+            path[depth] = v
+            path_labels[depth] = c
+            if depth == nv - 1:
                 # order complete; the cut above guarantees c <= prune_ref
                 best_span = c
                 best_labels = [0] * nv
-                for w, cw in trail:
+                for w, cw in zip(path, path_labels):
                     best_labels[w] = cw
-                best_labels[v] = c
                 prune_ref = min(prune_ref, c)
                 continue
-            placed[v] = True
-            trail.append((v, c))
-            saved = []
-            row = dist[v]
-            for u in range(nv):
-                if not placed[u]:
-                    need = c + required - row[u]
-                    if need > lb[u]:
-                        saved.append((u, lb[u]))
-                        lb[u] = need
-            dfs(depth + 1, c)
-            for u, old in saved:
-                lb[u] = old
-            trail.pop()
-            placed[v] = False
-
-    dfs(0, 0)
+            row = off[v]
+            # off >= 1, so every forced label now exceeds c: it is the child's label
+            lbs = [need if (need := c + row[u]) > lb else lb for u, lb in zip(rest, lbs)]
+            rest = rest.copy()
+            del rest[i], lbs[i]
+            tail = tails[len(rest)]
+            lim = prune_ref - tail
+            # while every placed vertex is fixed by refl, an order and its
+            # image under refl tie: keep only the child v <= refl[v] of each pair
+            sym = sym and refl[v] == v
+            if sym:
+                kids = [(lb, j) for j, lb in enumerate(lbs)
+                        if lb < lim and rest[j] <= refl[rest[j]]]
+            else:
+                kids = [(lb, j) for j, lb in enumerate(lbs) if lb < lim]
+            kids.sort()
+            stack.append((iter(kids), rest, lbs, tail, sym))
+            break
+        else:
+            stack.pop()
 
     proven = not stopped
     if (

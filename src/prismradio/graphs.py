@@ -154,6 +154,11 @@ class PrismGraph:
 
     def edges(self) -> list[tuple[Vertex, Vertex]]:
         """Each edge once, endpoint indices ascending, sorted by index pair."""
+        ii, jj = self.edge_indices()
+        return [(self.vertex_at(i), self.vertex_at(j)) for i, j in zip(ii.tolist(), jj.tolist())]
+
+    def edge_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """The endpoint index arrays of ``edges()``: edge t joins ii[t] < jj[t]."""
         n = self.n
         pos = np.arange(n)
         ii, jj = [], []
@@ -166,8 +171,7 @@ class PrismGraph:
         keep = ii < jj
         ii, jj = ii[keep], jj[keep]
         order = np.lexsort((jj, ii))
-        return [(self.vertex_at(int(i)), self.vertex_at(int(j)))
-                for i, j in zip(ii[order], jj[order])]
+        return ii[order], jj[order]
 
     def distance(self, u: Vertex, v: Vertex) -> int:
         (c, p), (c2, p2) = divmod(self.index(u), self.n), divmod(self.index(v), self.n)

@@ -15,7 +15,10 @@ the oracle for the closed-form rows at n up to about 2 * 10^5.
 ``all_pairs_violations`` is the dense radio-condition check that ``verify``
 replaced: it compares every pair, with no label window.
 ``brute_force_radio_number`` tries every vertex order, sharing no code with
-``prismradio.exact``.
+``prismradio.exact``; ``recursive_exact_search`` is the branch-and-bound
+search as it was before it broke the reflection symmetry and ran on an
+explicit stack: one recursive call per depth and no symmetry but the fixed
+first vertex.
 ``scalar_label_order`` evaluates the construction's position formulas one
 index at a time in Python integers, as ``label_order`` did before it worked
 on NumPy arrays.
@@ -35,8 +38,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from prismradio.bounds import d_offset, omega
-from prismradio.graphs import PrismGraph, Vertex, _validate_params
+from prismradio.bounds import d_offset, omega, pair_gap
+from prismradio.graphs import PrismGraph, Vertex, _validate_params, build_graph
+from prismradio.labeling import construct_labeling
 
 
 def bicirculant_distances(n: int, step: int, offsets) -> np.ndarray:
@@ -158,6 +162,62 @@ def brute_force_radio_number(n: int, s: int) -> int:
         else:
             best = labels[-1]
     return best
+
+
+def recursive_exact_search(n: int, s: int) -> tuple[int, int]:
+    """(rn, nodes explored) of Z(n, s) by the recursive, tie-preserving search.
+
+    The incumbent is seeded from ``construct_labeling`` when it covers (n, s),
+    else from the greedy labels of the vertices in index order.  The first
+    vertex is fixed to (1, 1) when the orbit oracle shows the graph is
+    vertex-transitive.  Children are expanded in ascending (forced label,
+    vertex index) order, and a child is cut when its label plus the
+    ``pair_gap`` bound on the vertices still to come exceeds the incumbent.
+    """
+    matrix = all_pairs_distances(n, s)
+    nv = 2 * n
+    required = int(matrix.max()) + 1
+    pair_step = max(0, pair_gap(build_graph(n, s)) - 2)
+    dist = matrix.tolist()
+    try:
+        best = construct_labeling(n, s).span
+    except ValueError:
+        labels = [1]
+        for v in range(1, nv):
+            labels.append(max(labels[-1] + 1,
+                              *(labels[u] + required - dist[u][v] for u in range(v))))
+        best = labels[-1]
+    first_pool = [0] if swap_orbit_is_everything(matrix) else range(nv)
+    placed = [False] * nv
+    lb = [0] * nv
+    nodes = 0
+
+    def dfs(depth: int, last_label: int) -> None:
+        nonlocal nodes, best
+        m = nv - depth
+        pool = first_pool if depth == 0 else range(nv)
+        children = sorted((max(lb[v], last_label + 1), v) for v in pool if not placed[v])
+        tail_bound = m - 2 + (m - 1) // 2 * pair_step
+        for c, v in children:
+            if c + tail_bound >= best:
+                break
+            nodes += 1
+            if m == 1:
+                best = c
+                continue
+            placed[v] = True
+            saved = []
+            for u in range(nv):
+                if not placed[u] and c + required - dist[v][u] > lb[u]:
+                    saved.append((u, lb[u]))
+                    lb[u] = c + required - dist[v][u]
+            dfs(depth + 1, c)
+            for u, old in saved:
+                lb[u] = old
+            placed[v] = False
+
+    dfs(0, 0)
+    return best, nodes
 
 
 def scalar_label_order(case: int, n: int, s: int) -> list[tuple[int, int]]:

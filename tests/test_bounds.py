@@ -4,16 +4,19 @@ from prismradio import (
     Vertex,
     build_graph,
     check_triple_bound,
+    construct_labeling,
     d_offset,
     in_phi_scope,
     lower_bound_rn,
     omega,
+    pair_gap,
     phi,
     triple_bound_violations,
 )
 from reference import (
     all_pairs_distances,
     bicirculant_distances,
+    brute_force_radio_number,
     graph_of,
     triple_budget_violations,
 )
@@ -99,3 +102,22 @@ def test_anchored_triple_sweep_matches_every_triple_up_to_rotation():
         assert check_triple_bound(g) == (not expected)
         failing += bool(expected)
     assert failing >= 10
+
+
+def _root_bound(g):
+    """The exact search's lower bound at its root: the first label is 1 and
+    the other 2n - 1 cost at least (n - 1) * pair_gap + 1 more."""
+    return (g.n - 1) * pair_gap(g) + 2
+
+
+@pytest.mark.parametrize("n,s", [(n, s) for n in (3, 4) for s in range(1, n + 1)])
+def test_root_bound_never_exceeds_the_brute_force_radio_number(n, s):
+    # Z(4, 4) is outside build_graph's range: its graph comes from the definition
+    g = graph_of(all_pairs_distances(n, s), s)
+    assert _root_bound(g) <= brute_force_radio_number(n, s)
+
+
+def test_root_bound_never_exceeds_the_construction_span():
+    for n in range(4, 121):
+        for s in (1, 2, 3):
+            assert _root_bound(build_graph(n, s)) <= construct_labeling(n, s).span, (n, s)

@@ -328,6 +328,13 @@ def test_exact_budget_exhaustion(capsys):
     assert "rn = 47" in out and "budget exhausted" in out
 
 
+def test_exact_budget_stops_a_search_deeper_than_the_recursion_limit(capsys):
+    # 2n = 1200 vertices: one stack frame per depth would overflow the interpreter's stack
+    code, out, err = run(capsys, "exact", "--n", "600", "--s", "3", "--budget", "0.2s")
+    assert (code, err) == (0, "")
+    assert "status = budget exhausted (upper bound)" in out
+
+
 @pytest.mark.parametrize("flag", ["--no-phi-pruning", "--fix-first-vertex"])
 def test_exact_has_no_search_knobs(capsys, flag):
     with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,12 +13,13 @@ from prismradio import (
     lower_bound_rn,
     verify,
 )
-from prismradio.exact import _is_vertex_transitive
+from prismradio.exact import _is_vertex_transitive, _reflection
 from reference import (
     all_pairs_distances,
     bicirculant_distances,
     brute_force_radio_number,
     graph_of,
+    recursive_exact_search,
     swap_orbit_is_everything,
 )
 
@@ -120,6 +122,48 @@ def test_transitivity_matches_the_orbit_oracle_on_other_bicirculants(n, step, of
     dist = bicirculant_distances(n, step, offsets)
     assert swap_orbit_is_everything(dist) == expected
     assert _is_vertex_transitive(graph_of(dist, 1)) == expected
+
+
+@pytest.mark.parametrize("n,s", [(n, s) for n in range(3, 8) for s in (1, 2, 3) if s <= n])
+def test_search_matches_the_recursive_oracle(n, s):
+    g, result = _solve(n, s)
+    rn, oracle_nodes = recursive_exact_search(n, s)
+    assert result.proven_optimal and result.rn == rn
+    assert result.nodes_explored <= oracle_nodes
+    assert verify(g, result.witness).valid
+
+
+def _reflection_maps(dist):
+    """For each k, the map (1, p) -> (1, -p), (2, p) -> (2, k - p) on indices,
+    and whether it carries every edge of ``dist`` onto an edge."""
+    n = len(dist) // 2
+    a, b = np.nonzero(dist == 1)
+    p = np.arange(n)
+    for k in range(n):
+        r = np.concatenate([(-p) % n, n + (k - p) % n])
+        yield r, bool((dist[r[a], r[b]] == 1).all())
+
+
+def _check_reflection(n, offsets):
+    dist = bicirculant_distances(n, 1, offsets)
+    r = _reflection(graph_of(dist, 1))
+    preserving = [m for m, ok in _reflection_maps(dist) if ok]
+    assert (r is None) == (not preserving), (n, offsets)
+    if r is not None:
+        assert r[0] == 0 and sorted(r) == list(range(2 * n))
+        assert any(np.array_equal(r, m) for m in preserving), (n, offsets)
+    return r
+
+
+@pytest.mark.parametrize("s", range(1, 9))
+def test_prism_reflection_matches_the_edge_by_edge_oracle(s):
+    # Z(n, s) for s >= 4 too, built from its definition
+    for n in range(max(3, s), 21):
+        assert _check_reflection(n, range(-((s - 1) // 2), s // 2 + 1)) is not None
+
+
+def test_reflection_is_none_when_no_reflection_preserves_the_edges():
+    assert _check_reflection(7, (0, 1, 3)) is None
 
 
 def test_greedy_is_optimal_on_witness_order():

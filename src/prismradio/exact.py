@@ -26,12 +26,33 @@ order and its image under r share the placed prefix and the span, so of
 each pair of children v, r(v) only the one with the smaller index is
 expanded.
 
+Different placed prefixes often leave the same subproblem: the same
+unplaced vertices with the same forced labels, shifted by a constant.  A
+transposition table keys each child frame, before it is pushed, by its
+unplaced set and their forced labels minus the child's label c, and keeps
+the least c pushed with that key.  Everything below a frame depends only on
+its key, its label and the incumbent bound, which never rises.  So a child
+whose key was pushed before with a label c' <= c is skipped: its
+completions are the earlier node's shifted up by c - c' >= 0, and the
+earlier visit already explored every completion not strictly worse than the
+bound of its time.  A visit restricted by the mirror pairs still covers its
+node's whole subtree, since each skipped child mirrors an explored sibling.
+No key can match while its first visit is still open: only descendants are
+visited meanwhile, and they have fewer unplaced vertices.  Once the keys and
+a per-entry charge reach ``_TABLE_BYTES``, no entries are added, which only
+skips fewer children.  A skipped child still counts in nodes_explored, which
+counts the children that pass the label cut.
+
 The search is single-threaded and deterministic: children are expanded in
 ascending (forced label, vertex index) order, so nodes_explored is
 reproducible for a given configuration.  It runs on an explicit stack of
 frames, one per depth, each holding its children already cut and sorted,
 its unplaced vertices and their forced labels, so a search 2n deep needs
-no recursion.  ``upper_bound_hint`` seeds the
+no recursion.  The distances come from g's two metric rows, rotated per
+placed vertex, so the search holds O(n) of the metric.  The time budget is
+read whenever the nodes explored, each weighted by its unplaced vertices,
+pass another ``_BUDGET_CHECK_WORK``, and at the first node, so the
+overshoot is about the same at every n.  ``upper_bound_hint`` seeds the
 incumbent and must be a genuine upper bound (e.g. the span of a known valid
 labeling); a hint below the optimum makes the search inconclusive and raises.
 Without a hint the incumbent is seeded from ``construct_labeling`` when that
@@ -42,6 +63,7 @@ when the time budget runs out.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,7 +75,13 @@ from .labeling import Labeling, construct_labeling
 
 __all__ = ["SearchConfig", "ExactResult", "greedy_span_for_order", "exact_radio_number"]
 
-_BUDGET_CHECK_INTERVAL = 4096
+# the clock is read whenever nodes explored, each weighted by its number of
+# unplaced vertices, pass another multiple of this
+_BUDGET_CHECK_WORK = 1 << 16
+# memory cap of the transposition table: once its keys plus a per-entry
+# charge for the dict slot reach it, no entries are added
+_TABLE_BYTES = 64 << 20
+_TABLE_ENTRY_BYTES = 96
 
 
 @dataclass
@@ -99,19 +127,14 @@ def greedy_span_for_order(
     verts = [v if isinstance(v, Vertex) else Vertex(*v) for v in order]
     if sorted(verts) != sorted(g.vertices()):
         raise ValueError("not a permutation of the vertex set")
-    idxs = [g.index(v) for v in verts]
-    dist = g.dist
+    cyc, pos = np.divmod([g.index(v) for v in verts], g.n)
     required = g.diameter + 1
-    labels = [1]
-    for t in range(1, len(idxs)):
-        c = labels[-1] + 1
-        vi = idxs[t]
-        for j in range(t):
-            lo = labels[j] + required - int(dist[idxs[j], vi])
-            if lo > c:
-                c = lo
-        labels.append(c)
-    return labels[-1], labels
+    labels = np.ones(len(verts), dtype=np.int64)
+    for t in range(1, len(verts)):
+        # the radio condition against each earlier vertex, read from the rows
+        need = labels[:t] + required - g.rows[cyc[t], cyc[:t], (pos[:t] - pos[t]) % g.n]
+        labels[t] = max(labels[t - 1] + 1, need.max())
+    return int(labels[-1]), labels.tolist()
 
 
 def _is_vertex_transitive(g: PrismGraph) -> bool:
@@ -150,6 +173,17 @@ def _reflection(g: PrismGraph) -> list[int] | None:
     return None
 
 
+def _key_typecode(diam: int) -> str:
+    """The narrowest ``array`` typecode holding every relative label 1..diam."""
+    return next(t for t in "BHQ" if diam < 1 << 8 * array(t).itemsize)
+
+
+def _table_key(unplaced: int, rel: list[int], mask_len: int, typecode: str) -> bytes:
+    """The transposition key of a frame: the bit mask of its unplaced vertices
+    in mask_len bytes, then their forced labels minus the frame's label."""
+    return unplaced.to_bytes(mask_len, "little") + array(typecode, rel).tobytes()
+
+
 def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> ExactResult:
     """Branch-and-bound search for the radio number of g.
 
@@ -159,8 +193,9 @@ def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> Exa
     n = g.n
     nv = 2 * n
     pair_step = max(0, pair_gap(g) - 2)
-    # off[v][u] = diam + 1 - d(v, u) >= 1: how far u's label must lie above v's
-    off = (g.diameter + 1 - g.dist).tolist()
+    # doubled[c][c'][n - p + k] = diam + 1 - d((c, p), (c', k)) with positions
+    # counted from 0: how far the label of (c', k) must lie above that of (c, p)
+    doubled = [[row * 2 for row in (g.diameter + 1 - g.rows[c]).tolist()] for c in (0, 1)]
 
     best_span: int | None = None
     best_labels: list[int] | None = None  # by vertex index
@@ -184,34 +219,49 @@ def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> Exa
     # max(m - 1, floor((m - 1) / 2) * pair_gap + (m - 1) mod 2)
     tails = [m - 2 + (m - 1) // 2 * pair_step for m in range(nv + 1)]
 
-    # A frame is one node of the tree: an iterator over its children
-    # (label, position in rest), ascending and already cut against prune_ref;
-    # its unplaced vertices, ascending, with their forced labels; tails[m];
-    # and whether every placed vertex is a fixed point of refl.
+    # seen[key] = the least label c of a frame pushed with that key, where the
+    # key is its unplaced set (as a bit mask) and their forced labels minus c
+    seen: dict[bytes, int] = {}
+    seen_bytes = 0
+    mask_len = (nv + 7) // 8
+    typecode = _key_typecode(g.diameter)
+
+    # A frame is one node of the tree, labeled base: an iterator over its
+    # children (label - base, position in rest), ascending and already cut
+    # against prune_ref; its unplaced vertices, ascending, with their forced
+    # labels minus base; base; tails[m]; whether every placed vertex is a
+    # fixed point of refl; and the bit mask of its unplaced vertices.
     root_kids = [(1, 0)] if pinned else [(1, v) for v in range(nv)]
-    stack = [(iter(root_kids), list(range(nv)), [1] * nv, tails[nv], refl is not None)]
+    stack = [(iter(root_kids), list(range(nv)), [1] * nv, 0, tails[nv],
+              refl is not None, (1 << nv) - 1)]
     path = [0] * nv  # path[d]: the vertex placed at depth d
     path_labels = [0] * nv
     nodes = 0
+    work = 0  # nodes explored, each weighted by its count of unplaced vertices
+    next_check = 0 if cfg.time_budget is not None else float("inf")
     stopped = False
     deadline = None if cfg.time_budget is None else time.monotonic() + cfg.time_budget
 
     while stack and not stopped:
-        kids, rest, lbs, tail, sym = stack[-1]
-        for c, i in kids:
+        kids, rest, rel, base, tail, sym, mask = stack[-1]
+        for r, i in kids:
+            c = base + r
             if c + tail >= prune_ref:
                 stack.pop()  # children are label-sorted: the rest are no better
                 break
             nodes += 1
-            if (deadline is not None and nodes % _BUDGET_CHECK_INTERVAL == 0
-                    and time.monotonic() > deadline):
-                stopped = True
-                break
+            m = len(rest)
+            work += m
+            if work >= next_check:
+                if time.monotonic() > deadline:
+                    stopped = True
+                    break
+                next_check = work + _BUDGET_CHECK_WORK
             v = rest[i]
-            depth = nv - len(rest)
+            depth = nv - m
             path[depth] = v
             path_labels[depth] = c
-            if depth == nv - 1:
+            if m == 1:
                 # order complete; the cut above guarantees c <= prune_ref
                 best_span = c
                 best_labels = [0] * nv
@@ -219,23 +269,37 @@ def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> Exa
                     best_labels[w] = cw
                 prune_ref = min(prune_ref, c)
                 continue
-            row = off[v]
-            # off >= 1, so every forced label now exceeds c: it is the child's label
-            lbs = [need if (need := c + row[u]) > lb else lb for u, lb in zip(rest, lbs)]
-            rest = rest.copy()
-            del rest[i], lbs[i]
-            tail = tails[len(rest)]
-            lim = prune_ref - tail
+            cv, pv = divmod(v, n)
+            to_1, to_2 = doubled[cv]
+            row = to_1[n - pv:nv - pv] + to_2[n - pv:nv - pv]  # by vertex index, >= 1
+            # each unplaced vertex's forced label minus c, which is positive
+            child = [o if (o := row[u]) > (x := lr - r) else x for u, lr in zip(rest, rel)]
+            del child[i]
+            child_mask = mask ^ (1 << v)
+            key = _table_key(child_mask, child, mask_len, typecode)
+            first = seen.get(key)
+            if first is not None:
+                if first <= c:
+                    continue  # the completions below are those of the first, shifted up
+                seen[key] = c
+            elif seen_bytes < _TABLE_BYTES:
+                seen[key] = c
+                seen_bytes += len(key) + _TABLE_ENTRY_BYTES
+            child_rest = rest.copy()
+            del child_rest[i]
+            child_tail = tails[m - 1]
+            lim = prune_ref - child_tail - c
             # while every placed vertex is fixed by refl, an order and its
             # image under refl tie: keep only the child v <= refl[v] of each pair
-            sym = sym and refl[v] == v
-            if sym:
-                kids = [(lb, j) for j, lb in enumerate(lbs)
-                        if lb < lim and rest[j] <= refl[rest[j]]]
+            child_sym = sym and refl[v] == v
+            if child_sym:
+                child_kids = [(x, j) for j, x in enumerate(child)
+                              if x < lim and child_rest[j] <= refl[child_rest[j]]]
             else:
-                kids = [(lb, j) for j, lb in enumerate(lbs) if lb < lim]
-            kids.sort()
-            stack.append((iter(kids), rest, lbs, tail, sym))
+                child_kids = [(x, j) for j, x in enumerate(child) if x < lim]
+            child_kids.sort()
+            stack.append((iter(child_kids), child_rest, child, c, child_tail, child_sym,
+                          child_mask))
             break
         else:
             stack.pop()

@@ -11,9 +11,11 @@ from prismradio import (
     exact_radio_number,
     greedy_span_for_order,
     lower_bound_rn,
+    radio_number,
     verify,
 )
-from prismradio.exact import _is_vertex_transitive, _reflection
+from prismradio import exact
+from prismradio.exact import _is_vertex_transitive, _key_typecode, _reflection, _table_key
 from reference import (
     all_pairs_distances,
     bicirculant_distances,
@@ -83,6 +85,16 @@ def test_hint_below_optimum_raises():
     g = build_graph(4, 1)
     with pytest.raises(ValueError, match="below the optimum"):
         exact_radio_number(g, SearchConfig(upper_bound_hint=5))
+
+
+def test_hint_on_a_table_search():
+    # Z(6,2) visits transposed frames, which the Z(4,1) hint tests above do not
+    g = build_graph(6, 2)
+    result = exact_radio_number(g, SearchConfig(upper_bound_hint=17))
+    assert result.rn == 17 and result.proven_optimal
+    assert verify(g, result.witness).valid
+    with pytest.raises(ValueError, match="below the optimum"):
+        exact_radio_number(g, SearchConfig(upper_bound_hint=16))
 
 
 def test_zero_budget_returns_constructive_incumbent():
@@ -204,3 +216,95 @@ def test_greedy_never_beats_rn_on_z41(order):
     g = build_graph(4, 1)
     span, _ = greedy_span_for_order(g, order)
     assert span >= 11
+
+
+@pytest.mark.parametrize("n,s,untabled_nodes", [(5, 3, 1047), (6, 2, 18119)])
+def test_search_without_table_explores_the_untabled_tree(monkeypatch, n, s, untabled_nodes):
+    # with no room for entries the search is the one before the table
+    monkeypatch.setattr(exact, "_TABLE_BYTES", 0)
+    _, result = _solve(n, s)
+    assert result.proven_optimal and result.rn == radio_number(n, s)[0]
+    assert result.nodes_explored == untabled_nodes
+
+
+@pytest.mark.parametrize("n,s", [(5, 1), (5, 3), (6, 1), (6, 2), (6, 3), (7, 2)])
+def test_a_tiny_table_keeps_the_answer(monkeypatch, n, s):
+    _, full = _solve(n, s)
+    monkeypatch.setattr(exact, "_TABLE_BYTES", 2000)
+    g, capped = _solve(n, s)
+    assert (capped.rn, capped.proven_optimal) == (full.rn, full.proven_optimal) == (
+        radio_number(n, s)[0], True)
+    assert full.nodes_explored <= capped.nodes_explored
+    assert verify(g, capped.witness).valid
+
+
+@pytest.mark.parametrize("n,s", [(8, 2), (9, 1), (7, 3)])
+def test_table_search_from_a_loose_hint_finds_the_optimum(n, s):
+    # an incumbent 10 above rn leaves many transposed frames to tell apart by
+    # their labels; skipping a frame one label below its twin loses Z(9,1)
+    rn = radio_number(n, s)[0]
+    g, result = _solve(n, s, upper_bound_hint=rn + 10)
+    assert result.rn == rn and result.proven_optimal
+    assert verify(g, result.witness).valid
+
+
+def test_table_key_is_exact_past_one_byte():
+    g = build_graph(600, 3)  # 2n = 1200 vertices, diameter 300
+    nv, diam = 2 * g.n, g.diameter
+    assert diam == 300 and _key_typecode(255) == "B" and _key_typecode(diam) == "H"
+    assert _key_typecode(1 << 16) == "Q"
+    mask_len, typecode = (nv + 7) // 8, _key_typecode(diam)
+    unplaced, rel = (1 << nv - 1) | (1 << 300) | 1, [1, diam, 256]
+    key = _table_key(unplaced, rel, mask_len, typecode)
+    assert int.from_bytes(key[:mask_len], "little") == unplaced
+    assert np.frombuffer(key[mask_len:], np.uint16).tolist() == rel
+    # frames equal modulo 256, and one that differs only in its last vertex
+    for other_unplaced, other_rel in [(unplaced, [1, diam - 256, 256]),
+                                      (unplaced, [257, diam, 256]),
+                                      (unplaced ^ 1 << nv - 1, rel)]:
+        assert _table_key(other_unplaced, other_rel, mask_len, typecode) != key
+
+
+@pytest.mark.parametrize("n,s", [(8, 3), (10, 2), (11, 2)])
+def test_table_brings_larger_instances_into_reach(n, s):
+    # untabled, Z(8,3) took 958,039 nodes (1.2 s) and Z(10,2) 3.79 M (5.4 s)
+    g, result = _solve(n, s)
+    assert result.proven_optimal and result.rn == radio_number(n, s)[0]
+    assert verify(g, result.witness).valid
+
+
+# rn and nodes explored on the instances of the prove benchmark workload: a
+# change that adds work to the search raises one of these counts
+PROVE_RN_NODES = {
+    (3, 1): (6, 6), (3, 2): (8, 10), (3, 3): (6, 58), (4, 1): (11, 18), (4, 2): (8, 55),
+    (4, 3): (9, 85), (5, 1): (14, 300), (5, 2): (14, 57), (5, 3): (10, 394),
+    (6, 1): (22, 353), (6, 2): (17, 3783), (6, 3): (17, 562), (7, 1): (20, 25),
+    (7, 2): (26, 1115), (8, 1): (30, 325), (8, 2): (23, 175), (9, 1): (34, 19962),
+    (9, 2): (34, 724),
+}
+
+
+@pytest.mark.parametrize("n,s", sorted(PROVE_RN_NODES))
+def test_search_effort_is_pinned(n, s):
+    rn, nodes = PROVE_RN_NODES[n, s]
+    _, result = _solve(n, s)
+    assert result.proven_optimal and result.rn == rn
+    assert result.nodes_explored <= nodes
+
+
+def test_budget_is_read_by_work_done(monkeypatch):
+    # a clock that advances one second per read: a 3 s budget stops at the
+    # fourth check.  At 2n = 1200 a node weighs about a thousand unplaced
+    # vertices, so the checks come every few dozen nodes, not every few thousand
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(exact.time, "monotonic", lambda: next(ticks))
+    _, result = _solve(600, 3, time_budget=3)
+    assert not result.proven_optimal
+    assert next(ticks) == 5  # the deadline's read and four checks
+    assert 3 * exact._BUDGET_CHECK_WORK // 1200 < result.nodes_explored
+    assert result.nodes_explored <= 4 * exact._BUDGET_CHECK_WORK // 600
+
+
+def test_zero_budget_stops_at_the_first_node():
+    _, result = _solve(10, 1, time_budget=0.0)
+    assert result.nodes_explored == 1 and not result.proven_optimal

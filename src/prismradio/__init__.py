@@ -12,10 +12,7 @@ from .graphs import (
     PrismGraph,
     Vertex,
     build_graph,
-    cycle_view,
     is_v_tight,
-    normalize_vertex,
-    principal_cycle,
     standard_cycle,
 )
 from .bounds import (
@@ -45,10 +42,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Vertex",
     "PrismGraph",
-    "normalize_vertex",
     "build_graph",
-    "cycle_view",
-    "principal_cycle",
     "standard_cycle",
     "is_v_tight",
     "in_phi_scope",

@@ -103,21 +103,24 @@ def pair_gap(g: PrismGraph) -> int:
     Zhu, SIAM J. Discrete Math. 19 (2005)).  It is never below
     ceil((3D - T) / 2), T the largest distance sum of a triple, and it
     equals phi(n, s) for every s and 4 <= n <= 200, which the selftest
-    bounds suite enforces at the acceptance range.  Rotation maps every
-    middle vertex b onto (1, 1) or (2, 1), so those two suffice: O(n^2).
+    bounds suite enforces at the acceptance range.
+
+    Rotation maps every middle vertex b onto (1, 1) or (2, 1), and for
+    a = (ca, p), c = (cc, p + k) the term D - d(a, c) = D - rows[ca, cc, k]
+    does not depend on p, so the least value is the least over (b, ca, cc, k)
+    of max(min over p of step(a) + step(c), D - rows[ca, cc, k]), read from
+    the two rows in O(n^2) time and memory.
     """
-    dist = g.dist
-    reach = g.diameter + 1
-    gaps = []
-    for b in (0, g.n):
-        step = np.maximum(1, reach - dist[b])
-        gap = np.maximum(step[:, None] + step[None, :], reach - dist)
-        # a, b, c distinct: no triple uses the diagonal, row b or column b
-        excluded = np.iinfo(gap.dtype).max
-        np.fill_diagonal(gap, excluded)
-        gap[b] = gap[:, b] = excluded
-        gaps.append(int(gap.min()))
-    return min(gaps)
+    n, reach = g.n, g.diameter + 1
+    # step[b, c, p] = max(1, D - d(b, (c + 1, p + 1))), and 2D at b itself so no sum uses b
+    step = np.maximum(1, reach - g.rows)
+    step[[0, 1], [0, 1], 0] = 2 * reach
+    pos = np.arange(n)
+    partner = step[:, :, (pos[:, None] + pos) % n]  # [b, cc, p, k]: step of (cc, p + k)
+    pairs = (step[:, :, None, :, None] + partner[:, None]).min(axis=3)  # [b, ca, cc, k]
+    far = reach - g.rows  # [ca, cc, k] = D - d(a, c), and 2D where a = c
+    far[[0, 1], [0, 1], 0] = 2 * reach
+    return int(np.maximum(pairs, far).min())
 
 
 def d_offset(n: int, s: int) -> int:
@@ -155,9 +158,11 @@ def triple_bound_violations(g: PrismGraph) -> list[tuple[Vertex, Vertex, Vertex,
     """Vertex triples whose pairwise distances sum past n + 3 - s, up to rotation.
 
     Rotation maps any vertex of a triple onto (1, 1) or (2, 1), so as in
-    ``pair_gap`` one O(n^2) sum matrix per anchor covers every triple: each
-    violating triple is a rotation of some listed (anchor, u, v, total),
-    u before v in index order, and every listed one violates.
+    ``pair_gap`` one O(n^2) sum array per anchor a covers every triple:
+    totals[cu, cv, p, k] = d(a, u) + d(a, v) + rows[cu, cv, k] for
+    u = (cu, p) and v = (cv, p + k).  Each violating triple is a rotation of
+    some listed (anchor, u, v, total), u before v in index order, and every
+    listed one violates.
 
     For s = 3, triples containing both (1, j) and (2, j) for some j are
     exempt: that pair is adjacent, yet both of its ends can sit at full
@@ -165,21 +170,25 @@ def triple_bound_violations(g: PrismGraph) -> list[tuple[Vertex, Vertex, Vertex,
     The budget holds for every other triple, so the exempt family is excluded
     from the sweep rather than reported.
     """
-    n, nv = g.n, 2 * g.n
-    limit = n + 3 - g.s
-    dist = g.dist
-    partner = (np.arange(nv) + n) % nv
+    n, limit = g.n, g.n + 3 - g.s
+    pos = np.arange(n, dtype=np.int32)
+    vpos = (pos[:, None] + pos) % n  # [p, k]: the position of v
     out: list[tuple[Vertex, Vertex, Vertex, int]] = []
     for a in (0, n):
-        totals = dist[a][:, None] + dist[a][None, :] + dist
-        keep = np.triu(np.ones((nv, nv), dtype=bool), k=1)
-        keep[a] = keep[:, a] = False
-        if g.s == 3:  # the exempt pairs: (u, v) themselves, or the anchor with u or v
-            keep[np.arange(nv), partner] = False
-            keep[partner[a]] = keep[:, partner[a]] = False
+        da = g.rows[a // n]  # [c, p]: d(a, (c, p))
+        totals = g.rows[:, :, None, :] + da[:, vpos]  # d(u, v) + d(a, v)
+        totals += da[:, None, :, None]  # + d(a, u)
+        cu, cv, p, k = np.nonzero(totals > limit)
+        ui, vi, total = cu * n + p, cv * n + vpos[p, k], totals[cu, cv, p, k]
+        keep = (ui < vi) & (ui != a) & (vi != a)
+        if g.s == 3:  # the exempt pairs: (u, v) themselves (k = 0), or the anchor with u or v
+            mate = (a + n) % (2 * n)
+            keep &= (k != 0) & (ui != mate) & (vi != mate)
+        ui, vi, total = ui[keep], vi[keep], total[keep]
+        order = np.lexsort((vi, ui))
         anchor = g.vertex_at(a)
-        for u, v in np.argwhere(keep & (totals > limit)).tolist():
-            out.append((anchor, g.vertex_at(u), g.vertex_at(v), int(totals[u, v])))
+        out += [(anchor, g.vertex_at(i), g.vertex_at(j), t)
+                for i, j, t in zip(ui[order].tolist(), vi[order].tolist(), total[order].tolist())]
     return out
 
 

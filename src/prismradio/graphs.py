@@ -12,9 +12,8 @@ rung, and s = 3 adds diagonals on both sides.  Supported parameters are
 n >= 3 and 1 <= s <= min(3, n); every vertex then has degree 2 + s, and the
 diameter is floor((n + 3 - s) / 2), which is asserted when a graph is built.
 
-Coordinates wrap: cycle index modulo 2, position modulo n, both mapped back
-into 1-based ranges.  Wrapping happens when a Vertex is created (see
-``normalize_vertex`` / ``PrismGraph.vertex``), never at lookup time.
+A Vertex holds coordinates already in range; lookups reject any other
+(``PrismGraph.index``) rather than wrap them.
 
 Distances are hop counts.  Shifting every position by the same amount maps
 edges to edges, so d((c, i), (c', j)) depends only on c, c' and (j - i)
@@ -24,34 +23,30 @@ position by at most 1, so crossing over and back (2 hops) shifts it by at
 most 2, which 2 ring hops do as well, and some shortest path crosses between
 the cycles at most once (see ``build_graph``).  ``PrismGraph.rows`` holds
 the rows as a read-only (2, 2, n) array, so a graph costs O(n) memory and
-O(n) NumPy build time.  The dense 2n x 2n matrix ``PrismGraph.dist`` is
-derived from the rows on each access and not kept, so a graph held by the
-``build_graph`` cache stays O(n); only the exact search, the pair-gap bound
-and the triple-budget sweep read it, at small n, each binding it once.
-Built graphs are immutable and safe to share across threads.
-``build_graph`` memoizes instances keyed on (n, s).
+O(n) NumPy build time, and every layer of the library reads the rows.
+The dense 2n x 2n matrix ``PrismGraph.dist`` is derived from them on each
+access and not kept; no library code reads it.  It stays only because the
+benchmark's tracing and tests read it, and goes once they count and compare
+the rows instead.  Built graphs are immutable and safe to share across
+threads.  ``build_graph`` memoizes instances keyed on (n, s).
 
-A cycle is a plain tuple of vertices.  ``cycle_view`` checks that a vertex
-list is a simple cycle of the graph, ``principal_cycle`` and
-``standard_cycle`` give the cycles the paper's lower bound works on, and
-``is_v_tight`` tells whether going around a cycle from v, the shorter way,
-reaches every entry in as few hops as the graph itself does.
+A cycle is a plain tuple of vertices.  ``standard_cycle`` gives the cycle
+the paper's lower bound works on, and ``is_v_tight`` tells whether going
+around a cycle from v, the shorter way, reaches every entry in as few hops
+as the graph itself does.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "Vertex",
     "PrismGraph",
-    "normalize_vertex",
     "build_graph",
-    "cycle_view",
-    "principal_cycle",
     "standard_cycle",
     "is_v_tight",
 ]
@@ -67,15 +62,6 @@ class Vertex(NamedTuple):
         return f"({self.cycle},{self.position})"
 
 
-def normalize_vertex(cycle: int, position: int, n: int) -> Vertex:
-    """Wrap raw coordinates into cycle {1, 2} and position {1..n}.
-
-    The wrap is ((x - 1) mod m) + 1 on each coordinate, so e.g. cycle 0
-    means cycle 2 and position n + 1 means position 1.
-    """
-    return Vertex((cycle - 1) % 2 + 1, (position - 1) % n + 1)
-
-
 def _validate_params(n: int, s: int) -> None:
     if not (isinstance(n, int) and isinstance(s, int)):
         raise ValueError(f"unsupported graph parameters: n={n!r}, s={s!r} (integers required)")
@@ -86,7 +72,11 @@ def _validate_params(n: int, s: int) -> None:
 
 
 def _dense_from_rows(rows: np.ndarray) -> np.ndarray:
-    """The 2n x 2n matrix dist[c*n + i, c'*n + j] = rows[c, c', (j - i) mod n]."""
+    """The 2n x 2n matrix dist[c*n + i, c'*n + j] = rows[c, c', (j - i) mod n].
+
+    Only ``PrismGraph.dist`` calls it; both go when the benchmark stops
+    reading ``dist``.
+    """
     n = rows.shape[2]
     k = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     dist = np.block([[rows[0, 0][k], rows[0, 1][k]], [rows[1, 0][k], rows[1, 1][k]]])
@@ -117,12 +107,12 @@ class PrismGraph:
 
     @property
     def dist(self) -> np.ndarray:
-        """Read-only 2n x 2n int32 distance matrix; O(n^2) memory, built per access."""
-        return _dense_from_rows(self.rows)
+        """Read-only 2n x 2n int32 distance matrix; O(n^2) memory, built per access.
 
-    def vertex(self, cycle: int, position: int) -> Vertex:
-        """Normalizing vertex factory for this graph's n."""
-        return normalize_vertex(cycle, position, self.n)
+        No library code reads it: it is kept for the benchmark's tracing and
+        tests, and is deleted once those read ``rows``.
+        """
+        return _dense_from_rows(self.rows)
 
     def contains(self, v: Vertex) -> bool:
         return v.cycle in (1, 2) and 1 <= v.position <= self.n
@@ -217,47 +207,20 @@ def build_graph(n: int, s: int) -> PrismGraph:
     return PrismGraph(n, s, rows, diam)
 
 
-def cycle_view(g: PrismGraph, vertices: Iterable[Vertex]) -> tuple[Vertex, ...]:
-    """Check that a vertex list is a simple cycle of g and return it as a tuple.
-
-    The list needs at least 3 entries, all distinct, with consecutive entries
-    (the last and the first included) adjacent in g.
-    """
-    vs = tuple(vertices)
-    if len(vs) < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
-    if len(set(vs)) != len(vs):
-        raise ValueError("cycle entries must be distinct")
-    for i, u in enumerate(vs):
-        v = vs[(i + 1) % len(vs)]
-        if g.distance(u, v) != 1:
-            raise ValueError(f"consecutive cycle entries not adjacent: {u} -- {v}")
-    return vs
-
-
-def principal_cycle(g: PrismGraph, which: int) -> tuple[Vertex, ...]:
-    """One of the two n-cycles the prism is built from (which in {1, 2})."""
-    if which not in (1, 2):
-        raise ValueError(f"principal cycle index must be 1 or 2, got {which}")
-    return tuple(Vertex(which, p) for p in range(1, g.n + 1))
-
-
 def standard_cycle(g: PrismGraph) -> tuple[Vertex, ...]:
     """The canonical (n + 3 - s)-cycle through (1, 1).
 
     For s = 1 it runs (1,1), (1,2), (2,2), (2,3), ..., (2,n), (2,1); for
-    s in {2, 3} it runs (1,1), (2,2), (2,3), ..., (2, n + 3 - s).  Its length
-    equals n + 3 - s, i.e. twice the diameter or one more, and the cycle is
-    tight from (1, 1) (see ``is_v_tight``).
+    s in {2, 3} it runs (1,1), (2,2), (2,3), ..., (2, n + 3 - s), position
+    n + 1 standing for 1.  Its length equals n + 3 - s, i.e. twice the
+    diameter or one more, and the cycle is tight from (1, 1) (see
+    ``is_v_tight``); the selftest graphs suite checks that it is a simple
+    cycle of g.
     """
     n = g.n
-    if g.s == 1:
-        vs = [Vertex(1, 1), Vertex(1, 2)]
-        vs += [g.vertex(2, p) for p in range(2, n + 2)]
-    else:
-        vs = [Vertex(1, 1)]
-        vs += [g.vertex(2, p) for p in range(2, n + 4 - g.s)]
-    return cycle_view(g, vs)
+    head = [Vertex(1, 1), Vertex(1, 2)] if g.s == 1 else [Vertex(1, 1)]
+    end = n + 2 if g.s == 1 else n + 4 - g.s
+    return tuple(head + [Vertex(2, (p - 1) % n + 1) for p in range(2, end)])
 
 
 def is_v_tight(g: PrismGraph, cycle: Sequence[Vertex], v: Vertex) -> bool:

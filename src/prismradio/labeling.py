@@ -23,11 +23,12 @@ receive them, from one of four position formulas chosen by ``case_select``:
 Each formula is evaluated over i = 1..n as a NumPy array.  Its raw values
 leave the 1-based ranges: positions run past n, and the cycle coordinate of
 cases 2-4 is any integer (i itself in case 3, 0 in case 4).  Both
-coordinates are wrapped as ``normalize_vertex`` does, so an even cycle
-coordinate means cycle 2 and an odd one cycle 1, and ``label_order``
-returns the vertex indices (cycle - 1) * n + position - 1 that
-``PrismGraph.index`` uses.  ``construct_labeling`` writes the label
-sequence into a label array at those indices.
+coordinates are wrapped to ((x - 1) mod m) + 1, m = 2 for the cycle and n
+for the position, so an even cycle coordinate means cycle 2 and an odd one
+cycle 1, and ``label_order`` returns the vertex indices
+(cycle - 1) * n + position - 1 that ``PrismGraph.index`` uses.
+``construct_labeling`` writes the label sequence into a label array at
+those indices.
 
 A ``Labeling`` is that array: one int64 label per vertex index, read-only.
 Its two checked constructors, from a vertex -> label mapping and from the
@@ -142,7 +143,7 @@ def label_order(n: int, s: int) -> np.ndarray:
     position = np.empty(2 * n, dtype=np.int64)
     for parity, (c, p) in enumerate((odd, even)):
         cycle[parity::2], position[parity::2] = c, p
-    # the wrap of normalize_vertex, on whole arrays, then the vertex index
+    # wrap both coordinates into their 1-based ranges, then take the vertex index
     return (cycle - 1) % 2 * n + (position - 1) % n
 
 

@@ -125,6 +125,9 @@ def _graphs_suite(n_max: int) -> SuiteResult:
         sc = standard_cycle(g)
         suite.check(len(sc) == n + 3 - s and sc[0] == Vertex(1, 1),
                     f"standard cycle of Z({n},{s}) has length {len(sc)} and starts at {sc[0]}")
+        suite.check(len(set(sc)) == len(sc)
+                    and all(g.distance(u, v) == 1 for u, v in zip(sc, sc[1:] + sc[:1])),
+                    f"standard cycle of Z({n},{s}) is not a simple cycle of the graph")
         suite.check(is_v_tight(g, sc, Vertex(1, 1)),
                     f"standard cycle of Z({n},{s}) not tight at (1,1)")
     return suite.result()
@@ -234,12 +237,25 @@ def _injected_phi_fault():
         _bounds._PHI_STEP[_FAULT_KEY] -= 1
 
 
+def _run_suite(suite, n_max: int) -> SuiteResult:
+    """A suite's result; one that raises fails with the exception as its detail."""
+    try:
+        return suite(n_max)
+    except Exception as e:
+        name = suite.__name__.removeprefix("_").removesuffix("_suite")
+        return SuiteResult(name, False, f"{type(e).__name__}: {e}")
+
+
 def run_selftest(n_max: int = 20, inject_fault: str | None = None) -> list[SuiteResult]:
-    """Run all suites up to n_max and return their results in module order."""
+    """Run all suites up to n_max and return their results in module order.
+
+    A suite that raises fails with "<Type>: <message>" and the rest still
+    run, so a crash localizes like a failed check.
+    """
     if n_max < 3:
         raise ValueError(f"selftest needs n_max >= 3, got {n_max}")
     if inject_fault not in (None, "phi"):
         raise ValueError(f"unknown fault kind: {inject_fault!r}")
 
     with _injected_phi_fault() if inject_fault == "phi" else nullcontext():
-        return [suite(n_max) for suite in _SUITES]
+        return [_run_suite(suite, n_max) for suite in _SUITES]

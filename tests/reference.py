@@ -9,7 +9,11 @@ under the rotation and cycle-swap maps, each checked edge by edge on the
 dense matrix, and ``triple_budget_violations`` sweeps every triple with
 ``itertools.combinations``: the oracles of the symmetry check in
 ``prismradio.exact`` and of the anchored sweep in ``prismradio.bounds``,
-which both read only the two metric rows.  ``bfs_row`` is a
+which both read only the two metric rows.  ``pair_gap_every_triple``
+takes the consecutive-triple bound over every middle vertex and unordered
+pair of others, and ``dense_pair_gap`` is ``prismradio.bounds.pair_gap`` as
+it was before it read the rows: one 2n x 2n gap matrix per middle vertex
+(1, 1) and (2, 1).  ``bfs_row`` is a
 pure-Python breadth-first search from one vertex over the same edge rule,
 the oracle for the closed-form rows at n up to about 2 * 10^5.
 ``all_pairs_violations`` is the dense radio-condition check that ``verify``
@@ -102,6 +106,34 @@ def triple_budget_violations(dist: np.ndarray, s: int) -> set:
         if total > n + 3 - s:
             out.add((t, total))
     return out
+
+
+def pair_gap_every_triple(dist: np.ndarray) -> int:
+    """The least max(step(a, b) + step(b, c), D - d(a, c)) over every middle
+    vertex b and pair {a, c} of other vertices, step(x, y) = max(1, D - d(x, y))
+    and D = diam + 1."""
+    d = dist.tolist()
+    reach = int(dist.max()) + 1
+    return min(
+        max(max(1, reach - d[a][b]) + max(1, reach - d[b][c]), reach - d[a][c])
+        for b in range(len(d))
+        for a, c in combinations([x for x in range(len(d)) if x != b], 2)
+    )
+
+
+def dense_pair_gap(dist: np.ndarray) -> int:
+    """The pair gap from the dense matrix, up to rotation: middle vertex (1, 1) or (2, 1)."""
+    n, reach = len(dist) // 2, int(dist.max()) + 1
+    gaps = []
+    for b in (0, n):
+        step = np.maximum(1, reach - dist[b])
+        gap = np.maximum(step[:, None] + step[None, :], reach - dist)
+        # a, b, c distinct: no triple uses the diagonal, row b or column b
+        excluded = np.iinfo(gap.dtype).max
+        np.fill_diagonal(gap, excluded)
+        gap[b] = gap[:, b] = excluded
+        gaps.append(int(gap.min()))
+    return min(gaps)
 
 
 def bfs_row(n: int, s: int, source: int) -> list[int]:

@@ -34,7 +34,11 @@ def test_library_modules_are_the_expected_ones():
 
 
 @pytest.mark.parametrize(
-    "name", ["CycleView", "position_case1", "position_case2", "position_case3", "position_case4"]
+    "name",
+    [
+        "CycleView", "position_case1", "position_case2", "position_case3", "position_case4",
+        "normalize_vertex", "cycle_view", "principal_cycle",
+    ],
 )
 def test_removed_names_stay_removed(name):
     assert not hasattr(prismradio, name)

@@ -17,7 +17,9 @@ from reference import (
     all_pairs_distances,
     bicirculant_distances,
     brute_force_radio_number,
+    dense_pair_gap,
     graph_of,
+    pair_gap_every_triple,
     triple_budget_violations,
 )
 
@@ -102,6 +104,23 @@ def test_anchored_triple_sweep_matches_every_triple_up_to_rotation():
         assert check_triple_bound(g) == (not expected)
         failing += bool(expected)
     assert failing >= 10
+
+
+def test_pair_gap_matches_every_triple():
+    # Z(n, s) for every s <= n (s >= 4 from the definition) and the
+    # generalized Petersen graphs GP(n, k): the same bound over every triple
+    dists = [all_pairs_distances(n, s) for n in range(3, 11) for s in range(1, n + 1)]
+    dists += [bicirculant_distances(n, k, offsets)
+              for n in range(5, 11) for k in (2, 3, 4) for offsets in [(0,), (0, 1)]]
+    for dist in dists:
+        assert pair_gap(graph_of(dist, 1)) == pair_gap_every_triple(dist), len(dist)
+
+
+def test_pair_gap_matches_the_dense_gap_matrix():
+    for n in range(3, 201):
+        for s in range(1, min(n, 3) + 1):
+            g = build_graph(n, s)
+            assert pair_gap(g) == dense_pair_gap(g.dist), (n, s)
 
 
 def _root_bound(g):

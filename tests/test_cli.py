@@ -414,6 +414,19 @@ def test_selftest_fault_localizes_to_bounds(capsys, n_max):
     assert "phi table disagrees" in failing[0]
 
 
+def test_selftest_suite_that_raises_fails_alone(capsys, monkeypatch):
+    # a crash inside a suite is a red suite (exit 3), not bad input (exit 2)
+    def boom(g):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("prismradio.selftest.pair_gap", boom)
+    code, out, _ = run(capsys, "selftest", "--n-max", "6")
+    assert code == 3
+    lines = out.strip().splitlines()
+    assert [l for l in lines if "FAIL" in l] == ["bounds: FAIL (ValueError: boom)"]
+    assert lines[-1] == "4/5 suites passed"
+
+
 def test_selftest_fault_does_not_leak(capsys):
     run(capsys, "selftest", "--n-max", "10", "--inject-fault", "phi")
     code, out, _ = run(capsys, "selftest", "--n-max", "10")

@@ -1,38 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
+import prismradio
 from prismradio import (
     Vertex,
     build_graph,
-    cycle_view,
+    check_triple_bound,
+    exact_radio_number,
     is_v_tight,
-    normalize_vertex,
-    principal_cycle,
+    pair_gap,
     standard_cycle,
 )
+from prismradio.selftest import run_selftest
 from reference import all_pairs_distances, bfs_row
-
-
-@given(st.integers(-20, 20), st.integers(-50, 50), st.integers(3, 40))
-def test_normalize_vertex_lands_in_range(cycle, pos, n):
-    v = normalize_vertex(cycle, pos, n)
-    assert v.cycle in (1, 2)
-    assert 1 <= v.position <= n
-
-
-@given(st.integers(-20, 20), st.integers(-50, 50), st.integers(3, 40))
-def test_normalize_vertex_is_idempotent(cycle, pos, n):
-    v = normalize_vertex(cycle, pos, n)
-    assert normalize_vertex(v.cycle, v.position, n) == v
-
-
-def test_normalize_vertex_wraps_examples():
-    assert normalize_vertex(0, 5, 8) == Vertex(2, 5)
-    assert normalize_vertex(3, 12, 8) == Vertex(1, 4)
-    assert normalize_vertex(2, 8, 8) == Vertex(2, 8)
-    assert normalize_vertex(1, 9, 8) == Vertex(1, 1)
 
 
 @pytest.mark.parametrize("n,s", [(2, 1), (3, 4), (3, 0), (5, 4), (2, 3)])
@@ -109,22 +89,6 @@ def test_edge_count():
         assert len(g.edges()) == 2 * n + s * n
 
 
-@pytest.mark.parametrize("n,s", [(5, 1), (8, 2), (9, 3), (20, 1)])
-def test_principal_cycles_are_tight(n, s):
-    g = build_graph(n, s)
-    for which in (1, 2):
-        pc = principal_cycle(g, which)
-        assert len(pc) == n
-        for v in pc:
-            assert is_v_tight(g, pc, v)
-
-
-def test_principal_cycle_rejects_bad_index():
-    g = build_graph(5, 1)
-    with pytest.raises(ValueError):
-        principal_cycle(g, 3)
-
-
 def test_standard_cycle_s1_route():
     g = build_graph(5, 1)
     assert standard_cycle(g) == (
@@ -133,27 +97,37 @@ def test_standard_cycle_s1_route():
     )
 
 
-def test_cycle_view_validates_adjacency():
-    g = build_graph(8, 1)
-    with pytest.raises(ValueError, match="not adjacent"):
-        cycle_view(g, [Vertex(1, 1), Vertex(1, 3), Vertex(1, 5)])
-    with pytest.raises(ValueError, match="distinct"):
-        cycle_view(g, [Vertex(1, 1), Vertex(1, 2), Vertex(1, 1)])
-
-
 def test_snake_cycle_is_not_tight():
     # a Hamiltonian cycle that walks all of cycle 1 before crossing over
     g = build_graph(8, 1)
-    snake = [Vertex(1, p) for p in range(1, 9)] + [Vertex(2, p) for p in range(8, 0, -1)]
-    cv = cycle_view(g, snake)
-    assert not is_v_tight(g, cv, Vertex(1, 1))
+    snake = tuple([Vertex(1, p) for p in range(1, 9)] + [Vertex(2, p) for p in range(8, 0, -1)])
+    assert not is_v_tight(g, snake, Vertex(1, 1))
 
 
 def test_is_v_tight_rejects_foreign_vertex():
     g = build_graph(8, 1)
-    pc = principal_cycle(g, 1)
+    pc = tuple(Vertex(1, p) for p in range(1, 9))
     with pytest.raises(ValueError, match="vertex not on cycle"):
         is_v_tight(g, pc, Vertex(2, 1))
+
+
+# each library reader of the metric, on fresh graphs outside the build_graph cache
+_ROW_READERS = {
+    "pair_gap": lambda: pair_gap(build_graph.__wrapped__(60, 2)) == 16,
+    "check_triple_bound": lambda: check_triple_bound(build_graph.__wrapped__(12, 3)),
+    "exact": lambda: exact_radio_number(build_graph.__wrapped__(5, 3)).rn == 10,
+    "selftest": lambda: [r for r in run_selftest(n_max=8) if not r.passed] == [],
+}
+
+
+@pytest.mark.parametrize("reader", list(_ROW_READERS))
+def test_library_leaves_dense_matrix_unbuilt(monkeypatch, reader):
+    # every layer reads the two rows; the dense matrix is the benchmark's alone
+    def refuse(rows):
+        raise AssertionError("dense distance matrix built")
+
+    monkeypatch.setattr(prismradio.graphs, "_dense_from_rows", refuse)
+    assert _ROW_READERS[reader]()
 
 
 def test_build_graph_memoizes():

@@ -13,12 +13,14 @@ gives the lower bound
 
 which the constructive labelings in ``labeling`` meet exactly.
 
-``phi`` is a table lookup on (n mod 4, s) with n = 4k + r, k >= 1, valid for
-s in {1, 2, 3} except the single graph (n, s) = (4, 3); ``radio_number``
-adds the two special graphs.  ``pair_gap`` reads the gap from a graph's own
-metric and ``triple_bound_violations`` sweeps the triple budget, both up to
-rotation from (1, 1) and (2, 1).  ``d_offset`` and ``omega`` are the
-position-offset and rotation-step helpers the construction uses: (1, y) and
+``in_phi_scope`` alone decides where that formula applies: s in {1, 2, 3},
+n >= 4 and no special graph.  The special graphs, Z(3, 3) = K_6 and
+Z(4, 3), are named only in ``_SPECIAL_LABELS``, with a least-span labeling
+each.  ``phi`` is a table lookup on (n mod 4, s) with n = 4k + r, k >= 1.
+``pair_gap`` reads the gap from a graph's own metric and
+``triple_bound_violations`` sweeps the triple budget, both up to rotation
+from (1, 1) and (2, 1).  ``d_offset`` and ``omega`` are the position-offset
+and rotation-step helpers the construction uses: (1, y) and
 (2, y + d_offset) are always at distance exactly diam, and omega is the step
 between consecutive odd-indexed positions in the general case of the
 construction (defined only for n not divisible by 4).
@@ -42,6 +44,14 @@ __all__ = [
     "triple_bound_violations",
 ]
 
+# the special graphs, named nowhere else: (n, s) -> a least-span radio labeling
+# in vertex-index order.  Z(3, 3) is K_6; rn(Z(4, 3)) = 9 was found, and is
+# reproved by the selftest, by the exact search
+_SPECIAL_LABELS: dict[tuple[int, int], tuple[int, ...]] = {
+    (3, 3): (1, 2, 3, 4, 5, 6),
+    (4, 3): (9, 4, 8, 3, 7, 2, 6, 1),
+}
+
 # (r, s) -> step, where phi(4k + r, s) = k + step, n = 4k + r with k >= 1
 _PHI_STEP: dict[tuple[int, int], int] = {
     (0, 1): 2, (0, 2): 1, (0, 3): 2,
@@ -52,18 +62,14 @@ _PHI_STEP: dict[tuple[int, int], int] = {
 
 
 def in_phi_scope(n: int, s: int) -> bool:
-    """True iff (n, s) is covered by the phi table."""
-    return s in (1, 2, 3) and n >= 4 and (n, s) != (4, 3)
+    """True iff the phi formula gives rn(Z(n, s))."""
+    return s in (1, 2, 3) and n >= 4 and (n, s) not in _SPECIAL_LABELS
 
 
 def phi(n: int, s: int) -> int:
     """Minimum gap between labels two apart in sorted order, table lookup."""
-    if s not in (1, 2, 3):
-        raise ValueError(f"outside theorem scope: s={s} (need s in {{1, 2, 3}})")
-    if n < 4:
-        raise ValueError(f"outside theorem scope: n={n} (need n >= 4)")
-    if (n, s) == (4, 3):
-        raise ValueError("outside theorem scope: (n, s) = (4, 3) is a special case")
+    if not in_phi_scope(n, s):
+        raise ValueError(f"outside theorem scope: no phi for (n, s) = ({n}, {s})")
     k, r = divmod(n, 4)
     return k + _PHI_STEP[(r, s)]
 
@@ -73,20 +79,16 @@ def lower_bound_rn(n: int, s: int) -> int:
     return (n - 1) * phi(n, s) + 2
 
 
-# Z(3, 3) is K_6; rn(Z(4, 3)) was proven by the exact search
-_SPECIAL_RN: dict[tuple[int, int], int] = {(3, 3): 6, (4, 3): 9}
-
-
 def radio_number(n: int, s: int) -> tuple[int, str]:
     """rn(Z(n, s)) and its source, "formula" or "special".
 
-    Raises ValueError for unsupported parameters, and for n = 3 with s in
-    {1, 2}, which no closed form here covers (the exact search does).
+    Raises ValueError for unsupported parameters, and for the others outside
+    ``in_phi_scope`` and the special graphs, which the exact search covers.
     """
     _validate_params(n, s)
-    if (n, s) in _SPECIAL_RN:
-        return _SPECIAL_RN[(n, s)], "special"
-    if n == 3:
+    if (n, s) in _SPECIAL_LABELS:
+        return max(_SPECIAL_LABELS[(n, s)]), "special"
+    if not in_phi_scope(n, s):
         raise ValueError(f"(n={n}, s={s}) is outside theorem scope; use exact")
     return lower_bound_rn(n, s), "formula"
 
@@ -115,11 +117,12 @@ def pair_gap(g: PrismGraph) -> int:
     # step[b, c, p] = max(1, D - d(b, (c + 1, p + 1))), and 2D at b itself so no sum uses b
     step = np.maximum(1, reach - g.rows)
     step[[0, 1], [0, 1], 0] = 2 * reach
+    ca, cc = [0, 0, 1], [0, 1, 1]  # swapping a and c, block (1, 0) at k is (0, 1) at -k
     pos = np.arange(n)
-    partner = step[:, :, (pos[:, None] + pos) % n]  # [b, cc, p, k]: step of (cc, p + k)
-    pairs = (step[:, :, None, :, None] + partner[:, None]).min(axis=3)  # [b, ca, cc, k]
-    far = reach - g.rows  # [ca, cc, k] = D - d(a, c), and 2D where a = c
-    far[[0, 1], [0, 1], 0] = 2 * reach
+    partner = step[:, cc][:, :, (pos[:, None] + pos) % n]  # [b, block, p, k]: step of (cc, p + k)
+    pairs = (step[:, ca, :, None] + partner).min(axis=2)  # [b, block, k]
+    far = reach - g.rows[ca, cc]  # [block, k] = D - d(a, c), and 2D where a = c
+    far[[0, 2], 0] = 2 * reach
     return int(np.maximum(pairs, far).min())
 
 
@@ -173,13 +176,14 @@ def triple_bound_violations(g: PrismGraph) -> list[tuple[Vertex, Vertex, Vertex,
     n, limit = g.n, g.n + 3 - g.s
     pos = np.arange(n, dtype=np.int32)
     vpos = (pos[:, None] + pos) % n  # [p, k]: the position of v
+    cu, cv = np.array([0, 0, 1]), np.array([0, 1, 1])  # not (1, 0): there u comes after v
     out: list[tuple[Vertex, Vertex, Vertex, int]] = []
     for a in (0, n):
         da = g.rows[a // n]  # [c, p]: d(a, (c, p))
-        totals = g.rows[:, :, None, :] + da[:, vpos]  # d(u, v) + d(a, v)
-        totals += da[:, None, :, None]  # + d(a, u)
-        cu, cv, p, k = np.nonzero(totals > limit)
-        ui, vi, total = cu * n + p, cv * n + vpos[p, k], totals[cu, cv, p, k]
+        totals = g.rows[cu, cv, None, :] + da[cv][:, vpos]  # [block, p, k]: d(u, v) + d(a, v)
+        totals += da[cu, :, None]  # + d(a, u)
+        block, p, k = np.nonzero(totals > limit)
+        ui, vi, total = cu[block] * n + p, cv[block] * n + vpos[p, k], totals[block, p, k]
         keep = (ui < vi) & (ui != a) & (vi != a)
         if g.s == 3:  # the exempt pairs: (u, v) themselves (k = 0), or the anchor with u or v
             mate = (a + n) % (2 * n)

@@ -38,10 +38,11 @@ earlier visit already explored every completion not strictly worse than the
 bound of its time.  A visit restricted by the mirror pairs still covers its
 node's whole subtree, since each skipped child mirrors an explored sibling.
 No key can match while its first visit is still open: only descendants are
-visited meanwhile, and they have fewer unplaced vertices.  Once the keys and
-a per-entry charge reach ``_TABLE_BYTES``, no entries are added, which only
-skips fewer children.  A skipped child still counts in nodes_explored, which
-counts the children that pass the label cut.
+visited meanwhile, and they have fewer unplaced vertices.  Once the keys
+written and a per-entry charge pass ``_TABLE_BYTES``, the table is cleared,
+which only skips fewer children: a later entry still stands for a finished
+visit, or for an open one, which cannot match.  A skipped child still counts
+in nodes_explored, which counts the children that pass the label cut.
 
 The search is single-threaded and deterministic: children are expanded in
 ascending (forced label, vertex index) order, so nodes_explored is
@@ -56,8 +57,9 @@ overshoot is about the same at every n.  ``upper_bound_hint`` seeds the
 incumbent and must be a genuine upper bound (e.g. the span of a known valid
 labeling); a hint below the optimum makes the search inconclusive and raises.
 Without a hint the incumbent is seeded from ``construct_labeling`` when that
-covers (n, s), else from a greedy labeling, so a witness always exists even
-when the time budget runs out.
+covers (n, s) and its labeling verifies on g, which need not be Z(n, s),
+else from a greedy labeling, so a witness always exists even when the time
+budget runs out.
 """
 
 from __future__ import annotations
@@ -72,14 +74,15 @@ import numpy as np
 from .bounds import pair_gap
 from .graphs import PrismGraph, Vertex
 from .labeling import Labeling, construct_labeling
+from .verification import verify
 
 __all__ = ["SearchConfig", "ExactResult", "greedy_span_for_order", "exact_radio_number"]
 
 # the clock is read whenever nodes explored, each weighted by its number of
 # unplaced vertices, pass another multiple of this
 _BUDGET_CHECK_WORK = 1 << 16
-# memory cap of the transposition table: once its keys plus a per-entry
-# charge for the dict slot reach it, no entries are added
+# memory cap of the transposition table: once the keys written plus a
+# per-entry charge for the dict slot pass it, the table is cleared
 _TABLE_BYTES = 64 << 20
 _TABLE_ENTRY_BYTES = 96
 
@@ -202,8 +205,9 @@ def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> Exa
     if cfg.upper_bound_hint is None:
         try:
             seed = construct_labeling(n, g.s)
-            best_span = seed.span
-            best_labels = seed.labels.tolist()
+            if verify(g, seed).valid:  # g need not be Z(n, s)
+                best_span = seed.span
+                best_labels = seed.labels.tolist()
         except ValueError:
             pass
     if best_labels is None:
@@ -278,13 +282,13 @@ def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> Exa
             child_mask = mask ^ (1 << v)
             key = _table_key(child_mask, child, mask_len, typecode)
             first = seen.get(key)
-            if first is not None:
-                if first <= c:
-                    continue  # the completions below are those of the first, shifted up
-                seen[key] = c
-            elif seen_bytes < _TABLE_BYTES:
-                seen[key] = c
-                seen_bytes += len(key) + _TABLE_ENTRY_BYTES
+            if first is not None and first <= c:
+                continue  # the completions below are those of the first, shifted up
+            seen[key] = c
+            seen_bytes += len(key) + _TABLE_ENTRY_BYTES
+            if seen_bytes > _TABLE_BYTES:
+                seen.clear()
+                seen_bytes = 0
             child_rest = rest.copy()
             del child_rest[i]
             child_tail = tails[m - 1]

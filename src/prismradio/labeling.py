@@ -42,11 +42,12 @@ large for int64 keeps its column in Python ints, so it is judged exactly.
 Completeness is decided before the 2n array is allocated, so a few entries
 that name a huge n cost what the entries cost.
 
-Two graphs fall outside the pattern and are handled directly: Z(3, 3) is a
-complete graph on 6 vertices (any six distinct labels work; we use 1..6),
-and Z(4, 3) has radio number 9, witnessed by a frozen labeling originally
-produced by the exact solver.  For n = 3 with s in {1, 2} no construction is
-provided (``CaseId.UNSUPPORTED``); use the exact solver for those.
+The special graphs, Z(3, 3) = K_6 and Z(4, 3), fall outside the pattern:
+``case_select`` gives them ``CaseId.SPECIAL`` and ``construct_labeling``
+returns their witness from ``bounds._SPECIAL_LABELS``, the one table that
+names them.  Every other graph outside ``bounds.in_phi_scope`` (n = 3 with
+s in {1, 2}) has no construction (``CaseId.UNSUPPORTED``); use the exact
+solver for those.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .bounds import d_offset, omega, phi
+from .bounds import _SPECIAL_LABELS, d_offset, in_phi_scope, omega, phi
 from .graphs import Vertex, _validate_params
 
 __all__ = [
@@ -78,19 +79,16 @@ class CaseId(Enum):
     CASE2 = "case2"
     CASE3 = "case3"
     CASE4 = "case4"
-    SPECIAL_3_3 = "special-3-3"
-    SPECIAL_4_3 = "special-4-3"
+    SPECIAL = "special"
     UNSUPPORTED = "unsupported"
 
 
 def case_select(n: int, s: int) -> CaseId:
     """Pick the construction case for (n, s); UNSUPPORTED is a value, not an error."""
     _validate_params(n, s)
-    if (n, s) == (3, 3):
-        return CaseId.SPECIAL_3_3
-    if (n, s) == (4, 3):
-        return CaseId.SPECIAL_4_3
-    if n == 3:
+    if (n, s) in _SPECIAL_LABELS:
+        return CaseId.SPECIAL
+    if not in_phi_scope(n, s):
         return CaseId.UNSUPPORTED
     k, r = divmod(n, 4)
     if r == 0:
@@ -110,8 +108,8 @@ def label_order(n: int, s: int) -> np.ndarray:
     """alpha_1, ..., alpha_2n as an int64 array of vertex indices
     (``PrismGraph.index``), in the order label_sequence labels them.
 
-    Cases 1-4 only; raises ValueError for the two specials and for n = 3
-    with s < 3, which have no sorted-order construction.
+    Cases 1-4 only; raises ValueError for the special graphs and for the
+    unsupported ones, which have no sorted-order construction.
     """
     case = case_select(n, s)
     i = np.arange(1, n + 1, dtype=np.int64)
@@ -145,12 +143,6 @@ def label_order(n: int, s: int) -> np.ndarray:
         cycle[parity::2], position[parity::2] = c, p
     # wrap both coordinates into their 1-based ranges, then take the vertex index
     return (cycle - 1) % 2 * n + (position - 1) % n
-
-
-# Span-9 radio labeling of Z(4, 3) in vertex-index order (1,1)..(1,4),
-# (2,1)..(2,4), found once by exact_radio_number and frozen as a regression
-# constant (the graph falls outside the general pattern).
-_SPECIAL_4_3_LABELS = (9, 4, 8, 3, 7, 2, 6, 1)
 
 
 _MAX_LABEL = 2**63 - 1  # labels are held in int64
@@ -313,13 +305,10 @@ class Labeling:
 
 def construct_labeling(n: int, s: int) -> Labeling:
     """Build the optimal labeling for (n, s); span equals lower_bound_rn(n, s)
-    except for the two special graphs (span 6 for Z(3, 3), 9 for Z(4, 3)).
+    except for the special graphs, whose witness from the table is returned.
     """
-    case = case_select(n, s)
-    if case is CaseId.SPECIAL_3_3:
-        return Labeling.from_labels(3, 3, range(1, 7))
-    if case is CaseId.SPECIAL_4_3:
-        return Labeling.from_labels(4, 3, _SPECIAL_4_3_LABELS)
+    if case_select(n, s) is CaseId.SPECIAL:
+        return Labeling.from_labels(n, s, _SPECIAL_LABELS[(n, s)])
     order = label_order(n, s)  # first: its error names the graphs without a construction
     labels = np.empty(2 * n, dtype=np.int64)
     labels[order] = label_sequence(n, s)

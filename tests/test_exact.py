@@ -194,6 +194,15 @@ def test_greedy_rejects_non_permutation():
         greedy_span_for_order(g, [Vertex(1, 1)] * 8)
 
 
+def test_a_construction_that_fails_on_the_graph_does_not_seed_the_search():
+    # a 6-cycle whose spokes lead to two triangles: the construction of
+    # Z(6, 1) is no radio labeling of this graph, so it cannot seed the search
+    g = graph_of(bicirculant_distances(6, 2, (0,)), 1)
+    result = exact_radio_number(g)
+    assert verify(g, result.witness).valid
+    assert result.witness.span == result.rn == 23 and result.proven_optimal
+
+
 def test_greedy_labels_are_monotone_and_start_at_one():
     g = build_graph(5, 3)
     span, labels = greedy_span_for_order(g, list(g.vertices()))
@@ -236,6 +245,15 @@ def test_a_tiny_table_keeps_the_answer(monkeypatch, n, s):
         radio_number(n, s)[0], True)
     assert full.nodes_explored <= capped.nodes_explored
     assert verify(g, capped.witness).valid
+
+
+def test_a_full_table_is_cleared_not_frozen(monkeypatch):
+    # a table that stops taking entries at this cap explores 149,304 nodes
+    monkeypatch.setattr(exact, "_TABLE_BYTES", 256 << 10)
+    g, result = _solve(8, 3)
+    assert result.proven_optimal and result.rn == 30
+    assert result.nodes_explored < 100_000
+    assert verify(g, result.witness).valid
 
 
 @pytest.mark.parametrize("n,s", [(8, 2), (9, 1), (7, 3)])

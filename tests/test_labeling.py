@@ -8,12 +8,15 @@ from prismradio import (
     build_graph,
     case_select,
     construct_labeling,
+    in_phi_scope,
     label_order,
     label_sequence,
     lower_bound_rn,
     phi,
+    radio_number,
     verify,
 )
+from prismradio import bounds
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,8 +36,8 @@ def vertex_order(n, s):
 @pytest.mark.parametrize(
     "n,s,expected",
     [
-        (3, 3, CaseId.SPECIAL_3_3),
-        (4, 3, CaseId.SPECIAL_4_3),
+        (3, 3, CaseId.SPECIAL),
+        (4, 3, CaseId.SPECIAL),
         (3, 1, CaseId.UNSUPPORTED),
         (3, 2, CaseId.UNSUPPORTED),
         (8, 1, CaseId.CASE2),
@@ -52,6 +55,31 @@ def vertex_order(n, s):
 )
 def test_case_select(n, s, expected):
     assert case_select(n, s) is expected
+
+
+@pytest.mark.parametrize("patch", ["drop Z(4,3)", "add Z(5,2)"])
+def test_the_special_table_is_the_one_home_of_the_scope(monkeypatch, patch):
+    if patch == "drop Z(4,3)":
+        monkeypatch.delitem(bounds._SPECIAL_LABELS, (4, 3))
+    else:
+        monkeypatch.setitem(bounds._SPECIAL_LABELS, (5, 2), tuple(range(1, 11)))
+    for n in range(3, 13):
+        for s in (1, 2, 3):
+            special = (n, s) in bounds._SPECIAL_LABELS
+            scope = n >= 4 and not special
+            assert in_phi_scope(n, s) is scope, (n, s)
+            try:
+                phi(n, s)
+            except ValueError:
+                assert not scope, (n, s)
+            else:
+                assert scope, (n, s)
+            assert (case_select(n, s) is CaseId.SPECIAL) is special, (n, s)
+            try:
+                source = radio_number(n, s)[1]
+            except ValueError:
+                source = None
+            assert (source == "special") is special, (n, s)
 
 
 def test_case_select_rejects_bad_params():

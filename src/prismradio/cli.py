@@ -24,15 +24,30 @@ the entries may come in any order.  The writers format the label array a
 chunk of vertices at a time, so output never holds one object per vertex.
 CSV output has a cycle,pos,label header row, and DOT output names nodes
 c<cycle>_p<pos> inside graph Z_<n>_<s>.
+
+``verify --file`` reads the file once as bytes.  A document in exactly the
+layout ``label --format json`` writes (``json.dump`` of the same dict gives
+it too, without the final newline) has its columns pulled out with
+whole-buffer operations a chunk at a time, building no object per entry:
+the text without its digits must be the fixed head, entry skeletons and
+tail, and every number a JSON integer of at most 18 digits in its slot, so
+the reader accepts a document only where ``json.loads`` would read the same
+n, s and columns.  Any other document is decoded as text mode decodes it
+and goes through ``json.loads`` and ``labeling_from_dict``.  Both paths end
+in ``Labeling.from_columns``, so a fault gives one message whichever path
+read the file.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import io
 import json
 import math
 import operator
 import os
+import re
 import sys
 from typing import Iterable, Iterator
 
@@ -105,6 +120,8 @@ def labeling_from_dict(data: object) -> Labeling:
                              for key in ("cycle", "pos", "label"))
     except (KeyError, TypeError):  # a missing key, or an entry that is no object
         raise ValueError("malformed labeling file: each label needs cycle, pos, label") from None
+    if not set(map(type, cycle)) | set(map(type, pos)) | set(map(type, label)) <= {int}:
+        raise ValueError("malformed labeling file: cycle, pos, label must be integers")
     return Labeling.from_columns(n, s, cycle, pos, label)
 
 
@@ -118,6 +135,102 @@ _ENTRY = {
     "text": lambda c: f"({c},%d) %d",
     "dot": lambda c: f'  c{c}_p%d [label="%d"];',
 }
+
+
+# The layout ``label --format json`` writes, in bytes: the head, the entries
+# joined by ", " and the tail.  _SKELETON is an entry with its digits deleted
+# and the separator after it.
+_HEAD = re.compile(rb'\{"n": (%s), "s": (%s), "diameter": %s, "span": %s, "labels": \['
+                   % ((rb"-?(?:0|[1-9][0-9]{0,17})",) * 4))  # longer numbers go to json.loads
+_TAIL = b"]}"
+_DIGITS = b"0123456789"
+_SEP = b", "
+_SKELETON = (_ENTRY["json"](0) % (0, 0)).encode().translate(None, _DIGITS) + _SEP
+_DIGITS_IN_SPACES = bytes(c if c in _DIGITS else ord(" ") for c in range(256))
+_POWERS_OF_TEN = 10 ** np.arange(1, 18, dtype=np.int64)  # a value's digits, less 1, up to 17
+# Bytes of the entry list checked at a time, so no copy of the whole list is made.
+_READ_CHUNK = 1 << 16
+
+
+def _labeling_columns(raw: bytes) -> tuple[int, int, np.ndarray] | None:
+    """n, s and the cycle, pos, label values of the entries in turn, for a
+    document in exactly the layout ``label --format json`` writes (which
+    ``json.dump`` gives for the same dict); None for any other document.
+
+    The entry list is checked a chunk at a time with whole-buffer
+    operations.  Without its digits it must be k skeletons joined by
+    ``", "``.  No number slot may be empty and there may be no more than 3k
+    digit runs, so the runs fill the 3k slots.  Each run must be a JSON
+    integer below 10**18: the values ``np.fromstring`` reads must have as
+    many decimal digits in total as the runs have bytes, counting at most
+    18 per value, which fails on a leading zero, on a longer run and on the
+    one 0 that fromstring reads from a piece with no digits.  Then
+    ``json.loads`` would read the same n, s and values.
+    """
+    head = _HEAD.match(raw)
+    last = raw[-64:]  # a longer run of trailing whitespace goes to json.loads
+    # JSON's whitespace only: a bare rstrip() also strips \v and \f
+    end = len(raw) - len(last) + len(last.rstrip(b" \t\n\r")) - len(_TAIL)
+    if head is None or raw[end:end + len(_TAIL)] != _TAIL:
+        return None
+    start = head.end()
+    k = raw.count(b"{", start, end)
+    values = np.empty(3 * k, dtype=np.int64)
+    filled = matched = 0  # values read; skeleton bytes matched
+    while start < end:
+        # a chunk ends before a space, so no digit run and no " ," spans two chunks
+        stop = raw.find(b" ", start + _READ_CHUNK, end)
+        piece = raw[start:end if stop == -1 else stop]
+        start += len(piece)
+        b = np.frombuffer(piece, dtype=np.uint8)
+        if ((b[:-1] == ord(" ")) & ((b[1:] == ord(",")) | (b[1:] == ord("}")))).any():
+            return None  # an empty number slot
+        skeleton = piece.translate(None, _DIGITS)
+        at = matched % len(_SKELETON)
+        if skeleton != (_SKELETON * (len(skeleton) // len(_SKELETON) + 2))[at:at + len(skeleton)]:
+            return None
+        matched += len(skeleton)
+        numbers = np.fromstring(piece.translate(_DIGITS_IN_SPACES), dtype=np.int64, sep=" ")
+        digits = numbers.size + int(np.searchsorted(_POWERS_OF_TEN, numbers, "right").sum())
+        if filled + numbers.size > values.size or digits != len(piece) - len(skeleton):
+            return None
+        values[filled:filled + numbers.size] = numbers
+        filled += numbers.size
+    if matched != max(k * len(_SKELETON) - len(_SEP), 0):
+        return None
+    return int(head[1]), int(head[2]), values
+
+
+def _read_labeling(path: str) -> Labeling:
+    """The labeling in the file at ``path``; ValueError on anything malformed.
+
+    A document in the layout ``label --format json`` writes is read by
+    ``_labeling_columns``, any other by ``json.loads`` and
+    ``labeling_from_dict``; both end in ``Labeling.from_columns``.  The
+    file's bytes are released before the labeling is checked or parsed.
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as e:
+        raise ValueError(f"cannot read {path}: {e}") from None
+    columns = _labeling_columns(raw)
+    if columns is not None:
+        del raw
+        n, s, values = columns
+        return Labeling.from_columns(n, s, values[0::3], values[1::3], values[2::3])
+    # decoded as open(path, encoding="utf-8") reads it: \r\n and a lone \r become
+    # \n, which the line and column of a JSONDecodeError count
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+    del raw
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"malformed labeling file: {e}") from None
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise ValueError("malformed labeling file: nested too deeply") from None
+    del text
+    return labeling_from_dict(data)
 
 
 def _labeled_vertices(lab: Labeling, fmt: str, sep: str) -> Iterator[str]:
@@ -216,16 +329,7 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise ValueError(f"cannot read {args.file}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ValueError(f"malformed labeling file: {e}") from None
-    except RecursionError:  # the decoder recurses once per nesting level
-        raise ValueError("malformed labeling file: nested too deeply") from None
-    lab = labeling_from_dict(data)
+    lab = _read_labeling(args.file)
     g = build_graph(lab.n, lab.s)
     report = verify(g, lab)
     if args.format == "json":
@@ -329,6 +433,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return EXIT_OK if not failed else EXIT_INTERNAL
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prismradio",

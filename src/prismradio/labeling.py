@@ -148,11 +148,11 @@ def label_order(n: int, s: int) -> np.ndarray:
 _MAX_LABEL = 2**63 - 1  # labels are held in int64
 
 
-def _int_column(values: list) -> np.ndarray:
+def _int_column(values) -> np.ndarray:
     """Plain ints as an int64 array, or as an object array of the Python
-    ints when one of them does not fit int64."""
+    ints when one of them does not fit int64; an int64 array as itself."""
     try:
-        return np.array(values, dtype=np.int64)
+        return np.asarray(values, dtype=np.int64)
     except OverflowError:
         return np.array(values, dtype=object)
 
@@ -252,25 +252,24 @@ class Labeling:
         self._freeze(n, s, _checked_labels(n, s, cycle_col, pos_col, label_col, shown))
 
     @classmethod
-    def from_columns(cls, n: int, s: int, cycle: list, pos: list, label: list) -> "Labeling":
+    def from_columns(cls, n: int, s: int, cycle, pos, label) -> "Labeling":
         """Checked constructor from the columns of a labeling file: entry i
         labels vertex (cycle[i], pos[i]) with label[i].
 
-        Besides the rule of the class, every value must be a plain int and
-        no vertex may be listed twice; those two faults are reported first,
-        in that order, even when (n, s) is no supported graph.
+        Each column is a list of plain ints or an int64 array; the caller
+        has checked the values' types.  Besides the rule of the class, no
+        vertex may be listed twice; that fault is reported first, even when
+        (n, s) is no supported graph.
         """
-        if not set(map(type, cycle)) | set(map(type, pos)) | set(map(type, label)) <= {int}:
-            raise ValueError("malformed labeling file: cycle, pos, label must be integers")
+        def shown(i):
+            return Vertex(int(cycle[i]), int(pos[i])), int(label[i])
+
         cycle_col, pos_col = _int_column(cycle), _int_column(pos)
         twice = _first_repeat(cycle_col, pos_col)
         if twice is not None:
-            raise ValueError(f"malformed labeling file: vertex "
-                             f"{Vertex(cycle[twice], pos[twice])} labeled twice")
+            raise ValueError(f"malformed labeling file: vertex {shown(twice)[0]} labeled twice")
         lab = object.__new__(cls)
-        lab._freeze(n, s, _checked_labels(
-            n, s, cycle_col, pos_col, _int_column(label),
-            lambda i: (Vertex(cycle[i], pos[i]), label[i])))
+        lab._freeze(n, s, _checked_labels(n, s, cycle_col, pos_col, _int_column(label), shown))
         return lab
 
     @classmethod

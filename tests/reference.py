@@ -35,6 +35,7 @@ did before it wrote the label array in chunks.
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -354,3 +355,21 @@ def label_lines(g: PrismGraph, lab, fmt: str) -> list[str]:
                 + ["}"])
     return ([f"Z({g.n},{g.s}): diameter {g.diameter}, span {lab.span}"]
             + [f"({v.cycle},{v.position}) {c}" for v, c in items])
+
+
+def labeling_by_json_load(path):
+    """The labeling in the file at ``path`` as ``json.load`` and
+    ``cli.labeling_from_dict`` read it, with ``verify --file``'s errors:
+    the oracle of the CLI's reader of its own layout."""
+    from prismradio.cli import labeling_from_dict
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as e:
+        raise ValueError(f"cannot read {path}: {e}") from None
+    except json.JSONDecodeError as e:
+        raise ValueError(f"malformed labeling file: {e}") from None
+    except RecursionError:
+        raise ValueError("malformed labeling file: nested too deeply") from None
+    return labeling_from_dict(data)

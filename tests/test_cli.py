@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from prismradio import build_graph, cli, construct_labeling, exact_radio_number
 from prismradio.cli import main
-from reference import label_lines, labeling_document, labels_from_document
+from reference import (label_lines, labeling_by_json_load, labeling_document,
+                       labels_from_document)
 
 
 def run(capsys, *argv):
@@ -555,6 +557,132 @@ def test_verify_file_faults_match_the_entry_by_entry_reference(capsys, tmp_path,
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "verify", "--file", str(path))
     assert (code, out, err) == (2, "", f"error: {expected}\n")
+
+
+def test_verify_reads_label_output_without_the_json_parser(capsys, tmp_path, monkeypatch):
+    # label's own output ends in a newline; json.dump, which the benchmark's
+    # label-swapped copies are written with, gives the same bytes without it
+    _, out, _ = run(capsys, "label", "--n", "9", "--s", "2", "--format", "json")
+    data = json.loads(out)
+    assert json.dumps(data) + "\n" == out
+    (tmp_path / "label.json").write_text(out)
+    (tmp_path / "dump.json").write_text(json.dumps(data))
+    data["labels"][0]["label"], data["labels"][5]["label"] = \
+        data["labels"][5]["label"], data["labels"][0]["label"]
+    (tmp_path / "swapped.json").write_text(json.dumps(data))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("labeling file parsed by json")
+
+    monkeypatch.setattr(json, "load", refuse)
+    monkeypatch.setattr(json, "loads", refuse)
+    for name in ("label.json", "dump.json"):
+        code, out, err = run(capsys, "verify", "--file", str(tmp_path / name))
+        assert (code, out, err) == (0, "valid: span=34, pairs_checked=153\n", "")
+    code, out, err = run(capsys, "verify", "--file", str(tmp_path / "swapped.json"))
+    assert code == 1 and out.startswith("INVALID: ") and err == ""
+
+
+def _verify_outcome(path) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--file", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _json_load_outcome(path) -> tuple:
+    """verify --file with every file read by json.load: the oracle of the CLI's reader."""
+    with mock.patch.object(cli, "_read_labeling", labeling_by_json_load):
+        return _verify_outcome(path)
+
+
+def _canonical() -> bytes:
+    """label --format json of Z(5,1)."""
+    doc = labeling_document(build_graph(5, 1), construct_labeling(5, 1))
+    return (json.dumps(doc) + "\n").encode()
+
+
+def _malformed(raw: bytes) -> bytes:
+    return raw.replace(b'"label": 1}', b'"label": }', 1)
+
+
+_BYTE_EDITS = {  # edits of label --format json of Z(5,1)
+    "as written": lambda b: b,
+    "no trailing newline": lambda b: b[:-1],
+    "leading zero": lambda b: b.replace(b'"pos": 2,', b'"pos": 02,', 1),
+    "label -0": lambda b: b.replace(b'"label": 1}', b'"label": -0}', 1),
+    "n -0": lambda b: b.replace(b'"n": 5', b'"n": -0', 1),
+    "negative pos": lambda b: b.replace(b'"pos": 2,', b'"pos": -2,', 1),
+    "19-digit label": lambda b: b.replace(b'"label": 1}', b'"label": 1234567890123456789}', 1),
+    "20-digit label": lambda b: b.replace(b'"label": 1}', b'"label": 99999999999999999999}', 1),
+    "label 10**18": lambda b: b.replace(b'"label": 1}', b'"label": 1%s}' % (b"0" * 18), 1),
+    "label 10**18 - 1": lambda b: b.replace(b'"label": 1}', b'"label": %s}' % (b"9" * 18), 1),
+    "label 0": lambda b: b.replace(b'"label": 1}', b'"label": 0}', 1),
+    "pos 1.0": lambda b: b.replace(b'"pos": 2,', b'"pos": 2.0,', 1),
+    "label 1e3": lambda b: b.replace(b'"label": 1}', b'"label": 1e3}', 1),
+    "extra space": lambda b: b.replace(b'"pos": 2,', b'"pos":  2,', 1),
+    "entries joined without a space": lambda b: b.replace(b"}, {", b"},{"),
+    "crlf, malformed": lambda b: _malformed(b.replace(b", ", b",\r\n")),
+    "lone cr, malformed": lambda b: _malformed(b.replace(b", ", b",\r")),
+    "trailing form feed": lambda b: b[:-1] + b"\x0c",
+    "trailing vertical tab": lambda b: b[:-1] + b"\x0b",
+    "trailing JSON whitespace": lambda b: b + b" \t\r\n",
+    "long trailing whitespace": lambda b: b + b" " * 100,
+    "UTF-8 BOM": lambda b: b"\xef\xbb\xbf" + b,
+    "invalid UTF-8": lambda b: b.replace(b"cycle", b"cy\xffle", 1),
+    "reordered keys": lambda b: b.replace(b'{"n": 5, "s": 1,', b'{"s": 1, "n": 5,'),
+    "reordered entry keys": lambda b: b.replace(b'"cycle": 1, "pos": 1,', b'"pos": 1, "cycle": 1,'),
+    "key after labels": lambda b: b.replace(b"]}", b'], "note": 1}'),
+    "empty labels": lambda b: b[:b.index(b"[") + 1] + b"]}",
+    "diameter null": lambda b: b.replace(b'"diameter": 3', b'"diameter": null'),
+    "span with a leading zero": lambda b: b.replace(b'"span": 14', b'"span": 014'),
+    "n of 19 digits": lambda b: b.replace(b'"n": 5', b'"n": 1000000000000000000'),
+    "n 10**12": lambda b: b.replace(b'"n": 5', b'"n": 1000000000000'),
+    "empty slot": lambda b: b.replace(b'"pos": 2,', b'"pos": ,', 1),
+    "digit moved into a key": lambda b: b.replace(b'{"cycle": 1, "pos": 1,', b'{"cy1cle": , "pos": 1,'),
+    "digit moved into the last key": lambda b: b.replace(b'"label": 1}', b'"la1bel": }', 1),
+    "last entry cut short": lambda b: b[:b.rindex(b', "label"')] + b"]}",
+    "duplicate vertex": lambda b: b.replace(b'"pos": 2,', b'"pos": 1,', 1),
+    "unknown vertex": lambda b: b.replace(b'"pos": 2,', b'"pos": 9,', 1),
+    "last entry dropped": lambda b: b[:b.rindex(b", {")] + b"]}\n",
+    "truncated": lambda b: b[:-5],
+    "empty file": lambda b: b"",
+    "whitespace only": lambda b: b" \n",
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_BYTE_EDITS))
+def test_verify_file_edits_read_as_json_load_reads_them(tmp_path, edit):
+    path = tmp_path / "doc.json"
+    path.write_bytes(_BYTE_EDITS[edit](_canonical()))
+    assert _verify_outcome(path) == _json_load_outcome(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from(["insert", "delete", "replace"]),
+                          st.sampled_from(b'0123456789 ,{}[]:"-.e\r\n\t\x0bxy')),
+                min_size=1, max_size=3))
+def test_verify_file_byte_edits_read_as_json_load_reads_them(tmp_path_factory, edits):
+    raw = bytearray(_canonical())
+    for where, kind, byte in edits:
+        i = where % (len(raw) + (kind == "insert"))
+        if kind == "insert":
+            raw.insert(i, byte)
+        elif kind == "delete":
+            del raw[i]
+        else:
+            raw[i] = byte
+    path = tmp_path_factory.mktemp("edit") / "doc.json"
+    path.write_bytes(bytes(raw))
+    assert _verify_outcome(path) == _json_load_outcome(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_labeling_documents())
+def test_verify_file_documents_read_as_json_load_reads_them(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("doc") / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert _verify_outcome(path) == _json_load_outcome(path)
 
 
 _JUNK_TOKENS = ["", "x", "1.5", "0x4", "--bogus", "-x", "--format=xml", "--no-phi-pruning", "-h"]

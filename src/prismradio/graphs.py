@@ -164,8 +164,7 @@ class PrismGraph:
         return ii[order], jj[order]
 
     def distance(self, u: Vertex, v: Vertex) -> int:
-        (c, p), (c2, p2) = divmod(self.index(u), self.n), divmod(self.index(v), self.n)
-        return int(self.rows[c, c2, (p2 - p) % self.n])
+        return int(_hops(self, self.index(u), self.index(v)))
 
 
 @lru_cache(maxsize=128)
@@ -229,12 +228,19 @@ def is_v_tight(g: PrismGraph, cycle: Sequence[Vertex], v: Vertex) -> bool:
 
     Raises ValueError("vertex not on cycle") when v is not an entry of the
     cycle.  A cycle that is v-tight for every v realizes the host metric on
-    its vertex set.  Costs O(len(cycle)) distance lookups.
+    its vertex set.  Reads the distances from v to all entries in one gather
+    from the rows.
     """
     try:
         i = cycle.index(v)
     except ValueError:
         raise ValueError(f"vertex not on cycle: {v}") from None
-    length = len(cycle)
-    return all(g.distance(v, u) == min(abs(k - i), length - abs(k - i))
-               for k, u in enumerate(cycle))
+    steps = (np.arange(len(cycle)) - i) % len(cycle)
+    around = np.minimum(steps, len(cycle) - steps)
+    return bool((_hops(g, g.index(v), np.array([g.index(u) for u in cycle])) == around).all())
+
+
+def _hops(g: PrismGraph, u, v) -> np.ndarray:
+    """The distances from vertex indices u to v (ints or int arrays), gathered from the rows."""
+    n = g.n
+    return g.rows[u // n, v // n, (v % n - u % n) % n]

@@ -1,7 +1,7 @@
 """Optimal radio labelings of Z(n, s) by direct construction.
 
 The construction is two sequences of length 2n read side by side.
-``label_sequence`` gives the labels in increasing order,
+``label_sequence`` gives the labels in increasing order, as an int64 array,
 
     c(alpha_2i-1) = 1 + (i - 1) * phi(n, s),
     c(alpha_2i)   = 2 + (i - 1) * phi(n, s),
@@ -98,10 +98,9 @@ def case_select(n: int, s: int) -> CaseId:
     return CaseId.CASE1
 
 
-def label_sequence(n: int, s: int) -> list[int]:
-    """The 2n label values in sorted order: 1, 2, 1 + phi, 2 + phi, ..."""
-    step = phi(n, s)
-    return [first + i * step for i in range(n) for first in (1, 2)]
+def label_sequence(n: int, s: int) -> np.ndarray:
+    """The 2n label values in sorted order as an int64 array: 1, 2, 1 + phi, 2 + phi, ..."""
+    return (np.arange(n, dtype=np.int64)[:, None] * phi(n, s) + [1, 2]).ravel()
 
 
 def label_order(n: int, s: int) -> np.ndarray:

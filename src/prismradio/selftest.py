@@ -36,7 +36,7 @@ from .bounds import (
     radio_number,
 )
 from .exact import exact_radio_number
-from .graphs import Vertex, build_graph, is_v_tight, standard_cycle
+from .graphs import Vertex, _hops, build_graph, is_v_tight, standard_cycle
 from .labeling import (
     CaseId,
     Labeling,
@@ -125,8 +125,9 @@ def _graphs_suite(n_max: int) -> SuiteResult:
         sc = standard_cycle(g)
         suite.check(len(sc) == n + 3 - s and sc[0] == Vertex(1, 1),
                     f"standard cycle of Z({n},{s}) has length {len(sc)} and starts at {sc[0]}")
-        suite.check(len(set(sc)) == len(sc)
-                    and all(g.distance(u, v) == 1 for u, v in zip(sc, sc[1:] + sc[:1])),
+        index = np.array([g.index(v) for v in sc])
+        steps = _hops(g, index, np.roll(index, -1))
+        suite.check(len(set(sc)) == len(sc) and bool((steps == 1).all()),
                     f"standard cycle of Z({n},{s}) is not a simple cycle of the graph")
         suite.check(is_v_tight(g, sc, Vertex(1, 1)),
                     f"standard cycle of Z({n},{s}) not tight at (1,1)")
@@ -181,13 +182,10 @@ def _labeling_suite(n_max: int) -> SuiteResult:
         index = label_order(n, s)
         suite.check(np.array_equal(np.sort(index), np.arange(2 * n)),
                     f"label order of Z({n},{s}) is not a bijection onto the vertex indices")
-        order = [g.vertex_at(i) for i in index.tolist()]
-        suite.check(
-            all(g.distance(u, v) == g.diameter for u, v in zip(order[::2], order[1::2])),
-            f"consecutive sorted pair not at diameter distance in Z({n},{s})",
-        )
+        suite.check(bool((_hops(g, index[0::2], index[1::2]) == g.diameter).all()),
+                    f"consecutive sorted pair not at diameter distance in Z({n},{s})")
         seq, step = label_sequence(n, s), phi(n, s)
-        suite.check(all(seq[j + 4] - seq[j] >= 2 * step for j in range(2 * n - 4)),
+        suite.check(bool((seq[4:] - seq[:-4] >= 2 * step).all()),
                     f"window property fails for Z({n},{s})")
     return suite.result()
 

@@ -9,17 +9,23 @@ order of the pair, so reports are stable.
 
 Only a window of pairs needs a distance.  A pair whose label gap exceeds
 diam satisfies the condition whatever its distance, so it is certified by
-the gap alone.  With the vertices sorted by label, the gap between the
-entries t places apart grows with t, so the sweep compares each vertex with
-the one t places later for t = 1, 2, ... and stops at the first t where no
-pair has gap <= diam (the consecutive-labels argument of Liu and Zhu,
-"Multilevel distance labelings for paths and cycles", SIAM J. Discrete Math.
-19 (2005)).  Labels come straight from ``Labeling.labels``, which is indexed
-like the graph's vertices, and distances from the graph's O(n)
-rotation-invariant rows, so a construction with O(n) pairs in its window
-verifies in O(n log n) time and O(n) memory; ``pairs_checked`` still counts
-all nv(nv - 1)/2 pairs, because every pair is certified, by its distance or
-by its gap.
+the gap alone (the consecutive-labels argument of Liu and Zhu, "Multilevel
+distance labelings for paths and cycles", SIAM J. Discrete Math. 19
+(2005)).  With the vertices sorted by label, the partners of each sorted
+position within diam below it are one run of earlier positions, whose
+length one ``searchsorted`` gives for all positions at once.  The window
+pairs are then formed in one pass, ``_CHUNK`` pairs at a time, with
+``np.repeat`` over a cumulative sum of the run lengths; a position whose
+own run is longer forms a chunk by itself, so the sweep holds O(n) memory
+even when many labels are equal.  Distances are read in sorted space from
+a flat copy of the graph's O(n) rotation-invariant rows, doubled along the
+offset axis: the distance of a pair is one entry of it, at the sum of a
+gather index of the lower vertex and one of the higher, so no remainder is
+taken per pair.  Labels come straight from ``Labeling.labels``, which is
+indexed like the graph's vertices, so a construction with O(n) pairs in its
+window verifies in O(n log n) time and O(n) memory; ``pairs_checked`` still
+counts all nv(nv - 1)/2 pairs, because every pair is certified, by its
+distance or by its gap.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ from .graphs import PrismGraph, Vertex
 from .labeling import Labeling
 
 __all__ = ["Violation", "VerificationReport", "verify"]
+
+_CHUNK = 8192  # window pairs formed at a time; bounds the sweep's temporaries
 
 
 class Violation(NamedTuple):
@@ -85,20 +93,42 @@ def verify(g: PrismGraph, labeling: Labeling) -> VerificationReport:
     required = g.diameter + 1
     order = np.argsort(labels, kind="stable")
     sorted_labels = labels[order]
-    found = []  # per offset: (lower index, higher index, distance, gap) of violations
-    active = np.arange(nv)  # sorted positions a whose pair (a, a + t) is in the window
-    for t in range(1, nv):
-        active = active[active + t < nv]
-        gap = sorted_labels[active + t] - sorted_labels[active]
-        inside = gap <= g.diameter
-        active, gap = active[inside], gap[inside]
-        if not active.size:
-            break
-        a, b = order[active], order[active + t]
-        (ca, pa), (cb, pb) = np.divmod(a, n), np.divmod(b, n)
-        d = g.rows[ca, cb, (pb - pa) % n]
+    # sorted position b pairs with the width[b] positions before it, whose labels lie
+    # within diam below its own (looking down: labels + diam could pass 2**63 - 1);
+    # ends[b] counts the window pairs before b
+    width = np.searchsorted(sorted_labels, sorted_labels - g.diameter)
+    np.subtract(np.arange(nv), width, out=width)
+    ends = np.zeros(nv + 1, dtype=np.int64)
+    np.cumsum(width, out=ends[1:])
+    del width
+    # d(c*n + p, c2*n + p2) = rows[c, c2, p2 - p + n] of the rows doubled along the offset
+    # axis, the entry (4n*c + n - p) + (2n*c2 + p2) of their flat copy: one index per side
+    cyc = order // n
+    right = n * cyc
+    right += order
+    left = 5 * n * cyc
+    left -= order
+    left += n
+    del order, cyc
+    flat = np.concatenate((g.rows, g.rows), axis=2).ravel()
+    found = []  # per chunk: (lower index, higher index, distance, gap) of violations
+    start = 0
+    while start < nv:  # positions start .. stop - 1: at most _CHUNK pairs, or one position
+        k0 = int(ends[start])
+        stop = max(int(np.searchsorted(ends, k0 + _CHUNK, "right")) - 1, start + 1)
+        runs = np.diff(ends[start:stop + 1])
+        pos = np.arange(start, stop)
+        b = np.repeat(pos, runs)
+        # pair k of position b is (b - (ends[b + 1] - k), b)
+        a = np.repeat(pos - ends[start + 1:stop + 1], runs) + np.arange(k0, ends[stop])
+        d = flat[left[a] + right[b]]
+        gap = sorted_labels[b] - sorted_labels[a]
         bad = d + gap < required
-        found.append((np.minimum(a, b)[bad], np.maximum(a, b)[bad], d[bad], gap[bad]))
+        if bad.any():
+            u, v = right[a[bad]], right[b[bad]]
+            u, v = u - n * (u >= nv), v - n * (v >= nv)  # back to vertex indices
+            found.append((np.minimum(u, v), np.maximum(u, v), d[bad], gap[bad]))
+        start = stop
     violations: tuple[Violation, ...] = ()
     if found:
         lo, hi, dist, gap = (np.concatenate(cols) for cols in zip(*found))

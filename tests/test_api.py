@@ -8,7 +8,7 @@ import pytest
 import prismradio
 
 # back ends of the console script, not library API
-_NOT_REEXPORTED = {"cli", "selftest"}
+_NOT_REEXPORTED = {"__main__", "cli", "selftest"}
 
 _LIBRARY_MODULES = sorted(
     m.name for m in pkgutil.iter_modules(prismradio.__path__) if m.name not in _NOT_REEXPORTED

@@ -297,6 +297,14 @@ def test_closed_stdout_pipe_exits_zero_without_a_message():
     assert err == b""
 
 
+def test_package_runs_as_a_module():
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "prismradio", "rn", "--n", "12", "--s", "2"],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": str(src)},
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"46\n", b"")
+
+
 def test_verify_ignores_stale_span_field(capsys, tmp_path):
     # hand-edited files are judged on radio validity, not bookkeeping
     _, out, _ = run(capsys, "label", "--n", "5", "--s", "1", "--format", "json")

@@ -1,8 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import prismradio.graphs
+import prismradio.verification
 from prismradio import (
     Labeling,
     Vertex,
@@ -134,6 +138,19 @@ def labeled_graphs(draw):
 
 @given(labeled_graphs())
 def test_windowed_verify_equals_all_pairs_reference(case):
+    _check_against_all_pairs(case)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+@given(case=labeled_graphs())
+def test_windowed_verify_equals_all_pairs_reference_across_chunks(chunk, case):
+    # at the default chunk size no case here spans two chunks; the all-equal
+    # labelings give one position a window longer than the chunk
+    with mock.patch.object(prismradio.verification, "_CHUNK", chunk):
+        _check_against_all_pairs(case)
+
+
+def _check_against_all_pairs(case):
     n, s, labels = case
     g = build_graph(n, s)
     verts = list(g.vertices())
@@ -159,3 +176,26 @@ def test_verify_leaves_dense_matrix_unbuilt(monkeypatch):
     broken = dict(construct_labeling(5000, 2).assignment)
     broken[Vertex(1, 1)], broken[Vertex(2, 7)] = broken[Vertex(2, 7)], broken[Vertex(1, 1)]
     assert not verify(g, Labeling(n=5000, s=2, assignment=broken)).valid
+
+
+def test_verify_holds_a_few_label_arrays_beyond_its_inputs():
+    n = 200_000
+    g, lab = build_graph(n, 2), construct_labeling(n, 2)
+    tracemalloc.start()
+    try:
+        assert verify(g, lab).valid
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (2 * n * 8)  # eight int64 arrays of length 2n
+
+
+def test_labels_up_to_the_int64_limit_are_windowed_without_overflow():
+    g, lab = build_graph(9, 2), construct_labeling(9, 2)
+    swapped = lab.labels.copy()
+    swapped[[0, 5]] = swapped[[5, 0]]
+    expected = verify(g, Labeling.from_labels(9, 2, swapped)).violations
+    assert expected
+    for labels, violations in ((lab.labels, ()), (swapped, expected)):
+        top = labels + (2**63 - 1 - lab.span)  # the largest label is 2**63 - 1
+        assert verify(g, Labeling.from_labels(9, 2, top)).violations == violations

@@ -137,11 +137,14 @@ _ENTRY = {
 }
 
 
-# The layout ``label --format json`` writes, in bytes: the head, the entries
-# joined by ", " and the tail.  _SKELETON is an entry with its digits deleted
+# The layout ``label --format json`` writes: the head, a %-template of
+# (n, s, diameter, span), the entries joined by ", " and the tail.  _HEAD
+# matches the head in bytes; _SKELETON is an entry with its digits deleted
 # and the separator after it.
-_HEAD = re.compile(rb'\{"n": (%s), "s": (%s), "diameter": %s, "span": %s, "labels": \['
-                   % ((rb"-?(?:0|[1-9][0-9]{0,17})",) * 4))  # longer numbers go to json.loads
+_HEAD_FORMAT = '{"n": %s, "s": %s, "diameter": %s, "span": %s, "labels": ['
+_NUMBER = rb"-?(?:0|[1-9][0-9]{0,17})"  # longer numbers go to json.loads
+_HEAD = re.compile(re.escape(_HEAD_FORMAT.encode())
+                   % (b"(%s)" % _NUMBER, b"(%s)" % _NUMBER, _NUMBER, _NUMBER))
 _TAIL = b"]}"
 _DIGITS = b"0123456789"
 _SEP = b", "
@@ -262,8 +265,7 @@ def _edge_lines(g: PrismGraph) -> Iterator[str]:
 
 def _labeling_json(g: PrismGraph, lab: Labeling) -> Iterator[str]:
     """The JSON labeling schema of ``lab`` in pieces, the text json.dumps gives."""
-    yield (f'{{"n": {g.n}, "s": {g.s}, "diameter": {g.diameter}, "span": {lab.span}, '
-           f'"labels": [')
+    yield _HEAD_FORMAT % (g.n, g.s, g.diameter, lab.span)
     yield from _labeled_vertices(lab, "json", ", ")
     yield "]}"
 
@@ -464,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_ns(p_exact)
     p_exact.add_argument("--budget", default=None, help="time budget, e.g. 60s, 5m")
     p_exact.add_argument("--hint", type=int, default=None,
-                         help="initial incumbent span (must be a true upper bound)")
+                         help="span to prune against (must be a true upper bound)")
     p_exact.add_argument("--format", choices=["text", "json"], default="text")
     p_exact.set_defaults(func=cmd_exact)
 

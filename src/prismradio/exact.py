@@ -53,13 +53,13 @@ no recursion.  The distances come from g's two metric rows, rotated per
 placed vertex, so the search holds O(n) of the metric.  The time budget is
 read whenever the nodes explored, each weighted by its unplaced vertices,
 pass another ``_BUDGET_CHECK_WORK``, and at the first node, so the
-overshoot is about the same at every n.  ``upper_bound_hint`` seeds the
-incumbent and must be a genuine upper bound (e.g. the span of a known valid
-labeling); a hint below the optimum makes the search inconclusive and raises.
-Without a hint the incumbent is seeded from ``construct_labeling`` when that
-covers (n, s) and its labeling verifies on g, which need not be Z(n, s),
-else from a greedy labeling, so a witness always exists even when the time
-budget runs out.
+overshoot is about the same at every n.  The incumbent is seeded from
+``construct_labeling`` when that covers (n, s) and its labeling verifies on
+g, which need not be Z(n, s), else from a greedy labeling, so a witness
+always exists even when the time budget runs out.  The search prunes
+against the smaller of its span and ``upper_bound_hint``, which must be a
+genuine upper bound; a hint below the optimum makes the search inconclusive
+and raises.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import pair_gap
-from .graphs import PrismGraph, Vertex
+from .graphs import PrismGraph, Vertex, _hops
 from .labeling import Labeling, construct_labeling
 from .verification import verify
 
@@ -91,7 +91,8 @@ _TABLE_ENTRY_BYTES = 96
 class SearchConfig:
     """Caller-supplied limits of the exact search.
 
-    upper_bound_hint: initial incumbent span; must be a true upper bound.
+    upper_bound_hint: a span to prune against when below the seed's; must
+        be a true upper bound.
     time_budget: wall-clock seconds before the search stops with its best
         incumbent (proven_optimal False).
 
@@ -130,12 +131,12 @@ def greedy_span_for_order(
     verts = [v if isinstance(v, Vertex) else Vertex(*v) for v in order]
     if sorted(verts) != sorted(g.vertices()):
         raise ValueError("not a permutation of the vertex set")
-    cyc, pos = np.divmod([g.index(v) for v in verts], g.n)
+    index = np.array([g.index(v) for v in verts])
     required = g.diameter + 1
     labels = np.ones(len(verts), dtype=np.int64)
     for t in range(1, len(verts)):
-        # the radio condition against each earlier vertex, read from the rows
-        need = labels[:t] + required - g.rows[cyc[t], cyc[:t], (pos[:t] - pos[t]) % g.n]
+        # the radio condition against each earlier vertex
+        need = labels[:t] + required - _hops(g, index[t], index[:t])
         labels[t] = max(labels[t - 1] + 1, need.max())
     return int(labels[-1]), labels.tolist()
 
@@ -202,14 +203,13 @@ def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> Exa
 
     best_span: int | None = None
     best_labels: list[int] | None = None  # by vertex index
-    if cfg.upper_bound_hint is None:
-        try:
-            seed = construct_labeling(n, g.s)
-            if verify(g, seed).valid:  # g need not be Z(n, s)
-                best_span = seed.span
-                best_labels = seed.labels.tolist()
-        except ValueError:
-            pass
+    try:
+        seed = construct_labeling(n, g.s)
+        if verify(g, seed).valid:  # g need not be Z(n, s)
+            best_span = seed.span
+            best_labels = seed.labels.tolist()
+    except ValueError:
+        pass
     if best_labels is None:
         best_span, best_labels = greedy_span_for_order(g, list(g.vertices()))
     prune_ref = best_span

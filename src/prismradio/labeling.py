@@ -8,25 +8,20 @@ The construction is two sequences of length 2n read side by side.
 
 whose final value (n - 1) * phi(n, s) + 2 matches the lower bound from
 ``bounds``.  ``label_order`` gives the vertices alpha_1, ..., alpha_2n that
-receive them, from one of four position formulas chosen by ``case_select``:
+receive them.  Labels 1 apart need vertices at distance diam, so alpha_2i is
+the diametral partner of alpha_2i-1, and a case only walks the odd vertices.
+With j = i - 1 and 0-based cycle c and position p, before wrapping, the
+walk is one of four chosen by ``case_select``:
 
-* case 1 (n not divisible by 4, except case 4): odd indices walk cycle 1 in
-  steps of omega(n), even indices walk cycle 2 shifted by d_offset(n, s).
-* case 2 (n = 4k, s in {1, 3}): both coordinates advance in steps of k, with
-  a quarter-counter correction l_i = floor((i - 1) / 4) that also flips the
-  cycle halfway through.
-* case 3 (n = 4k, s = 2): pairs stay on one cycle, alternating cycles with
-  i, with correction l_i = floor((i - 1) / 2).
-* case 4 (n = 4k + 2, k even, s = 3): pairs stay on one cycle, switching
-  cycles once at i = 2k + 1.
+* case 1 (n not divisible by 4, except case 4): c = 0, p = omega(n) * j.
+* case 2 (n = 4k, s in {1, 3}): c = floor(j / 4), p = k * j - floor(j / 4).
+* case 3 (n = 4k, s = 2): c = j, p = k * j - floor(j / 2).
+* case 4 (n = 4k + 2, k even, s = 3): c = -1 for j <= 2k, else 0; p = k * j.
 
-Each formula is evaluated over i = 1..n as a NumPy array.  Its raw values
-leave the 1-based ranges: positions run past n, and the cycle coordinate of
-cases 2-4 is any integer (i itself in case 3, 0 in case 4).  Both
-coordinates are wrapped to ((x - 1) mod m) + 1, m = 2 for the cycle and n
-for the position, so an even cycle coordinate means cycle 2 and an odd one
-cycle 1, and ``label_order`` returns the vertex indices
-(cycle - 1) * n + position - 1 that ``PrismGraph.index`` uses.
+In cases 1 and 2 the partner lies across the cycles, d_offset(n, s) ahead;
+in cases 3 and 4 on the same cycle, n // 2 ahead.  Both vertices are
+wrapped to the index (c mod 2) * n + (p mod n) that ``PrismGraph.index``
+uses.
 ``construct_labeling`` writes the label sequence into a label array at
 those indices.
 
@@ -111,37 +106,30 @@ def label_order(n: int, s: int) -> np.ndarray:
     unsupported ones, which have no sorted-order construction.
     """
     case = case_select(n, s)
-    i = np.arange(1, n + 1, dtype=np.int64)
-    # (cycle, position) of alpha_2i-1 and of alpha_2i, before wrapping
+    j = np.arange(n, dtype=np.int64)  # i - 1
+    # 0-based (cycle, position) of alpha_2i-1, before wrapping, and whether
+    # its partner alpha_2i lies across the cycles
     if case is CaseId.CASE1:
-        w = omega(n)
-        odd = (1, 1 + w * (i - 1))
-        even = (2, 1 + d_offset(n, s) + w * (i - 1))
+        c, p, across = 0, omega(n) * j, True
     elif case is CaseId.CASE2:
-        k, l = n // 4, (i - 1) // 4
-        odd = (1 + l, 1 + k * (i - 1) - l)
-        even = (2 + l, 1 + k * (i + 1) - l)
+        c, p, across = j // 4, n // 4 * j - j // 4, True
     elif case is CaseId.CASE3:
-        k, l = n // 4, (i - 1) // 2
-        odd = (i, 1 + k * (i - 1) - l)
-        even = (i, 1 + k * (i + 1) - l)
+        c, p, across = j, n // 4 * j - j // 2, False
     elif case is CaseId.CASE4:
-        k = (n - 2) // 4
-        l = np.where(i <= 2 * k + 1, 0, 1)
-        odd = (l, 1 + k * (i - 1))
-        even = (l, 2 + k * (i + 1))
+        c, p, across = (j > (n - 2) // 2) - 1, (n - 2) // 4 * j, False
     elif case is CaseId.UNSUPPORTED:
         raise ValueError(
             f"unsupported graph parameters: no construction for (n={n}, s={s}); use the exact solver"
         )
     else:
         raise ValueError(f"Z({n},{s}) is {case.value}: construct_labeling labels it directly")
-    cycle = np.empty(2 * n, dtype=np.int64)
-    position = np.empty(2 * n, dtype=np.int64)
-    for parity, (c, p) in enumerate((odd, even)):
-        cycle[parity::2], position[parity::2] = c, p
-    # wrap both coordinates into their 1-based ranges, then take the vertex index
-    return (cycle - 1) % 2 * n + (position - 1) % n
+    # alpha_2i is the diametral partner of alpha_2i-1: the other cycle shifted
+    # by d_offset, or the same cycle shifted by half its length
+    dc, dp = (1, d_offset(n, s)) if across else (0, n // 2)
+    order = np.empty(2 * n, dtype=np.int64)
+    order[0::2] = c % 2 * n + p % n
+    order[1::2] = (c + dc) % 2 * n + (p + dp) % n
+    return order
 
 
 _MAX_LABEL = 2**63 - 1  # labels are held in int64

@@ -97,6 +97,15 @@ def test_hint_on_a_table_search():
         exact_radio_number(g, SearchConfig(upper_bound_hint=16))
 
 
+def test_a_loose_hint_keeps_the_construction_as_seed():
+    # the hint only bounds the pruning: the seed stays the construction (34),
+    # not the greedy labeling (85)
+    g, result = _solve(9, 1, upper_bound_hint=40, time_budget=0.0)
+    assert result.rn == 34 == construct_labeling(9, 1).span
+    assert not result.proven_optimal
+    assert verify(g, result.witness).valid
+
+
 def test_zero_budget_returns_constructive_incumbent():
     g = build_graph(10, 1)
     result = exact_radio_number(g, SearchConfig(time_budget=0.0))
@@ -257,9 +266,14 @@ def test_a_full_table_is_cleared_not_frozen(monkeypatch):
 
 
 @pytest.mark.parametrize("n,s", [(8, 2), (9, 1), (7, 3)])
-def test_table_search_from_a_loose_hint_finds_the_optimum(n, s):
+def test_table_search_from_a_loose_hint_finds_the_optimum(monkeypatch, n, s):
     # an incumbent 10 above rn leaves many transposed frames to tell apart by
-    # their labels; skipping a frame one label below its twin loses Z(9,1)
+    # their labels; skipping a frame one label below its twin loses Z(9,1).
+    # Without the construction the greedy seed is the loose incumbent.
+    def no_construction(n, s):
+        raise ValueError("no construction")
+
+    monkeypatch.setattr(exact, "construct_labeling", no_construction)
     rn = radio_number(n, s)[0]
     g, result = _solve(n, s, upper_bound_hint=rn + 10)
     assert result.rn == rn and result.proven_optimal

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,20 @@ def test_label_order_matches_scalar_formulas(s):
         case = case_select(n, s)
         if case in cases:
             assert vertex_order(n, s) == scalar_label_order(cases[case], n, s), (n, s)
+
+
+@pytest.mark.parametrize("n", [200_000, 200_001, 200_002])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_construction_holds_a_few_order_arrays(n, s):
+    # these nine graphs take all four construction cases
+    for build in (label_order, construct_labeling):
+        tracemalloc.start()
+        try:
+            build(n, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * (2 * n * 8), (build.__name__, peak / (2 * n * 8))
 
 
 def test_construct_labeling_special_3_3():

@@ -35,7 +35,7 @@ from .labeling import (
     label_sequence,
 )
 from .verification import VerificationReport, Violation, verify
-from .exact import ExactResult, SearchConfig, exact_radio_number, greedy_span_for_order
+from .exact import ExactResult, exact_radio_number, greedy_span_for_order
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,6 @@ __all__ = [
     "VerificationReport",
     "Violation",
     "verify",
-    "SearchConfig",
     "ExactResult",
     "greedy_span_for_order",
     "exact_radio_number",

@@ -46,7 +46,7 @@ in nodes_explored, which counts the children that pass the label cut.
 
 The search is single-threaded and deterministic: children are expanded in
 ascending (forced label, vertex index) order, so nodes_explored is
-reproducible for a given configuration.  It runs on an explicit stack of
+reproducible for a given graph.  It runs on an explicit stack of
 frames, one per depth, each holding its children already cut and sorted,
 its unplaced vertices and their forced labels, so a search 2n deep needs
 no recursion.  The distances come from g's two metric rows, rotated per
@@ -56,14 +56,12 @@ pass another ``_BUDGET_CHECK_WORK``, and at the first node, so the
 overshoot is about the same at every n.  The incumbent is seeded from
 ``construct_labeling`` when that covers (n, s) and its labeling verifies on
 g, which need not be Z(n, s), else from a greedy labeling, so a witness
-always exists even when the time budget runs out.  The search prunes
-against the smaller of its span and ``upper_bound_hint``, which must be a
-genuine upper bound; a hint below the optimum makes the search inconclusive
-and raises.
+always exists even when the time budget runs out.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from array import array
 from dataclasses import dataclass
@@ -76,7 +74,7 @@ from .graphs import PrismGraph, Vertex, _hops
 from .labeling import Labeling, construct_labeling
 from .verification import verify
 
-__all__ = ["SearchConfig", "ExactResult", "greedy_span_for_order", "exact_radio_number"]
+__all__ = ["ExactResult", "greedy_span_for_order", "exact_radio_number"]
 
 # the clock is read whenever nodes explored, each weighted by its number of
 # unplaced vertices, pass another multiple of this
@@ -85,23 +83,6 @@ _BUDGET_CHECK_WORK = 1 << 16
 # per-entry charge for the dict slot pass it, the table is cleared
 _TABLE_BYTES = 64 << 20
 _TABLE_ENTRY_BYTES = 96
-
-
-@dataclass
-class SearchConfig:
-    """Caller-supplied limits of the exact search.
-
-    upper_bound_hint: a span to prune against when below the seed's; must
-        be a true upper bound.
-    time_budget: wall-clock seconds before the search stops with its best
-        incumbent (proven_optimal False).
-
-    Pruning and symmetry breaking are not configurable: both are derived
-    from the graph and always sound.
-    """
-
-    upper_bound_hint: int | None = None
-    time_budget: float | None = None
 
 
 @dataclass(frozen=True)
@@ -188,12 +169,18 @@ def _table_key(unplaced: int, rel: list[int], mask_len: int, typecode: str) -> b
     return unplaced.to_bytes(mask_len, "little") + array(typecode, rel).tobytes()
 
 
-def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> ExactResult:
+def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> ExactResult:
     """Branch-and-bound search for the radio number of g.
 
-    Deterministic for a fixed configuration.
+    time_budget: wall-clock seconds, finite and nonnegative, before the
+    search stops with its best incumbent (proven_optimal False).  Without
+    one the search is deterministic.
     """
-    cfg = config or SearchConfig()
+    if time_budget is not None:
+        if not math.isfinite(time_budget):  # NaN would make a deadline no clock reaches
+            raise ValueError(f"time budget must be finite, got {time_budget!r}")
+        if time_budget < 0:
+            raise ValueError("time budget must be nonnegative")
     n = g.n
     nv = 2 * n
     pair_step = max(0, pair_gap(g) - 2)
@@ -212,9 +199,6 @@ def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> Exa
         pass
     if best_labels is None:
         best_span, best_labels = greedy_span_for_order(g, list(g.vertices()))
-    prune_ref = best_span
-    if cfg.upper_bound_hint is not None:
-        prune_ref = min(prune_ref, cfg.upper_bound_hint)
 
     pinned = _is_vertex_transitive(g)
     refl = _reflection(g) if pinned else None
@@ -232,7 +216,7 @@ def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> Exa
 
     # A frame is one node of the tree, labeled base: an iterator over its
     # children (label - base, position in rest), ascending and already cut
-    # against prune_ref; its unplaced vertices, ascending, with their forced
+    # against best_span; its unplaced vertices, ascending, with their forced
     # labels minus base; base; tails[m]; whether every placed vertex is a
     # fixed point of refl; and the bit mask of its unplaced vertices.
     root_kids = [(1, 0)] if pinned else [(1, v) for v in range(nv)]
@@ -242,15 +226,15 @@ def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> Exa
     path_labels = [0] * nv
     nodes = 0
     work = 0  # nodes explored, each weighted by its count of unplaced vertices
-    next_check = 0 if cfg.time_budget is not None else float("inf")
+    next_check = 0 if time_budget is not None else float("inf")
     stopped = False
-    deadline = None if cfg.time_budget is None else time.monotonic() + cfg.time_budget
+    deadline = None if time_budget is None else time.monotonic() + time_budget
 
     while stack and not stopped:
         kids, rest, rel, base, tail, sym, mask = stack[-1]
         for r, i in kids:
             c = base + r
-            if c + tail >= prune_ref:
+            if c + tail >= best_span:
                 stack.pop()  # children are label-sorted: the rest are no better
                 break
             nodes += 1
@@ -266,12 +250,11 @@ def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> Exa
             path[depth] = v
             path_labels[depth] = c
             if m == 1:
-                # order complete; the cut above guarantees c <= prune_ref
+                # order complete; the cut above guarantees c <= best_span
                 best_span = c
                 best_labels = [0] * nv
                 for w, cw in zip(path, path_labels):
                     best_labels[w] = cw
-                prune_ref = min(prune_ref, c)
                 continue
             cv, pv = divmod(v, n)
             to_1, to_2 = doubled[cv]
@@ -292,7 +275,7 @@ def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> Exa
             child_rest = rest.copy()
             del child_rest[i]
             child_tail = tails[m - 1]
-            lim = prune_ref - child_tail - c
+            lim = best_span - child_tail - c
             # while every placed vertex is fixed by refl, an order and its
             # image under refl tie: keep only the child v <= refl[v] of each pair
             child_sym = sym and refl[v] == v
@@ -308,20 +291,10 @@ def exact_radio_number(g: PrismGraph, config: SearchConfig | None = None) -> Exa
         else:
             stack.pop()
 
-    proven = not stopped
-    if (
-        proven
-        and cfg.upper_bound_hint is not None
-        and best_span > cfg.upper_bound_hint
-    ):
-        raise ValueError(
-            "upper_bound_hint was below the optimum; search pruned against an "
-            "infeasible bound and is inconclusive"
-        )
     witness = Labeling.from_labels(n, g.s, best_labels)
     return ExactResult(
         rn=best_span,
         witness=witness,
         nodes_explored=nodes,
-        proven_optimal=proven,
+        proven_optimal=not stopped,
     )

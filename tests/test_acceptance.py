@@ -12,7 +12,6 @@ import time
 from contextlib import contextmanager
 
 from prismradio import (
-    SearchConfig,
     build_graph,
     check_triple_bound,
     exact_radio_number,
@@ -82,7 +81,7 @@ def test_criterion_2_stretch_n6_within_budget():
     with criterion(2, "stretch: exact search at n = 6"):
         for s in (1, 2, 3):
             g = build_graph(6, s)
-            result = exact_radio_number(g, SearchConfig(time_budget=300.0))
+            result = exact_radio_number(g, time_budget=300.0)
             want = lower_bound_rn(6, s)
             assert verify(g, result.witness).valid
             assert result.rn == want, f"exact {result.rn} != formula {want} at (6,{s})"

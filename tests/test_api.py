@@ -37,7 +37,7 @@ def test_library_modules_are_the_expected_ones():
     "name",
     [
         "CycleView", "position_case1", "position_case2", "position_case3", "position_case4",
-        "normalize_vertex", "cycle_view", "principal_cycle",
+        "normalize_vertex", "cycle_view", "principal_cycle", "SearchConfig",
     ],
 )
 def test_removed_names_stay_removed(name):

@@ -345,10 +345,10 @@ def test_exact_budget_stops_a_search_deeper_than_the_recursion_limit(capsys):
     assert "status = budget exhausted (upper bound)" in out
 
 
-@pytest.mark.parametrize("flag", ["--no-phi-pruning", "--fix-first-vertex"])
+@pytest.mark.parametrize("flag", ["--no-phi-pruning", "--fix-first-vertex", "--hint 11"])
 def test_exact_has_no_search_knobs(capsys, flag):
     with pytest.raises(SystemExit) as exc:
-        main(["exact", "--n", "4", "--s", "1", flag])
+        main(["exact", "--n", "4", "--s", "1", *flag.split()])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -698,7 +698,7 @@ _FLAGS = {  # subcommand -> (required flags, optional flags, --format choices)
     "rn": (["--n", "--s"], ["--format"], ["text", "json"]),
     "label": (["--n", "--s"], ["--format"], ["text", "json", "csv", "dot"]),
     "verify": (["--file"], ["--format"], ["text", "json"]),
-    "exact": (["--n", "--s"], ["--budget", "--hint", "--format"], ["text", "json"]),
+    "exact": (["--n", "--s"], ["--budget", "--format"], ["text", "json"]),
     "table": ([], ["--n-min", "--n-max", "--format"], ["text", "json", "csv"]),
     "selftest": ([], ["--n-max", "--inject-fault"], []),
 }
@@ -747,7 +747,6 @@ def _cli_argvs(draw, files):
         "--format": lambda: "xml" if maybe(10) or not formats else rnd.choice(formats),
         "--file": lambda: rnd.choice(files),
         "--budget": lambda: rnd.choice(["0s", "0.1s", "0.001m", "nan", "-1s", "soon", "1e400m"]),
-        "--hint": lambda: int_token(60),
         "--n-min": lambda: int_token(40),
         "--n-max": lambda: int_token(10 if command == "selftest" else 30),
         "--inject-fault": lambda: "none" if maybe(10) else "phi",

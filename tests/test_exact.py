@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prismradio import (
-    SearchConfig,
     Vertex,
     build_graph,
     construct_labeling,
@@ -28,7 +27,7 @@ from reference import (
 
 def _solve(n, s, **kwargs):
     g = build_graph(n, s)
-    return g, exact_radio_number(g, SearchConfig(**kwargs))
+    return g, exact_radio_number(g, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -74,41 +73,9 @@ def test_search_is_deterministic():
     assert (a.rn, a.nodes_explored) == (b.rn, b.nodes_explored)
 
 
-def test_hint_equal_to_optimum_still_finds_witness():
-    g = build_graph(4, 1)
-    result = exact_radio_number(g, SearchConfig(upper_bound_hint=11))
-    assert result.rn == 11 and result.proven_optimal
-    assert verify(g, result.witness).valid
-
-
-def test_hint_below_optimum_raises():
-    g = build_graph(4, 1)
-    with pytest.raises(ValueError, match="below the optimum"):
-        exact_radio_number(g, SearchConfig(upper_bound_hint=5))
-
-
-def test_hint_on_a_table_search():
-    # Z(6,2) visits transposed frames, which the Z(4,1) hint tests above do not
-    g = build_graph(6, 2)
-    result = exact_radio_number(g, SearchConfig(upper_bound_hint=17))
-    assert result.rn == 17 and result.proven_optimal
-    assert verify(g, result.witness).valid
-    with pytest.raises(ValueError, match="below the optimum"):
-        exact_radio_number(g, SearchConfig(upper_bound_hint=16))
-
-
-def test_a_loose_hint_keeps_the_construction_as_seed():
-    # the hint only bounds the pruning: the seed stays the construction (34),
-    # not the greedy labeling (85)
-    g, result = _solve(9, 1, upper_bound_hint=40, time_budget=0.0)
-    assert result.rn == 34 == construct_labeling(9, 1).span
-    assert not result.proven_optimal
-    assert verify(g, result.witness).valid
-
-
 def test_zero_budget_returns_constructive_incumbent():
     g = build_graph(10, 1)
-    result = exact_radio_number(g, SearchConfig(time_budget=0.0))
+    result = exact_radio_number(g, time_budget=0.0)
     assert not result.proven_optimal
     assert result.rn == construct_labeling(10, 1).span
     assert verify(g, result.witness).valid
@@ -265,18 +232,23 @@ def test_a_full_table_is_cleared_not_frozen(monkeypatch):
     assert verify(g, result.witness).valid
 
 
+# nodes explored from the greedy seed, with the construction withheld
+LOOSE_SEED_NODES = {(8, 2): 780, (9, 1): 27_850, (7, 3): 22_408}
+
+
 @pytest.mark.parametrize("n,s", [(8, 2), (9, 1), (7, 3)])
-def test_table_search_from_a_loose_hint_finds_the_optimum(monkeypatch, n, s):
-    # an incumbent 10 above rn leaves many transposed frames to tell apart by
-    # their labels; skipping a frame one label below its twin loses Z(9,1).
-    # Without the construction the greedy seed is the loose incumbent.
+def test_table_search_from_a_loose_seed_finds_the_optimum(monkeypatch, n, s):
+    # without the construction the greedy seed (61, 85 and 40) is a loose
+    # incumbent that leaves many transposed frames to tell apart by their
+    # labels; skipping a frame one label below its twin loses Z(9,1)
     def no_construction(n, s):
         raise ValueError("no construction")
 
     monkeypatch.setattr(exact, "construct_labeling", no_construction)
     rn = radio_number(n, s)[0]
-    g, result = _solve(n, s, upper_bound_hint=rn + 10)
+    g, result = _solve(n, s)
     assert result.rn == rn and result.proven_optimal
+    assert result.nodes_explored <= LOOSE_SEED_NODES[n, s]
     assert verify(g, result.witness).valid
 
 
@@ -340,3 +312,12 @@ def test_budget_is_read_by_work_done(monkeypatch):
 def test_zero_budget_stops_at_the_first_node():
     _, result = _solve(10, 1, time_budget=0.0)
     assert result.nodes_explored == 1 and not result.proven_optimal
+
+
+@pytest.mark.parametrize("budget,message", [(float("nan"), "must be finite"),
+                                            (float("inf"), "must be finite"),
+                                            (-1.0, "must be nonnegative")])
+def test_a_budget_no_clock_can_pass_is_rejected(budget, message):
+    # a NaN deadline compares False with every clock reading, so it never expires
+    with pytest.raises(ValueError, match=message):
+        _solve(4, 1, time_budget=budget)

@@ -371,8 +371,6 @@ def cmd_exact(args: argparse.Namespace) -> int:
 def _table_rows(n_min: int, n_max: int) -> Iterator[dict]:
     for n in range(n_min, n_max + 1):
         for s in (1, 2, 3):
-            if s > n:
-                continue
             if case_select(n, s) is CaseId.UNSUPPORTED:
                 yield {"n": n, "s": s, "phi": None, "rn_formula": None, "span": None,
                        "match": None, "note": "outside scope"}
@@ -388,6 +386,8 @@ def _table_rows(n_min: int, n_max: int) -> Iterator[dict]:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    if args.n_min < 3:
+        raise ValueError(f"--n-min must be at least 3, got {args.n_min}")
     if args.n_min > args.n_max:
         raise ValueError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     rows = list(_table_rows(args.n_min, args.n_max))

@@ -12,8 +12,8 @@ rung, and s = 3 adds diagonals on both sides.  Supported parameters are
 n >= 3 and 1 <= s <= min(3, n); every vertex then has degree 2 + s, and the
 diameter is floor((n + 3 - s) / 2), which is asserted when a graph is built.
 
-A Vertex holds coordinates already in range; lookups reject any other
-(``PrismGraph.index``) rather than wrap them.
+A Vertex holds plain int coordinates already in range; lookups reject any
+other (``PrismGraph.index``) rather than wrap or coerce them.
 
 Distances are hop counts.  Shifting every position by the same amount maps
 edges to edges, so d((c, i), (c', j)) depends only on c, c' and (j - i)
@@ -88,19 +88,19 @@ class PrismGraph:
     """An immutable Z(n, s) instance with its rotation-invariant metric.
 
     ``rows[c, c', k]`` is the hop distance from (c + 1, 1) to (c' + 1, 1 + k)
-    (0-based c, c', k); ``diameter`` is its maximum.  Vertex (c, p) maps to
-    matrix index (c - 1) * n + (p - 1), and ``dist`` is the read-only dense
-    matrix of hop counts over those indices, rebuilt on each access.  Use
-    ``build_graph`` to obtain instances.
+    (0-based c, c', k); ``diameter`` is its maximum, read from the rows.
+    Vertex (c, p) maps to matrix index (c - 1) * n + (p - 1), and ``dist`` is
+    the read-only dense matrix of hop counts over those indices, rebuilt on
+    each access.  Use ``build_graph`` to obtain instances.
     """
 
     __slots__ = ("n", "s", "rows", "diameter")
 
-    def __init__(self, n: int, s: int, rows: np.ndarray, diam: int):
+    def __init__(self, n: int, s: int, rows: np.ndarray):
         self.n = n
         self.s = s
         self.rows = rows
-        self.diameter = diam
+        self.diameter = int(rows.max())
 
     def __repr__(self) -> str:
         return f"PrismGraph(n={self.n}, s={self.s}, diameter={self.diameter})"
@@ -115,7 +115,8 @@ class PrismGraph:
         return _dense_from_rows(self.rows)
 
     def contains(self, v: Vertex) -> bool:
-        return v.cycle in (1, 2) and 1 <= v.position <= self.n
+        c, p = v.cycle, v.position
+        return type(c) is int and type(p) is int and c in (1, 2) and 1 <= p <= self.n
 
     def index(self, v: Vertex) -> int:
         if not self.contains(v):
@@ -198,12 +199,12 @@ def build_graph(n: int, s: int) -> PrismGraph:
     assert (rows == rows.transpose(1, 0, 2)[:, :, back]).all()
     assert rows[0, 0, 0] == rows[1, 1, 0] == 0
 
-    diam = int(rows.max())
-    assert diam == (n + 3 - s) // 2, (
-        f"diameter {diam} of Z({n},{s}) deviates from closed form {(n + 3 - s) // 2}"
-    )
     rows.setflags(write=False)
-    return PrismGraph(n, s, rows, diam)
+    g = PrismGraph(n, s, rows)
+    assert g.diameter == (n + 3 - s) // 2, (
+        f"diameter {g.diameter} of Z({n},{s}) deviates from closed form {(n + 3 - s) // 2}"
+    )
+    return g
 
 
 def standard_cycle(g: PrismGraph) -> tuple[Vertex, ...]:

@@ -10,8 +10,10 @@ against the Bellman equations of the edge rule from those two sources
 the triangle inequality), the phi table against ``pair_gap`` of the built
 graph (the consecutive-triple bound read from the graph's own metric),
 constructions against the pair-by-pair verifier, and the exact solver
-against formula values on tiny instances.  A suite reports its first
-failing check, so a defect localizes to the module whose suite goes red.
+against formula values on tiny instances.  A suite yields one ``(passed,
+detail)`` pair per check, and ``_run_suite`` names, counts and guards them:
+it reports the first failing check, or the exception a suite raises, so a
+defect localizes to the module whose suite goes red.
 
 ``inject_fault="phi"`` deliberately perturbs one phi-table entry for the
 duration of the run (test mode for the localization story itself); the
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -60,28 +63,13 @@ class SuiteResult:
     detail: str
 
 
-class _Suite:
-    def __init__(self, name: str):
-        self.name = name
-        self.checks = 0
-        self.first_failure: str | None = None
-
-    def check(self, condition: bool, detail: str) -> None:
-        self.checks += 1
-        if not condition and self.first_failure is None:
-            self.first_failure = detail
-
-    def result(self) -> SuiteResult:
-        if self.first_failure is None:
-            return SuiteResult(self.name, True, f"{self.checks} checks")
-        return SuiteResult(self.name, False, self.first_failure)
+_Checks = Iterator[tuple[bool, str]]  # one (passed, detail) pair per check
 
 
 def _supported_params(n_max: int):
     for n in range(3, n_max + 1):
         for s in (1, 2, 3):
-            if s <= n:
-                yield n, s
+            yield n, s
 
 
 def _neighbours(n: int, s: int) -> np.ndarray:
@@ -99,43 +87,37 @@ def _neighbours(n: int, s: int) -> np.ndarray:
     ])
 
 
-def _graphs_suite(n_max: int) -> SuiteResult:
-    suite = _Suite("graphs")
+def _graphs_suite(n_max: int) -> _Checks:
     for n, s in _supported_params(n_max):
         g = build_graph(n, s)
         # rotation is an automorphism, so the rows from (1, 1) and (2, 1) are the metric
         d = g.rows.reshape(2, 2 * n)
-        suite.check(
-            int(d.max()) == g.diameter == (n + 3 - s) // 2,
-            f"diameter of Z({n},{s}) is {int(d.max())}, closed form says {(n + 3 - s) // 2}",
-        )
-        suite.check(bool(((d == 1).sum(axis=1) == 2 + s).all()),
-                    f"Z({n},{s}) has a vertex of degree != {2 + s}")
+        yield (int(d.max()) == g.diameter == (n + 3 - s) // 2,
+               f"diameter of Z({n},{s}) is {int(d.max())}, closed form says {(n + 3 - s) // 2}")
+        yield (bool(((d == 1).sum(axis=1) == 2 + s).all()),
+               f"Z({n},{s}) has a vertex of degree != {2 + s}")
         # Bellman equations of the defined edges from both sources: their only
         # solution is the hop metric of the undirected edge rule, hence a metric
         source = np.arange(2 * n) == np.array([[0], [n]])
         bellman = np.where(source, 0, 1 + d[:, _neighbours(n, s)].min(axis=2))
-        suite.check(bool((d == bellman).all()),
-                    f"distance matrix of Z({n},{s}) is not the hop metric of its edges")
+        yield (bool((d == bellman).all()),
+               f"distance matrix of Z({n},{s}) is not the hop metric of its edges")
         pos = np.arange(n)
         ring = np.minimum(pos, n - pos)
         for which in (1, 2):  # principal cycle `which`, in cycle order
-            suite.check(bool((d[which - 1, (which - 1) * n:which * n] == ring).all()),
-                        f"principal cycle {which} of Z({n},{s}) not distance-true")
+            yield (bool((d[which - 1, (which - 1) * n:which * n] == ring).all()),
+                   f"principal cycle {which} of Z({n},{s}) not distance-true")
         sc = standard_cycle(g)
-        suite.check(len(sc) == n + 3 - s and sc[0] == Vertex(1, 1),
-                    f"standard cycle of Z({n},{s}) has length {len(sc)} and starts at {sc[0]}")
+        yield (len(sc) == n + 3 - s and sc[0] == Vertex(1, 1),
+               f"standard cycle of Z({n},{s}) has length {len(sc)} and starts at {sc[0]}")
         index = np.array([g.index(v) for v in sc])
         steps = _hops(g, index, np.roll(index, -1))
-        suite.check(len(set(sc)) == len(sc) and bool((steps == 1).all()),
-                    f"standard cycle of Z({n},{s}) is not a simple cycle of the graph")
-        suite.check(is_v_tight(g, sc, Vertex(1, 1)),
-                    f"standard cycle of Z({n},{s}) not tight at (1,1)")
-    return suite.result()
+        yield (len(set(sc)) == len(sc) and bool((steps == 1).all()),
+               f"standard cycle of Z({n},{s}) is not a simple cycle of the graph")
+        yield (is_v_tight(g, sc, Vertex(1, 1)), f"standard cycle of Z({n},{s}) not tight at (1,1)")
 
 
-def _bounds_suite(n_max: int) -> SuiteResult:
-    suite = _Suite("bounds")
+def _bounds_suite(n_max: int) -> _Checks:
     # the table against the graph's own pair gap; the sweep reaches n = 40 whatever
     # n_max is, so a fault in any table cell (the injected one sits at n = 6) shows
     for n, s in _supported_params(max(n_max, 40)):
@@ -143,28 +125,24 @@ def _bounds_suite(n_max: int) -> SuiteResult:
             continue
         g = build_graph(n, s)
         step, gap = phi(n, s), pair_gap(g)
-        suite.check(step == gap,
-                    f"phi table disagrees with the pair gap of the metric at (n={n}, s={s}): "
-                    f"{step} vs {gap}")
-        suite.check(2 * step >= g.diameter, f"2*phi < diam at (n={n}, s={s})")
+        yield (step == gap,
+               f"phi table disagrees with the pair gap of the metric at (n={n}, s={s}): "
+               f"{step} vs {gap}")
+        yield (2 * step >= g.diameter, f"2*phi < diam at (n={n}, s={s})")
         if case_select(n, s) is CaseId.CASE1:
             w = omega(n)
-            suite.check(step + w >= g.diameter + 1,
-                        f"phi + omega < diam + 1 at (n={n}, s={s})")
+            yield (step + w >= g.diameter + 1, f"phi + omega < diam + 1 at (n={n}, s={s})")
             slack = 1 if (n - s) % 2 == 0 else 2
-            suite.check(step - w >= slack, f"phi - omega < {slack} at (n={n}, s={s})")
+            yield (step - w >= slack, f"phi - omega < {slack} at (n={n}, s={s})")
     for n, s in _supported_params(n_max):
         g = build_graph(n, s)
-        suite.check(int(g.rows[0, 1, d_offset(n, s) % n]) == g.diameter,
-                    f"d_offset does not realize the diameter on Z({n},{s})")
+        yield (int(g.rows[0, 1, d_offset(n, s) % n]) == g.diameter,
+               f"d_offset does not realize the diameter on Z({n},{s})")
         if n <= 16:
-            suite.check(check_triple_bound(g),
-                        f"triple-distance budget exceeded in Z({n},{s})")
-    return suite.result()
+            yield (check_triple_bound(g), f"triple-distance budget exceeded in Z({n},{s})")
 
 
-def _labeling_suite(n_max: int) -> SuiteResult:
-    suite = _Suite("labeling")
+def _labeling_suite(n_max: int) -> _Checks:
     for n, s in _supported_params(n_max):
         case = case_select(n, s)
         if case is CaseId.UNSUPPORTED:
@@ -172,44 +150,37 @@ def _labeling_suite(n_max: int) -> SuiteResult:
         g = build_graph(n, s)
         lab = construct_labeling(n, s)
         report = verify(g, lab)
-        suite.check(report.valid,
-                    f"constructed labeling of Z({n},{s}) is invalid: {report.violations[:1]}")
+        yield (report.valid,
+               f"constructed labeling of Z({n},{s}) is invalid: {report.violations[:1]}")
         rn = radio_number(n, s)[0]
-        suite.check(int(lab.labels.min()) == 1 and lab.span == rn,
-                    f"labels of Z({n},{s}) do not run from 1 to rn = {rn}")
+        yield (int(lab.labels.min()) == 1 and lab.span == rn,
+               f"labels of Z({n},{s}) do not run from 1 to rn = {rn}")
         if case is CaseId.SPECIAL:
             continue
         index = label_order(n, s)
-        suite.check(np.array_equal(np.sort(index), np.arange(2 * n)),
-                    f"label order of Z({n},{s}) is not a bijection onto the vertex indices")
-        suite.check(bool((_hops(g, index[0::2], index[1::2]) == g.diameter).all()),
-                    f"consecutive sorted pair not at diameter distance in Z({n},{s})")
+        yield (np.array_equal(np.sort(index), np.arange(2 * n)),
+               f"label order of Z({n},{s}) is not a bijection onto the vertex indices")
+        yield (bool((_hops(g, index[0::2], index[1::2]) == g.diameter).all()),
+               f"consecutive sorted pair not at diameter distance in Z({n},{s})")
         seq, step = label_sequence(n, s), phi(n, s)
-        suite.check(bool((seq[4:] - seq[:-4] >= 2 * step).all()),
-                    f"window property fails for Z({n},{s})")
-    return suite.result()
+        yield (bool((seq[4:] - seq[:-4] >= 2 * step).all()),
+               f"window property fails for Z({n},{s})")
 
 
-def _verification_suite(n_max: int) -> SuiteResult:
-    suite = _Suite("verification")
+def _verification_suite(n_max: int) -> _Checks:
     for n, s in [(5, 1), (8, 2), (min(n_max, 12), 3)]:
-        if case_select(n, s) is CaseId.UNSUPPORTED:
-            continue
         g = build_graph(n, s)
         lab = construct_labeling(n, s)
         shifted = Labeling.from_labels(n, s, lab.labels + 7)
-        suite.check(verify(g, shifted).valid,
-                    f"label translation broke validity on Z({n},{s})")
+        yield (verify(g, shifted).valid, f"label translation broke validity on Z({n},{s})")
         broken = lab.labels.copy()
         broken[0] = broken[1]  # duplicate one label
         report = verify(g, Labeling.from_labels(n, s, broken))
-        suite.check(not report.valid and any(w.label_gap == 0 for w in report.violations),
-                    f"duplicate label not flagged on Z({n},{s})")
-    return suite.result()
+        yield (not report.valid and any(w.label_gap == 0 for w in report.violations),
+               f"duplicate label not flagged on Z({n},{s})")
 
 
-def _exact_suite(n_max: int) -> SuiteResult:
-    suite = _Suite("exact")
+def _exact_suite(n_max: int) -> _Checks:
     # the witness of a special graph cannot certify its own span: search proves it
     for n, s in sorted([(4, 1), (4, 2), *_bounds._SPECIAL_LABELS]):
         if n > n_max:
@@ -217,11 +188,10 @@ def _exact_suite(n_max: int) -> SuiteResult:
         expected = radio_number(n, s)[0]
         g = build_graph(n, s)
         res = exact_radio_number(g)
-        suite.check(res.rn == expected and res.proven_optimal,
-                    f"exact search on Z({n},{s}) returned {res.rn}, expected {expected}")
-        suite.check(verify(g, res.witness).valid and res.witness.span == res.rn,
-                    f"exact witness for Z({n},{s}) does not verify")
-    return suite.result()
+        yield (res.rn == expected and res.proven_optimal,
+               f"exact search on Z({n},{s}) returned {res.rn}, expected {expected}")
+        yield (verify(g, res.witness).valid and res.witness.span == res.rn,
+               f"exact witness for Z({n},{s}) does not verify")
 
 
 # run in this order by run_selftest; the acceptance tests call them one by one
@@ -238,12 +208,22 @@ def _injected_phi_fault():
 
 
 def _run_suite(suite, n_max: int) -> SuiteResult:
-    """A suite's result; one that raises fails with the exception as its detail."""
+    """Run one suite: "N checks" if all pass, else its first failing detail.
+
+    A suite that raises fails with "<Type>: <message>" as its detail.
+    """
+    name = suite.__name__.removeprefix("_").removesuffix("_suite")
+    checks, first_failure = 0, None
     try:
-        return suite(n_max)
+        for passed, detail in suite(n_max):
+            checks += 1
+            if not passed and first_failure is None:
+                first_failure = detail
     except Exception as e:
-        name = suite.__name__.removeprefix("_").removesuffix("_suite")
         return SuiteResult(name, False, f"{type(e).__name__}: {e}")
+    if first_failure is None:
+        return SuiteResult(name, True, f"{checks} checks")
+    return SuiteResult(name, False, first_failure)
 
 
 def run_selftest(n_max: int = 20, inject_fault: str | None = None) -> list[SuiteResult]:

@@ -72,7 +72,7 @@ def all_pairs_distances(n: int, s: int) -> np.ndarray:
 def graph_of(dist: np.ndarray, s: int) -> PrismGraph:
     """A PrismGraph with the rows of a rotation-invariant ``dist``, for any s."""
     n = len(dist) // 2
-    return PrismGraph(n, s, dist[[0, n]].reshape(2, 2, n), int(dist.max()))
+    return PrismGraph(n, s, dist[[0, n]].reshape(2, 2, n))
 
 
 def swap_orbit_is_everything(dist: np.ndarray) -> bool:

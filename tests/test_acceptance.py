@@ -19,12 +19,12 @@ from prismradio import (
     lower_bound_rn,
     verify,
 )
-from prismradio.selftest import _bounds_suite, _graphs_suite, _labeling_suite
+from prismradio.selftest import _bounds_suite, _graphs_suite, _labeling_suite, _run_suite
 
 
 def assert_suite_passes(suite, n_max: int) -> None:
     """Run one selftest suite, the registry of the invariant, up to n_max."""
-    result = suite(n_max)
+    result = _run_suite(suite, n_max)
     assert result.passed, f"{result.name} suite at n_max={n_max}: {result.detail}"
 
 

@@ -404,12 +404,32 @@ def test_table_bad_range(capsys):
     code, _, err = run(capsys, "table", "--n-min", "9", "--n-max", "4")
     assert code == 2
     assert "exceeds" in err
+    # no graph has n < 3, so such a range is refused, not printed empty
+    for n_min, n_max in [("0", "0"), ("1", "3"), ("2", "2")]:
+        code, out, err = run(capsys, "table", "--n-min", n_min, "--n-max", n_max)
+        assert (code, out) == (2, ""), (n_min, n_max)
+        assert "--n-min must be at least 3" in err
 
 
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest", "--n-max", "10")
     assert code == 0
     assert "5/5 suites passed" in out
+
+
+@pytest.mark.parametrize("n_max, counts", [
+    ("3", (24, 380, 2, 6, 2)),
+    ("20", (432, 470, 254, 6, 8)),
+    ("60", (1392, 794, 854, 6, 8)),
+])
+def test_selftest_check_counts(capsys, n_max, counts):
+    code, out, _ = run(capsys, "selftest", "--n-max", n_max)
+    assert code == 0
+    names = ("graphs", "bounds", "labeling", "verification", "exact")
+    assert out.splitlines() == [
+        *(f"{name}: PASS ({k} checks)" for name, k in zip(names, counts)),
+        "5/5 suites passed",
+    ]
 
 
 @pytest.mark.parametrize("n_max", ["4", "10"])
@@ -422,6 +442,9 @@ def test_selftest_fault_localizes_to_bounds(capsys, n_max):
     assert len(failing) == 1
     assert failing[0].startswith("bounds:")
     assert "phi table disagrees" in failing[0]
+    # the first failing check is the one reported
+    assert failing[0] == ("bounds: FAIL (phi table disagrees with the pair gap of the "
+                          "metric at (n=6, s=1): 5 vs 4)")
 
 
 def test_selftest_suite_that_raises_fails_alone(capsys, monkeypatch):

@@ -156,6 +156,13 @@ def test_distance_rejects_unknown_vertex():
         g.distance(Vertex(1, 1), Vertex(1, 10))
     with pytest.raises(ValueError, match="unknown vertex"):
         g.distance(Vertex(3, 1), Vertex(1, 1))
+    # coordinates are plain ints, as Labeling requires: not 1.0, not True
+    for v in (Vertex(1, 1.0), Vertex(True, 1)):
+        assert not g.contains(v)
+        with pytest.raises(ValueError, match="unknown vertex"):
+            g.distance(v, Vertex(1, 1))
+        with pytest.raises(ValueError, match="unknown vertex"):
+            g.distance(Vertex(1, 1), v)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])

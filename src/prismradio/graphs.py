@@ -28,7 +28,9 @@ The dense 2n x 2n matrix ``PrismGraph.dist`` is derived from them on each
 access and not kept; no library code reads it.  It stays only because the
 benchmark's tracing and tests read it, and goes once they count and compare
 the rows instead.  Built graphs are immutable and safe to share across
-threads.  ``build_graph`` memoizes instances keyed on (n, s).
+threads.  ``build_graph`` memoizes the last 128 instances keyed on (n, s);
+``selftest.run_selftest`` sweeps more graphs than that and keeps a memo of
+its own for the run.
 
 A cycle is a plain tuple of vertices.  ``standard_cycle`` gives the cycle
 the paper's lower bound works on, and ``is_v_tight`` tells whether going

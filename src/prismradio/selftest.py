@@ -13,7 +13,11 @@ constructions against the pair-by-pair verifier, and the exact solver
 against formula values on tiny instances.  A suite yields one ``(passed,
 detail)`` pair per check, and ``_run_suite`` names, counts and guards them:
 it reports the first failing check, or the exception a suite raises, so a
-defect localizes to the module whose suite goes red.
+defect localizes to the module whose suite goes red.  ``run_selftest`` hands
+every suite one memo of ``build_graph`` made for the run, so each graph of
+the sweep is built once however many suites read it (``build_graph``'s own
+cache of 128 graphs is smaller than the sweep from n_max = 45 on), and the
+memo is dropped when the run returns.
 
 ``inject_fault="phi"`` deliberately perturbs one phi-table entry for the
 duration of the run (test mode for the localization story itself); the
@@ -24,7 +28,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cache
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -39,7 +44,7 @@ from .bounds import (
     radio_number,
 )
 from .exact import exact_radio_number
-from .graphs import Vertex, _hops, build_graph, is_v_tight, standard_cycle
+from .graphs import PrismGraph, Vertex, _hops, build_graph, is_v_tight, standard_cycle
 from .labeling import (
     CaseId,
     Labeling,
@@ -64,6 +69,7 @@ class SuiteResult:
 
 
 _Checks = Iterator[tuple[bool, str]]  # one (passed, detail) pair per check
+_Graphs = Callable[[int, int], PrismGraph]  # (n, s) -> Z(n, s), as build_graph
 
 
 def _supported_params(n_max: int):
@@ -87,9 +93,9 @@ def _neighbours(n: int, s: int) -> np.ndarray:
     ])
 
 
-def _graphs_suite(n_max: int) -> _Checks:
+def _graphs_suite(n_max: int, graph: _Graphs) -> _Checks:
     for n, s in _supported_params(n_max):
-        g = build_graph(n, s)
+        g = graph(n, s)
         # rotation is an automorphism, so the rows from (1, 1) and (2, 1) are the metric
         d = g.rows.reshape(2, 2 * n)
         yield (int(d.max()) == g.diameter == (n + 3 - s) // 2,
@@ -117,13 +123,13 @@ def _graphs_suite(n_max: int) -> _Checks:
         yield (is_v_tight(g, sc, Vertex(1, 1)), f"standard cycle of Z({n},{s}) not tight at (1,1)")
 
 
-def _bounds_suite(n_max: int) -> _Checks:
+def _bounds_suite(n_max: int, graph: _Graphs) -> _Checks:
     # the table against the graph's own pair gap; the sweep reaches n = 40 whatever
     # n_max is, so a fault in any table cell (the injected one sits at n = 6) shows
     for n, s in _supported_params(max(n_max, 40)):
         if not in_phi_scope(n, s):
             continue
-        g = build_graph(n, s)
+        g = graph(n, s)
         step, gap = phi(n, s), pair_gap(g)
         yield (step == gap,
                f"phi table disagrees with the pair gap of the metric at (n={n}, s={s}): "
@@ -135,19 +141,19 @@ def _bounds_suite(n_max: int) -> _Checks:
             slack = 1 if (n - s) % 2 == 0 else 2
             yield (step - w >= slack, f"phi - omega < {slack} at (n={n}, s={s})")
     for n, s in _supported_params(n_max):
-        g = build_graph(n, s)
+        g = graph(n, s)
         yield (int(g.rows[0, 1, d_offset(n, s) % n]) == g.diameter,
                f"d_offset does not realize the diameter on Z({n},{s})")
         if n <= 16:
             yield (check_triple_bound(g), f"triple-distance budget exceeded in Z({n},{s})")
 
 
-def _labeling_suite(n_max: int) -> _Checks:
+def _labeling_suite(n_max: int, graph: _Graphs) -> _Checks:
     for n, s in _supported_params(n_max):
         case = case_select(n, s)
         if case is CaseId.UNSUPPORTED:
             continue
-        g = build_graph(n, s)
+        g = graph(n, s)
         lab = construct_labeling(n, s)
         report = verify(g, lab)
         yield (report.valid,
@@ -167,9 +173,9 @@ def _labeling_suite(n_max: int) -> _Checks:
                f"window property fails for Z({n},{s})")
 
 
-def _verification_suite(n_max: int) -> _Checks:
+def _verification_suite(n_max: int, graph: _Graphs) -> _Checks:
     for n, s in [(5, 1), (8, 2), (min(n_max, 12), 3)]:
-        g = build_graph(n, s)
+        g = graph(n, s)
         lab = construct_labeling(n, s)
         shifted = Labeling.from_labels(n, s, lab.labels + 7)
         yield (verify(g, shifted).valid, f"label translation broke validity on Z({n},{s})")
@@ -180,13 +186,13 @@ def _verification_suite(n_max: int) -> _Checks:
                f"duplicate label not flagged on Z({n},{s})")
 
 
-def _exact_suite(n_max: int) -> _Checks:
+def _exact_suite(n_max: int, graph: _Graphs) -> _Checks:
     # the witness of a special graph cannot certify its own span: search proves it
     for n, s in sorted([(4, 1), (4, 2), *_bounds._SPECIAL_LABELS]):
         if n > n_max:
             continue
         expected = radio_number(n, s)[0]
-        g = build_graph(n, s)
+        g = graph(n, s)
         res = exact_radio_number(g)
         yield (res.rn == expected and res.proven_optimal,
                f"exact search on Z({n},{s}) returned {res.rn}, expected {expected}")
@@ -207,15 +213,17 @@ def _injected_phi_fault():
         _bounds._PHI_STEP[_FAULT_KEY] -= 1
 
 
-def _run_suite(suite, n_max: int) -> SuiteResult:
+def _run_suite(suite, n_max: int, graph: _Graphs | None = None) -> SuiteResult:
     """Run one suite: "N checks" if all pass, else its first failing detail.
 
-    A suite that raises fails with "<Type>: <message>" as its detail.
+    The suite reads its graphs from ``graph(n, s)``, by default a memo of
+    ``build_graph`` of its own.  A suite that raises fails with
+    "<Type>: <message>" as its detail.
     """
     name = suite.__name__.removeprefix("_").removesuffix("_suite")
     checks, first_failure = 0, None
     try:
-        for passed, detail in suite(n_max):
+        for passed, detail in suite(n_max, graph or cache(build_graph)):
             checks += 1
             if not passed and first_failure is None:
                 first_failure = detail
@@ -230,12 +238,15 @@ def run_selftest(n_max: int = 20, inject_fault: str | None = None) -> list[Suite
     """Run all suites up to n_max and return their results in module order.
 
     A suite that raises fails with "<Type>: <message>" and the rest still
-    run, so a crash localizes like a failed check.
+    run, so a crash localizes like a failed check.  The suites share one
+    memo of ``build_graph`` for the run.
     """
     if n_max < 3:
         raise ValueError(f"selftest needs n_max >= 3, got {n_max}")
     if inject_fault not in (None, "phi"):
         raise ValueError(f"unknown fault kind: {inject_fault!r}")
 
+    # wraps build_graph as it is at call time, so a builder swapped in is used
+    graph = cache(build_graph)
     with _injected_phi_fault() if inject_fault == "phi" else nullcontext():
-        return [_run_suite(suite, n_max) for suite in _SUITES]
+        return [_run_suite(suite, n_max, graph) for suite in _SUITES]

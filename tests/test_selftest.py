@@ -1,0 +1,49 @@
+"""One selftest run builds each graph of its sweep once, through one memo."""
+
+from collections import Counter
+from itertools import product
+
+import pytest
+
+from prismradio import selftest
+from prismradio.bounds import in_phi_scope
+from prismradio.selftest import run_selftest
+
+
+def _sweep(n_max: int) -> set[tuple[int, int]]:
+    """Every (n, s) a run reads: all up to n_max, and the phi scope up to 40."""
+    every = product(range(3, max(n_max, 40) + 1), (1, 2, 3))
+    return {(n, s) for n, s in every if n <= n_max or in_phi_scope(n, s)}
+
+
+@pytest.mark.parametrize("n_max", [10, 45])
+def test_each_graph_is_built_once_per_run(monkeypatch, n_max):
+    # n_max = 45 sweeps 129 graphs, one more than build_graph's own cache holds
+    build, builds = selftest.build_graph, Counter()
+
+    def counting(n, s):
+        builds[n, s] += 1
+        return build(n, s)
+
+    monkeypatch.setattr(selftest, "build_graph", counting)
+    results = run_selftest(n_max=n_max)
+    assert [r.passed for r in results] == [True] * 5
+    assert set(builds) == _sweep(n_max)
+    assert set(builds.values()) == {1}
+
+
+def test_a_failing_build_fails_each_suite_that_reads_it(monkeypatch):
+    # the memo stores no exception, so every suite that asks for Z(7,2) sees it
+    build = selftest.build_graph
+
+    def failing(n, s):
+        if (n, s) == (7, 2):
+            raise ValueError("no Z(7,2) today")
+        return build(n, s)
+
+    monkeypatch.setattr(selftest, "build_graph", failing)
+    results = {r.name: (r.passed, r.detail) for r in run_selftest(n_max=10)}
+    failed = (False, "ValueError: no Z(7,2) today")
+    assert results["graphs"] == results["bounds"] == results["labeling"] == failed
+    assert results["verification"] == (True, "6 checks")
+    assert results["exact"] == (True, "8 checks")

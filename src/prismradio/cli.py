@@ -251,7 +251,7 @@ def _labeled_vertices(lab: Labeling, fmt: str, sep: str) -> Iterator[str]:
 
 
 def _edge_lines(g: PrismGraph) -> Iterator[str]:
-    """The DOT edge lines of g in ``edges()`` order, ``_CHUNK`` edges per piece."""
+    """The DOT edge lines of g in ``edge_indices()`` order, ``_CHUNK`` edges per piece."""
     ii, jj = g.edge_indices()
     for k in range(0, ii.size, _CHUNK):
         i, j = ii[k:k + _CHUNK], jj[k:k + _CHUNK]

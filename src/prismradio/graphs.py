@@ -9,8 +9,9 @@ joined to (2, i + d) for the s consecutive offsets
 
 So s = 1 gives the ordinary prism ladder rungs, s = 2 adds one diagonal per
 rung, and s = 3 adds diagonals on both sides.  Supported parameters are
-n >= 3 and 1 <= s <= min(3, n); every vertex then has degree 2 + s, and the
-diameter is floor((n + 3 - s) / 2), which is asserted when a graph is built.
+plain ints n >= 3 and 1 <= s <= min(3, n); every vertex then has degree
+2 + s, and the diameter is floor((n + 3 - s) / 2), which is asserted when a
+graph is built.
 
 A Vertex holds plain int coordinates already in range; lookups reject any
 other (``PrismGraph.index``) rather than wrap or coerce them.
@@ -28,7 +29,9 @@ The dense 2n x 2n matrix ``PrismGraph.dist`` is derived from them on each
 access and not kept; no library code reads it.  It stays only because the
 benchmark's tracing and tests read it, and goes once they count and compare
 the rows instead.  Built graphs are immutable and safe to share across
-threads.  ``build_graph`` memoizes the last 128 instances keyed on (n, s);
+threads.  ``build_graph`` memoizes the last 128 instances in a typed cache
+keyed on (n, s), so a float or bool argument meets the parameter check
+rather than the entry of an equal int;
 ``selftest.run_selftest`` sweeps more graphs than that and keeps a memo of
 its own for the run.
 
@@ -65,7 +68,7 @@ class Vertex(NamedTuple):
 
 
 def _validate_params(n: int, s: int) -> None:
-    if not (isinstance(n, int) and isinstance(s, int)):
+    if not (type(n) is int and type(s) is int):  # exact: bool is an int subclass
         raise ValueError(f"unsupported graph parameters: n={n!r}, s={s!r} (integers required)")
     if n < 3 or s < 1 or s > 3 or s > n:
         raise ValueError(
@@ -135,23 +138,8 @@ class PrismGraph:
             for p in range(1, self.n + 1):
                 yield Vertex(c, p)
 
-    def neighbors(self, v: Vertex) -> list[Vertex]:
-        """Adjacent vertices in (cycle, position) lexicographic order."""
-        i = self.index(v)
-        c, p = divmod(i, self.n)
-        out = []
-        for c2 in (0, 1):
-            ks = np.flatnonzero(self.rows[c, c2] == 1)
-            out += [Vertex(c2 + 1, int(q) + 1) for q in np.sort((p + ks) % self.n)]
-        return out
-
-    def edges(self) -> list[tuple[Vertex, Vertex]]:
-        """Each edge once, endpoint indices ascending, sorted by index pair."""
-        ii, jj = self.edge_indices()
-        return [(self.vertex_at(i), self.vertex_at(j)) for i, j in zip(ii.tolist(), jj.tolist())]
-
     def edge_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """The endpoint index arrays of ``edges()``: edge t joins ii[t] < jj[t]."""
+        """Each edge once, as index arrays: edge t joins ii[t] < jj[t], sorted by (ii, jj)."""
         n = self.n
         pos = np.arange(n)
         ii, jj = [], []
@@ -170,7 +158,7 @@ class PrismGraph:
         return int(_hops(self, self.index(u), self.index(v)))
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def build_graph(n: int, s: int) -> PrismGraph:
     """Construct Z(n, s) and its distance rows from (1, 1) and (2, 1).
 

@@ -348,10 +348,11 @@ def label_lines(g: PrismGraph, lab, fmt: str) -> list[str]:
     if fmt == "csv":
         return ["cycle,pos,label"] + [f"{v.cycle},{v.position},{c}" for v, c in items]
     if fmt == "dot":
+        ii, jj = (a.tolist() for a in g.edge_indices())
         return ([f"graph Z_{g.n}_{g.s} {{"]
                 + [f'  c{v.cycle}_p{v.position} [label="{c}"];' for v, c in items]
                 + [f"  c{u.cycle}_p{u.position} -- c{v.cycle}_p{v.position};"
-                   for u, v in g.edges()]
+                   for u, v in zip(map(g.vertex_at, ii), map(g.vertex_at, jj))]
                 + ["}"])
     return ([f"Z({g.n},{g.s}): diameter {g.diameter}, span {lab.span}"]
             + [f"({v.cycle},{v.position}) {c}" for v, c in items])

@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -42,3 +43,10 @@ def test_library_modules_are_the_expected_ones():
 )
 def test_removed_names_stay_removed(name):
     assert not hasattr(prismradio, name)
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert prismradio.__version__ == tomllib.load(fh)["project"]["version"]

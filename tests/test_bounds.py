@@ -13,6 +13,7 @@ from prismradio import (
     phi,
     triple_bound_violations,
 )
+from prismradio.selftest import run_selftest
 from reference import (
     all_pairs_distances,
     bicirculant_distances,
@@ -66,6 +67,17 @@ def test_omega_rejects_multiples_of_four():
     for n in (4, 8, 12):
         with pytest.raises(ValueError, match="case-1 only"):
             omega(n)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: d_offset(5, 4), r"outside theorem scope: s=4 \(need s in \{1, 2, 3\}\)"),
+    (lambda: d_offset(2, 1), r"outside theorem scope: n=2 \(need n >= 3\)"),
+    (lambda: omega(3), r"case-1 only: omega needs n >= 5, got n=3"),
+    (lambda: run_selftest(inject_fault="x"), r"unknown fault kind: 'x'"),
+], ids=["d_offset s=4", "d_offset n=2", "omega n=3", "selftest fault x"])
+def test_domain_errors_name_their_rule(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_triple_bound_exemption_is_needed_for_s3():

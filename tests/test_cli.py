@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prismradio import build_graph, cli, construct_labeling, exact_radio_number
+from prismradio import (ExactResult, Labeling, build_graph, cli, construct_labeling,
+                        exact_radio_number, radio_number)
 from prismradio.cli import main
 from reference import (label_lines, labeling_by_json_load, labeling_document,
                        labels_from_document)
@@ -240,6 +241,64 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     assert code == 3
     assert err.startswith("internal error: KeyError") and err.count("\n") == 1
     assert "Traceback" not in err and out == ""
+
+
+def _index_order_labeling(n, s):
+    """Labels 1..2n in vertex-index order: far from radio on Z(8, 2) (29 violations)."""
+    return Labeling(n=n, s=s, assignment={v: i + 1 for i, v in
+                                          enumerate(build_graph(n, s).vertices())})
+
+
+def test_verify_text_lists_twenty_violations_then_counts_the_rest(capsys, tmp_path):
+    lab = _index_order_labeling(8, 2)
+    path = tmp_path / "index_order.json"
+    path.write_text(json.dumps(labeling_document(build_graph(8, 2), lab)))
+    code, out, _ = run(capsys, "verify", "--file", str(path))
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[0] == "INVALID: 29 violations (span=16, pairs_checked=120)"
+    assert len(lines) == 22 and all(" -- " in line for line in lines[1:21])
+    assert lines[21] == "  ... and 9 more"
+
+
+def test_verify_file_with_an_array_at_the_top_is_bad_input(capsys, tmp_path):
+    path = tmp_path / "array.json"
+    path.write_text("[1, 2]")
+    code, out, err = run(capsys, "verify", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: malformed labeling file: top level must be an object\n"
+
+
+def test_label_exits_3_when_its_construction_fails_verification(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "construct_labeling", _index_order_labeling)
+    code, out, err = run(capsys, "label", "--n", "8", "--s", "2")
+    assert (code, out) == (3, "")
+    assert err == ("internal inconsistency: constructed labeling of Z(8,2) "
+                   "failed verification (29 violations)\n")
+
+
+def test_exact_exits_3_when_its_witness_fails_verification(capsys, monkeypatch):
+    def unverified(g, budget):
+        return ExactResult(rn=16, witness=_index_order_labeling(g.n, g.s),
+                           nodes_explored=0, proven_optimal=True)
+
+    monkeypatch.setattr(cli, "exact_radio_number", unverified)
+    code, out, err = run(capsys, "exact", "--n", "8", "--s", "2")
+    assert (code, out) == (3, "")
+    assert err == "internal inconsistency: exact witness failed verification\n"
+
+
+def test_table_exits_3_when_a_row_does_not_match(capsys, monkeypatch):
+    def one_too_many(n, s):
+        value, method = radio_number(n, s)
+        return value + (s == 2), method
+
+    monkeypatch.setattr(cli, "radio_number", one_too_many)
+    code, out, _ = run(capsys, "table", "--n-min", "8", "--n-max", "8")
+    assert code == 3
+    assert out.splitlines()[1:] == ["   8  1    4     30     30    yes ",
+                                    "   8  2    3     24     23     NO ",
+                                    "   8  3    4     30     30    yes "]
 
 
 class _ClosedPipe(io.StringIO):

@@ -3,12 +3,17 @@ import pytest
 
 import prismradio
 from prismradio import (
+    Labeling,
+    PrismGraph,
     Vertex,
     build_graph,
+    case_select,
     check_triple_bound,
+    construct_labeling,
     exact_radio_number,
     is_v_tight,
     pair_gap,
+    radio_number,
     standard_cycle,
 )
 from prismradio.selftest import run_selftest
@@ -24,8 +29,8 @@ def test_build_graph_rejects_bad_params(n, s):
 @pytest.mark.parametrize("n,s", [(3, 1), (3, 3), (4, 2), (7, 3), (10, 1), (12, 2)])
 def test_every_vertex_has_degree_two_plus_s(n, s):
     g = build_graph(n, s)
-    for v in g.vertices():
-        assert len(g.neighbors(v)) == 2 + s
+    degree = np.bincount(np.concatenate(g.edge_indices()), minlength=2 * n)
+    assert (degree == 2 + s).all()
 
 
 def test_known_distances():
@@ -86,7 +91,7 @@ def test_edge_count():
     # 2n ring edges plus s*n cross edges, all distinct for n >= 3
     for n, s in [(8, 1), (8, 2), (8, 3), (3, 3), (4, 3)]:
         g = build_graph(n, s)
-        assert len(g.edges()) == 2 * n + s * n
+        assert g.edge_indices()[0].size == 2 * n + s * n
 
 
 def test_standard_cycle_s1_route():
@@ -132,6 +137,32 @@ def test_library_leaves_dense_matrix_unbuilt(monkeypatch, reader):
 
 def test_build_graph_memoizes():
     assert build_graph(12, 2) is build_graph(12, 2)
+
+
+_NOT_INTS = {
+    "build_graph float n": lambda: build_graph(5.0, 1),
+    "build_graph bool s": lambda: build_graph(6, True),
+    "radio_number bool s": lambda: radio_number(6, True),
+    "case_select bool s": lambda: case_select(6, True),
+    "Labeling bool s": lambda: Labeling(n=6, s=True,
+                                        assignment=construct_labeling(6, 1).assignment),
+}
+
+
+@pytest.mark.parametrize("call", list(_NOT_INTS))
+def test_parameters_are_checked_before_the_cache_answers(call):
+    # equal keys hash alike, so an untyped cache would answer 5.0 with Z(5,1)
+    # and 6, True with Z(6,1), and a cold one would cache s=True for (6, 1)
+    build_graph(5, 1), build_graph(6, 1)
+    with pytest.raises(ValueError, match=r"unsupported graph parameters.*\(integers required\)"):
+        _NOT_INTS[call]()
+    assert type(build_graph(6, 1).s) is int
+
+
+@pytest.mark.parametrize("name", ["neighbors", "edges"])
+def test_removed_graph_methods_stay_removed(name):
+    # edge_indices is the one reader of adjacency
+    assert not hasattr(PrismGraph, name)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])

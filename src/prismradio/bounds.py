@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import PrismGraph, Vertex, _validate_params
+from .graphs import PrismGraph, Vertex, _require_ints, _validate_params
 
 __all__ = [
     "in_phi_scope",
@@ -62,12 +62,14 @@ _PHI_STEP: dict[tuple[int, int], int] = {
 
 
 def in_phi_scope(n: int, s: int) -> bool:
-    """True iff the phi formula gives rn(Z(n, s))."""
-    return s in (1, 2, 3) and n >= 4 and (n, s) not in _SPECIAL_LABELS
+    """True iff the phi formula gives rn(Z(n, s)); False for any but plain ints."""
+    return (type(n) is int and type(s) is int and s in (1, 2, 3) and n >= 4
+            and (n, s) not in _SPECIAL_LABELS)
 
 
 def phi(n: int, s: int) -> int:
     """Minimum gap between labels two apart in sorted order, table lookup."""
+    _require_ints(n, s)
     if not in_phi_scope(n, s):
         raise ValueError(f"outside theorem scope: no phi for (n, s) = ({n}, {s})")
     k, r = divmod(n, 4)
@@ -76,7 +78,7 @@ def phi(n: int, s: int) -> int:
 
 def lower_bound_rn(n: int, s: int) -> int:
     """(n - 1) * phi(n, s) + 2; met with equality by the construction."""
-    return (n - 1) * phi(n, s) + 2
+    return phi(n, s) * (n - 1) + 2  # phi first: its type check goes before n - 1
 
 
 def radio_number(n: int, s: int) -> tuple[int, str]:
@@ -131,6 +133,7 @@ def d_offset(n: int, s: int) -> int:
 
     d((1, y), (2, y + d_offset(n, s))) equals the diameter for every y.
     """
+    _require_ints(n, s)
     if s not in (1, 2, 3):
         raise ValueError(f"outside theorem scope: s={s} (need s in {{1, 2, 3}})")
     if n < 3:

@@ -7,8 +7,13 @@ table (formula vs construction sweep), selftest (invariant suites).
 Exit codes: 0 success / labeling valid, 1 labeling invalid, 2 bad input,
 3 internal inconsistency (a result failed its own audit, a selftest suite
 went red, or an unexpected exception, reported as one ``internal error:``
-line).  A reader that closes stdout early (``| head``) changes nothing:
-the rest of the output is dropped and the command exits with its own code.
+line).
+
+Each ``cmd_*`` only computes: it returns its exit code and its stdout in
+pieces, lazily for ``label`` and ``exact --format json``.  ``main`` is the
+one writer and the one place that handles a closed stdout: a reader that
+closes it early (``| head``) changes nothing, since the rest of the output
+is dropped and the command exits with its own code.
 
 The JSON labeling schema, shared by ``label --format json`` output and
 ``verify --file`` input, is::
@@ -43,6 +48,7 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import itertools
 import json
 import operator
 import os
@@ -73,24 +79,8 @@ EXIT_INVALID_LABELING = 1
 EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
 
-
-def _print(*args, **kwargs) -> bool:
-    """print() to stdout that outlives its reader: once the pipe is closed,
-    stdout is pointed at the null device, so no later write nor the flush at
-    exit meets it, and the command keeps the exit code it decided.  False
-    when the reader has gone."""
-    try:
-        print(*args, **kwargs)
-        return True
-    except BrokenPipeError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        try:
-            os.dup2(devnull, sys.stdout.fileno())
-        except (AttributeError, OSError, ValueError):  # no real file descriptor
-            sys.stdout = open(os.devnull, "w")
-        finally:
-            os.close(devnull)
-        return False
+# What a command returns: its exit code and its stdout in pieces, which main writes.
+Output = tuple[int, Iterable[str]]
 
 
 def labeling_from_dict(data: object) -> Labeling:
@@ -285,9 +275,31 @@ def _label_output(g: PrismGraph, lab: Labeling, fmt: str) -> Iterator[str]:
         yield "}\n"
 
 
+def _lines(lines: Iterable[object]) -> list[str]:
+    """The lines as one piece of output, each ended by a newline as print() ends it."""
+    return ["".join(f"{line}\n" for line in lines)]
+
+
 def _write(pieces: Iterable[str]) -> None:
-    """Print the pieces back to back, stopping once the reader has gone."""
-    all(_print(piece, end="") for piece in pieces)
+    """Write the pieces to stdout back to back and flush it.
+
+    Once the reader has gone, on a write or on the flush, stdout is pointed
+    at the null device, so neither a later write nor the flush at exit meets
+    the closed pipe, and the pieces not yet written are dropped, so lazy
+    output leaves them unformatted.
+    """
+    try:
+        for piece in pieces:
+            sys.stdout.write(piece)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):  # no real file descriptor
+            sys.stdout = open(os.devnull, "w")
+        finally:
+            os.close(devnull)
 
 
 def _parse_budget(text: str) -> float:
@@ -300,72 +312,60 @@ def _parse_budget(text: str) -> float:
     return value * scale[unit]
 
 
-def cmd_rn(args: argparse.Namespace) -> int:
+def cmd_rn(args: argparse.Namespace) -> Output:
     value, method = radio_number(args.n, args.s)
     if args.format == "json":
-        _print(json.dumps({"n": args.n, "s": args.s, "rn": value, "method": method}))
-    else:
-        _print(value)
-    return EXIT_OK
+        return EXIT_OK, _lines([json.dumps({"n": args.n, "s": args.s, "rn": value,
+                                            "method": method})])
+    return EXIT_OK, _lines([value])
 
 
-def cmd_label(args: argparse.Namespace) -> int:
+def cmd_label(args: argparse.Namespace) -> Output:
     lab = construct_labeling(args.n, args.s)
     g = build_graph(args.n, args.s)
     report = verify(g, lab)
     if not report.valid:
-        print(
-            f"internal inconsistency: constructed labeling of Z({args.n},{args.s}) "
-            f"failed verification ({len(report.violations)} violations)",
-            file=sys.stderr,
-        )
-        return EXIT_INTERNAL
-    _write(_label_output(g, lab, args.format))
-    return EXIT_OK
+        print(f"internal inconsistency: constructed labeling of Z({args.n},{args.s}) "
+              f"failed verification ({len(report.violations)} violations)", file=sys.stderr)
+        return EXIT_INTERNAL, []
+    return EXIT_OK, _label_output(g, lab, args.format)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> Output:
     lab = _read_labeling(args.file)
     g = build_graph(lab.n, lab.s)
     report = verify(g, lab)
+    code = EXIT_OK if report.valid else EXIT_INVALID_LABELING
     if args.format == "json":
-        _print(json.dumps(report.to_dict()))
-    elif report.valid:
-        _print(f"valid: span={report.span}, pairs_checked={report.pairs_checked}")
-    else:
-        _print(
-            f"INVALID: {len(report.violations)} violations "
-            f"(span={report.span}, pairs_checked={report.pairs_checked})"
-        )
-        for w in report.violations[:20]:
-            _print(
-                f"  {w.u} -- {w.v}: distance {w.distance} + gap {w.label_gap} "
-                f"< required {w.required}"
-            )
-        if len(report.violations) > 20:
-            _print(f"  ... and {len(report.violations) - 20} more")
-    return EXIT_OK if report.valid else EXIT_INVALID_LABELING
+        return code, _lines([json.dumps(report.to_dict())])
+    if report.valid:
+        return code, _lines([f"valid: span={report.span}, pairs_checked={report.pairs_checked}"])
+    lines = [f"INVALID: {len(report.violations)} violations "
+             f"(span={report.span}, pairs_checked={report.pairs_checked})"]
+    lines += [f"  {w.u} -- {w.v}: distance {w.distance} + gap {w.label_gap} "
+              f"< required {w.required}" for w in report.violations[:20]]
+    if len(report.violations) > 20:
+        lines.append(f"  ... and {len(report.violations) - 20} more")
+    return code, _lines(lines)
 
 
-def cmd_exact(args: argparse.Namespace) -> int:
+def cmd_exact(args: argparse.Namespace) -> Output:
     g = build_graph(args.n, args.s)
     result = exact_radio_number(g, None if args.budget is None else _parse_budget(args.budget))
     report = verify(g, result.witness)
     if not report.valid or result.witness.span != result.rn:
         print("internal inconsistency: exact witness failed verification", file=sys.stderr)
-        return EXIT_INTERNAL
-    status = "proven optimal" if result.proven_optimal else "budget exhausted (upper bound)"
+        return EXIT_INTERNAL, []
     if args.format == "json":
         head = json.dumps({"n": args.n, "s": args.s, "rn": result.rn,
                            "proven_optimal": result.proven_optimal,
                            "nodes_explored": result.nodes_explored})
         # the object reopened after its last key, for the witness to go last
-        _write([head[:-1], ', "witness": ', *_labeling_json(g, result.witness), "}\n"])
-    else:
-        _print(f"rn = {result.rn}")
-        _print(f"status = {status}")
-        _print(f"nodes_explored = {result.nodes_explored}")
-    return EXIT_OK
+        return EXIT_OK, itertools.chain([head[:-1], ', "witness": '],
+                                        _labeling_json(g, result.witness), ["}\n"])
+    status = "proven optimal" if result.proven_optimal else "budget exhausted (upper bound)"
+    return EXIT_OK, _lines([f"rn = {result.rn}", f"status = {status}",
+                            f"nodes_explored = {result.nodes_explored}"])
 
 
 def _table_rows(n_min: int, n_max: int) -> Iterator[dict]:
@@ -385,44 +385,40 @@ def _table_rows(n_min: int, n_max: int) -> Iterator[dict]:
                    "match": valid and lab.span == formula, "note": "special" if special else ""}
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def _cell(x: object, width: int) -> str:
+    """A right-aligned cell of the text table: - for none, yes or NO for a match."""
+    if x is None:
+        x = "-"
+    elif isinstance(x, bool):
+        x = "yes" if x else "NO"
+    return f"{x:>{width}}"
+
+
+def cmd_table(args: argparse.Namespace) -> Output:
     if args.n_min < 3:
         raise ValueError(f"--n-min must be at least 3, got {args.n_min}")
     if args.n_min > args.n_max:
         raise ValueError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     rows = list(_table_rows(args.n_min, args.n_max))
+    code = EXIT_INTERNAL if any(r["match"] is False for r in rows) else EXIT_OK
     if args.format == "json":
-        _print(json.dumps(rows))
-    elif args.format == "csv":
-        _print("n,s,phi,rn_formula,span,match,note")
-        for r in rows:
-            cells = [r["n"], r["s"], r["phi"], r["rn_formula"], r["span"], r["match"], r["note"]]
-            _print(",".join("" if c is None else str(c) for c in cells))
-    else:
-        _print(f"{'n':>4} {'s':>2} {'phi':>4} {'rn':>6} {'span':>6} {'match':>6} note")
-        for r in rows:
-            def cell(x, width):
-                if x is None:
-                    x = "-"
-                elif isinstance(x, bool):
-                    x = "yes" if x else "NO"
-                return f"{x:>{width}}"
-            _print(
-                f"{r['n']:>4} {r['s']:>2} {cell(r['phi'], 4)} {cell(r['rn_formula'], 6)} "
-                f"{cell(r['span'], 6)} {cell(r['match'], 6)} {r['note']}"
-            )
-    if any(r["match"] is False for r in rows):
-        return EXIT_INTERNAL
-    return EXIT_OK
+        return code, _lines([json.dumps(rows)])
+    if args.format == "csv":
+        keys = ("n", "s", "phi", "rn_formula", "span", "match", "note")
+        return code, _lines([",".join(keys)] + [
+            ",".join("" if r[k] is None else str(r[k]) for k in keys) for r in rows])
+    header = f"{'n':>4} {'s':>2} {'phi':>4} {'rn':>6} {'span':>6} {'match':>6} note"
+    return code, _lines([header] + [
+        f"{r['n']:>4} {r['s']:>2} {_cell(r['phi'], 4)} {_cell(r['rn_formula'], 6)} "
+        f"{_cell(r['span'], 6)} {_cell(r['match'], 6)} {r['note']}" for r in rows])
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
+def cmd_selftest(args: argparse.Namespace) -> Output:
     results = run_selftest(n_max=args.n_max, inject_fault=args.inject_fault)
-    for r in results:
-        _print(f"{r.name}: {'PASS' if r.passed else 'FAIL'} ({r.detail})")
-    failed = [r for r in results if not r.passed]
-    _print(f"{len(results) - len(failed)}/{len(results)} suites passed")
-    return EXIT_OK if not failed else EXIT_INTERNAL
+    passed = sum(r.passed for r in results)
+    lines = [f"{r.name}: {'PASS' if r.passed else 'FAIL'} ({r.detail})" for r in results]
+    code = EXIT_OK if passed == len(results) else EXIT_INTERNAL
+    return code, _lines(lines + [f"{passed}/{len(results)} suites passed"])
 
 
 @functools.cache  # one parser per process; parse_args leaves it unchanged
@@ -476,8 +472,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        _print(end="", flush=True)  # a reader gone after the last write shows here, not at exit
+        code, pieces = args.func(args)
+        _write(pieces)
         return code
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -9,9 +9,9 @@ joined to (2, i + d) for the s consecutive offsets
 
 So s = 1 gives the ordinary prism ladder rungs, s = 2 adds one diagonal per
 rung, and s = 3 adds diagonals on both sides.  Supported parameters are
-plain ints n >= 3 and 1 <= s <= min(3, n); every vertex then has degree
-2 + s, and the diameter is floor((n + 3 - s) / 2), which is asserted when a
-graph is built.
+plain ints n >= 3 and 1 <= s <= 3; every vertex then has degree 2 + s,
+and the diameter is floor((n + 3 - s) / 2), which is asserted when a graph
+is built.
 
 A Vertex holds plain int coordinates already in range; lookups reject any
 other (``PrismGraph.index``) rather than wrap or coerce them.
@@ -67,13 +67,15 @@ class Vertex(NamedTuple):
         return f"({self.cycle},{self.position})"
 
 
-def _validate_params(n: int, s: int) -> None:
+def _require_ints(n: int, s: int) -> None:
     if not (type(n) is int and type(s) is int):  # exact: bool is an int subclass
         raise ValueError(f"unsupported graph parameters: n={n!r}, s={s!r} (integers required)")
-    if n < 3 or s < 1 or s > 3 or s > n:
-        raise ValueError(
-            f"unsupported graph parameters: n={n}, s={s} (need n >= 3, 1 <= s <= 3, s <= n)"
-        )
+
+
+def _validate_params(n: int, s: int) -> None:
+    _require_ints(n, s)
+    if n < 3 or s < 1 or s > 3:
+        raise ValueError(f"unsupported graph parameters: n={n}, s={s} (need n >= 3, 1 <= s <= 3)")
 
 
 def _dense_from_rows(rows: np.ndarray) -> np.ndarray:

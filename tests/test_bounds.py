@@ -48,6 +48,28 @@ def test_phi_rejects_out_of_scope():
             phi(n, s)
 
 
+_NOT_INTS = {
+    "phi bool s": lambda: phi(6, True),
+    "phi float n": lambda: phi(6.0, 1),
+    "lower_bound_rn float n": lambda: lower_bound_rn(6.0, 1),
+    "lower_bound_rn str n": lambda: lower_bound_rn("6", 1),
+    "d_offset float n": lambda: d_offset(5.0, 1),
+    "d_offset bool s": lambda: d_offset(5, True),
+}
+
+
+@pytest.mark.parametrize("call", list(_NOT_INTS))
+def test_closed_forms_require_plain_ints(call):
+    # the same check and message as build_graph's, before any range or arithmetic
+    with pytest.raises(ValueError, match=r"unsupported graph parameters.*\(integers required\)"):
+        _NOT_INTS[call]()
+
+
+@pytest.mark.parametrize("n,s", [(6.0, 1), (6, True), (6, 1.0), ("6", 1)])
+def test_phi_scope_holds_only_plain_ints(n, s):
+    assert in_phi_scope(n, s) is False
+
+
 @pytest.mark.parametrize("n,s,expected", [(8, 2, 23), (5, 1, 14), (4, 1, 11), (6, 1, 22)])
 def test_lower_bound_examples(n, s, expected):
     assert lower_bound_rn(n, s) == expected

@@ -339,6 +339,91 @@ def test_closed_stdout_stops_the_output(monkeypatch, tmp_path, fmt):
     assert sink.read_text() == ""  # no line after the first failed write
 
 
+class _LeftAfterTheLastWrite(io.StringIO):
+    """A stdout whose reader takes every write, then goes before the flush."""
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def _swapped_labeling_file(path):
+    """Z(8, 2) with two labels made equal: verify exits 1 on it."""
+    data = labeling_document(build_graph(8, 2), construct_labeling(8, 2))
+    data["labels"][0]["label"] = data["labels"][1]["label"]
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("command,want", [("label", 0), ("verify", 1), ("table", 0)])
+def test_reader_gone_at_the_flush_keeps_the_exit_code(capsys, monkeypatch, tmp_path,
+                                                        command, want):
+    argv = {"label": ["label", "--n", "50", "--s", "1", "--format", "json"],
+            "verify": ["verify", "--file", str(_swapped_labeling_file(tmp_path / "bad.json"))],
+            "table": ["table", "--n-min", "4", "--n-max", "6"]}[command]
+    pipe = _LeftAfterTheLastWrite()
+    monkeypatch.setattr(sys, "stdout", pipe)
+    code = main(argv)
+    dropped = sys.stdout
+    assert dropped is not pipe  # the flush at exit goes to the null device
+    dropped.close()
+    assert code == want
+    assert capsys.readouterr().err == ""
+    assert pipe.getvalue()  # every write went through before the flush failed
+
+
+# argv, exit code, whether the command returns its output lazily
+_COMMANDS = [
+    (["rn", "--n", "12", "--s", "2"], 0, False),
+    (["rn", "--n", "4", "--s", "3", "--format", "json"], 0, False),
+    *((["label", "--n", "9", "--s", "3", "--format", fmt], 0, True)
+      for fmt in ("text", "json", "csv", "dot")),
+    (["verify", "--file", "valid.json"], 0, False),
+    (["verify", "--file", "swapped.json"], 1, False),
+    (["verify", "--file", "swapped.json", "--format", "json"], 1, False),
+    (["exact", "--n", "5", "--s", "2"], 0, False),
+    (["exact", "--n", "5", "--s", "2", "--format", "json"], 0, True),
+    *((["table", "--n-min", "3", "--n-max", "6", "--format", fmt], 0, False)
+      for fmt in ("text", "json", "csv")),
+    (["selftest", "--n-max", "5"], 0, False),
+    (["selftest", "--n-max", "5", "--inject-fault", "phi"], 3, False),
+]
+
+
+def _call_command(capsys, argv):
+    """The exit code and joined output of the command of argv, called on its
+    parsed args, and whether its output came lazily; it must print nothing."""
+    args = cli._build_parser().parse_args(argv)
+    code, pieces = args.func(args)
+    lazy = iter(pieces) is pieces
+    out = "".join(pieces)
+    assert capsys.readouterr() == ("", "")
+    return code, out, lazy
+
+
+@pytest.mark.parametrize("argv,want,lazy", _COMMANDS, ids=[" ".join(c[0]) for c in _COMMANDS])
+def test_commands_return_what_main_writes(capsys, tmp_path, argv, want, lazy):
+    (tmp_path / "valid.json").write_text(
+        json.dumps(labeling_document(build_graph(8, 2), construct_labeling(8, 2))))
+    _swapped_labeling_file(tmp_path / "swapped.json")
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, out, returned_lazily = _call_command(capsys, argv)
+    assert (code, returned_lazily) == (want, lazy)
+    assert run(capsys, *argv) == (code, out, "")
+
+
+def test_table_command_returns_exit_3_when_a_row_does_not_match(capsys, monkeypatch):
+    def one_too_many(n, s):
+        value, method = radio_number(n, s)
+        return value + (s == 2), method
+
+    monkeypatch.setattr(cli, "radio_number", one_too_many)
+    argv = ["table", "--n-min", "8", "--n-max", "8", "--format", "csv"]
+    code, out, _ = _call_command(capsys, argv)
+    assert (code, out) == (3, "n,s,phi,rn_formula,span,match,note\n8,1,4,30,30,True,\n"
+                              "8,2,3,24,23,False,\n8,3,4,30,30,True,\n")
+    assert run(capsys, *argv) == (code, out, "")
+
+
 def test_closed_stdout_pipe_exits_zero_without_a_message():
     # the output (about 160 kB) outgrows the pipe, so the write meets the closed end
     src = Path(cli.__file__).resolve().parents[1]

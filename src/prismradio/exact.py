@@ -122,40 +122,40 @@ def greedy_span_for_order(
     return int(labels[-1]), labels.tolist()
 
 
+def _least_roll(a: np.ndarray, b: np.ndarray) -> int | None:
+    """The least t with a == np.roll(b, t), or None.  A t that works is
+    (i - j) mod n for i = a.argmin() and some b[j] == a[i]: few, tried ascending."""
+    i = int(a.argmin())
+    for t in sorted((i - j) % len(a) for j in np.nonzero(b == a[i])[0].tolist()):
+        if np.array_equal(a, np.roll(b, t)):
+            return t
+    return None
+
+
 def _is_vertex_transitive(g: PrismGraph) -> bool:
     """Confirm transitivity from automorphisms verified on g's two metric rows.
 
-    Rotation preserves every rotation-invariant metric and carries (1, 1) over
-    cycle 1.  A cycle swap (1, p) -> (2, p + t), (2, p) -> (1, p + u) carries
-    it to cycle 2, and it preserves every distance (so it is an automorphism)
-    exactly when rows[0, 0] == rows[1, 1] and rows[1, 0] is rows[0, 1]
-    rolled by u - t.
+    Rotation carries (1, 1) over cycle 1.  A cycle swap (1, p) -> (2, p + t),
+    (2, p) -> (1, p + u) carries it to cycle 2 and is an automorphism exactly
+    when rows[0, 0] == rows[1, 1] and rows[1, 0] is rows[0, 1] rolled by u - t.
     """
     rows = g.rows
-    return np.array_equal(rows[0, 0], rows[1, 1]) and any(
-        np.array_equal(rows[1, 0], np.roll(rows[0, 1], shift)) for shift in range(g.n)
-    )
+    return (np.array_equal(rows[0, 0], rows[1, 1])
+            and _least_roll(rows[1, 0], rows[0, 1]) is not None)
 
 
 def _reflection(g: PrismGraph) -> list[int] | None:
     """A reflection fixing (1, 1), verified on g's two metric rows, as an index map.
 
     With positions counted from 0, r maps (1, p) to (1, -p) and (2, p) to
-    (2, k - p).  Within a cycle it preserves every distance of an undirected
-    rotation-invariant metric, whose rows[0, 0] and rows[1, 1] are symmetric
-    under negation, and across the cycles exactly when
-    rows[0, 1][x] == rows[0, 1][(k - x) mod n] for every x.  Returns r[i],
-    the index of the image of vertex index i, for the first k that works, or
-    None when none does.  For Z(n, s), k = floor(s / 2) - floor((s - 1) / 2)
-    works, since it maps the cross offsets onto themselves.
+    (2, k - p).  It preserves the distances within a cycle, whose rows are
+    symmetric under negation, and across the cycles exactly when rows[0, 1]
+    is its reversal rolled by k.  Returns r[i], the index of the image of
+    vertex index i, for the least such k, or None.
     """
-    n = g.n
-    cross = g.rows[0, 1]
-    x = np.arange(n)
-    for k in range(n):
-        if np.array_equal(cross, cross[(k - x) % n]):
-            return np.concatenate([(-x) % n, n + (k - x) % n]).tolist()
-    return None
+    n, x = g.n, np.arange(g.n)
+    k = _least_roll(g.rows[0, 1], g.rows[0, 1][(-x) % n])
+    return None if k is None else np.concatenate([(-x) % n, n + (k - x) % n]).tolist()
 
 
 def _key_typecode(diam: int) -> str:

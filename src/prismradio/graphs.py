@@ -67,13 +67,15 @@ class Vertex(NamedTuple):
         return f"({self.cycle},{self.position})"
 
 
-def _require_ints(n: int, s: int) -> None:
-    if not (type(n) is int and type(s) is int):  # exact: bool is an int subclass
-        raise ValueError(f"unsupported graph parameters: n={n!r}, s={s!r} (integers required)")
+def _require_ints(**params: int) -> None:
+    for value in params.values():
+        if type(value) is not int:  # exact: bool is an int subclass
+            named = ", ".join(f"{k}={v!r}" for k, v in params.items())
+            raise ValueError(f"unsupported graph parameters: {named} (integers required)")
 
 
 def _validate_params(n: int, s: int) -> None:
-    _require_ints(n, s)
+    _require_ints(n=n, s=s)
     if n < 3 or s < 1 or s > 3:
         raise ValueError(f"unsupported graph parameters: n={n}, s={s} (need n >= 3, 1 <= s <= 3)")
 

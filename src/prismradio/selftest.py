@@ -235,12 +235,14 @@ def _run_suite(suite, n_max: int, graph: _Graphs | None = None) -> SuiteResult:
 
 
 def run_selftest(n_max: int = 20, inject_fault: str | None = None) -> list[SuiteResult]:
-    """Run all suites up to n_max and return their results in module order.
+    """Run all suites up to n_max, a plain int >= 3, and return their results in module order.
 
     A suite that raises fails with "<Type>: <message>" and the rest still
     run, so a crash localizes like a failed check.  The suites share one
     memo of ``build_graph`` for the run.
     """
+    if type(n_max) is not int:  # else each suite would fail on it alone
+        raise ValueError(f"selftest needs an integer n_max, got {n_max!r}")
     if n_max < 3:
         raise ValueError(f"selftest needs n_max >= 3, got {n_max}")
     if inject_fault not in (None, "phi"):

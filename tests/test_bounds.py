@@ -55,6 +55,9 @@ _NOT_INTS = {
     "lower_bound_rn str n": lambda: lower_bound_rn("6", 1),
     "d_offset float n": lambda: d_offset(5.0, 1),
     "d_offset bool s": lambda: d_offset(5, True),
+    "omega float n": lambda: omega(6.0),
+    "omega float n in range": lambda: omega(5.0),
+    "omega bool n": lambda: omega(True),
 }
 
 
@@ -151,10 +154,10 @@ def test_pair_gap_matches_every_triple():
 
 
 def test_pair_gap_matches_the_dense_gap_matrix():
+    # the dense matrix from a breadth-first search, not from the rows under test
     for n in range(3, 201):
         for s in range(1, min(n, 3) + 1):
-            g = build_graph(n, s)
-            assert pair_gap(g) == dense_pair_gap(g.dist), (n, s)
+            assert pair_gap(build_graph(n, s)) == dense_pair_gap(all_pairs_distances(n, s)), (n, s)
 
 
 def _root_bound(g):

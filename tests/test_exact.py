@@ -14,7 +14,13 @@ from prismradio import (
     verify,
 )
 from prismradio import exact
-from prismradio.exact import _is_vertex_transitive, _key_typecode, _reflection, _table_key
+from prismradio.exact import (
+    _is_vertex_transitive,
+    _key_typecode,
+    _least_roll,
+    _reflection,
+    _table_key,
+)
 from reference import (
     all_pairs_distances,
     bicirculant_distances,
@@ -139,7 +145,7 @@ def _check_reflection(n, offsets):
     assert (r is None) == (not preserving), (n, offsets)
     if r is not None:
         assert r[0] == 0 and sorted(r) == list(range(2 * n))
-        assert any(np.array_equal(r, m) for m in preserving), (n, offsets)
+        assert np.array_equal(r, preserving[0]), (n, offsets)  # the least k that works
     return r
 
 
@@ -152,6 +158,35 @@ def test_prism_reflection_matches_the_edge_by_edge_oracle(s):
 
 def test_reflection_is_none_when_no_reflection_preserves_the_edges():
     assert _check_reflection(7, (0, 1, 3)) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=6), st.integers(1, 3), st.data())
+def test_least_roll_is_the_least_of_every_shift(block, reps, data):
+    # b repeats a block, so several shifts may carry it onto a rotation of
+    # itself; a rearrangement of b's entries is mostly no rotation of it
+    b = np.tile(block, reps)
+    a = np.array(data.draw(st.one_of(
+        st.integers(0, len(b) - 1).map(lambda t: np.roll(b, t).tolist()),
+        st.permutations(b.tolist()))))
+    least = next((t for t in range(len(b)) if np.array_equal(a, np.roll(b, t))), None)
+    assert _least_roll(a, b) == least
+
+
+def test_root_symmetries_compare_only_the_aligned_shifts(monkeypatch):
+    # the cross row of Z(n, s) holds s ones, so each rotation search has s
+    # candidates; for s = 2 the swap's shift is n - 1, which a search over
+    # every shift reaches after about n comparisons
+    g, s = build_graph(20_000, 2), 2
+    array_equal, compared = np.array_equal, []
+
+    def counting(a, b):
+        compared.append(1)
+        return array_equal(a, b)
+
+    monkeypatch.setattr(np, "array_equal", counting)
+    assert _is_vertex_transitive(g) and _reflection(g) is not None
+    assert len(compared) <= 1 + 2 * s
 
 
 def test_greedy_is_optimal_on_witness_order():

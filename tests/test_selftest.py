@@ -47,3 +47,13 @@ def test_a_failing_build_fails_each_suite_that_reads_it(monkeypatch):
     assert results["graphs"] == results["bounds"] == results["labeling"] == failed
     assert results["verification"] == (True, "6 checks")
     assert results["exact"] == (True, "8 checks")
+
+
+@pytest.mark.parametrize("n_max", [5.0, "10", None])
+def test_a_non_int_n_max_is_rejected_before_any_suite_runs(monkeypatch, n_max):
+    # else every suite fails on the argument alone, like five broken invariants
+    builds = []
+    monkeypatch.setattr(selftest, "build_graph", lambda n, s: builds.append((n, s)))
+    with pytest.raises(ValueError, match=r"selftest needs an integer n_max, got"):
+        run_selftest(n_max=n_max)
+    assert builds == []

@@ -26,22 +26,31 @@ order and its image under r share the placed prefix and the span, so of
 each pair of children v, r(v) only the one with the smaller index is
 expanded.
 
-Different placed prefixes often leave the same subproblem: the same
-unplaced vertices with the same forced labels, shifted by a constant.  A
-transposition table keys each child frame, before it is pushed, by its
-unplaced set and their forced labels minus the child's label c, and keeps
-the least c pushed with that key.  Everything below a frame depends only on
-its key, its label and the incumbent bound, which never rises.  So a child
-whose key was pushed before with a label c' <= c is skipped: its
-completions are the earlier node's shifted up by c - c' >= 0, and the
-earlier visit already explored every completion not strictly worse than the
-bound of its time.  A visit restricted by the mirror pairs still covers its
-node's whole subtree, since each skipped child mirrors an explored sibling.
-No key can match while its first visit is still open: only descendants are
-visited meanwhile, and they have fewer unplaced vertices.  Once the keys
-written and a per-entry charge pass ``_TABLE_BYTES``, the table is cleared,
-which only skips fewer children: a later entry still stands for a finished
-visit, or for an open one, which cannot match.  A skipped child still counts
+Different placed prefixes often leave the same subproblem up to an
+automorphism: unplaced vertices whose forced labels, shifted by a constant,
+match those of another prefix once the graph is rotated, its cycles swapped
+or mirrored.  A transposition table keys each child frame, before it is
+pushed, by its state seen from its own vertex v (``_frame_key``): the forced
+labels minus the child's label c by vertex index, 0 for a placed vertex
+(every unplaced one is at least 1), carried by the verified automorphism
+that takes v to (1, 1), or by rotation alone to (2, 1) when no swap is
+verified; of that and its image under the verified reflection, the lesser.
+So equal keys mean that one state is the image of the other under an
+automorphism verified on the rows, and the table keeps the least c pushed
+with each key.  Everything below a frame depends only on its state, its
+label and the incumbent bound, which never rises, and an automorphism maps
+the orders below one state onto those below its image with the same
+labels.  So a child whose key was pushed before with a label c' <= c is
+skipped: its completions are the images of the earlier node's, shifted up
+by c - c' >= 0, and the earlier visit already explored every completion not
+strictly worse than the bound of its time.  A visit restricted by the
+mirror pairs still covers its node's whole subtree, since each skipped
+child mirrors an explored sibling.  No key can match while its first visit
+is still open: only descendants are visited meanwhile, and they have fewer
+unplaced vertices, which no automorphism changes.  Once the keys written
+and a per-entry charge pass ``_TABLE_BYTES``, the table is cleared, which
+only skips fewer children: a later entry still stands for a finished visit,
+or for an open one, which cannot match.  A skipped child still counts
 in nodes_explored, which counts the children that pass the label cut.
 
 The search is single-threaded and deterministic: children are expanded in
@@ -132,16 +141,23 @@ def _least_roll(a: np.ndarray, b: np.ndarray) -> int | None:
     return None
 
 
-def _is_vertex_transitive(g: PrismGraph) -> bool:
-    """Confirm transitivity from automorphisms verified on g's two metric rows.
+def _swap_shift(g: PrismGraph) -> int | None:
+    """The shift u of a cycle swap verified on g's two metric rows, or None.
 
-    Rotation carries (1, 1) over cycle 1.  A cycle swap (1, p) -> (2, p + t),
-    (2, p) -> (1, p + u) carries it to cycle 2 and is an automorphism exactly
-    when rows[0, 0] == rows[1, 1] and rows[1, 0] is rows[0, 1] rolled by u - t.
+    The swap (1, p) -> (2, p), (2, p) -> (1, p + u) is an automorphism
+    exactly when rows[0, 0] == rows[1, 1] and rows[1, 0] is rows[0, 1]
+    rolled by u; this returns the least such u.
     """
     rows = g.rows
-    return (np.array_equal(rows[0, 0], rows[1, 1])
-            and _least_roll(rows[1, 0], rows[0, 1]) is not None)
+    if not np.array_equal(rows[0, 0], rows[1, 1]):
+        return None
+    return _least_roll(rows[1, 0], rows[0, 1])
+
+
+def _is_vertex_transitive(g: PrismGraph) -> bool:
+    """Whether rotation, which carries (1, 1) over cycle 1, and a verified
+    cycle swap, which carries it to cycle 2, make g vertex-transitive."""
+    return _swap_shift(g) is not None
 
 
 def _reflection(g: PrismGraph) -> list[int] | None:
@@ -159,14 +175,38 @@ def _reflection(g: PrismGraph) -> list[int] | None:
 
 
 def _key_typecode(diam: int) -> str:
-    """The narrowest ``array`` typecode holding every relative label 1..diam."""
+    """The narrowest ``array`` typecode holding every relative label 0..diam."""
     return next(t for t in "BHQ" if diam < 1 << 8 * array(t).itemsize)
 
 
-def _table_key(unplaced: int, rel: list[int], mask_len: int, typecode: str) -> bytes:
-    """The transposition key of a frame: the bit mask of its unplaced vertices
-    in mask_len bytes, then their forced labels minus the frame's label."""
-    return unplaced.to_bytes(mask_len, "little") + array(typecode, rel).tobytes()
+def _frame_key(state: array, v: int, n: int, swap: int | None,
+               refl: list[int] | None) -> bytes:
+    """The transposition key of a frame placed at vertex index v, whose state
+    holds the forced labels minus its own label by vertex index, 0 where placed.
+
+    The key is the state seen from v, carried by the automorphism that takes
+    v to (1, 1): when v is on cycle 2 and swap is not None, first the swap
+    (1, p) -> (2, p), (2, p) -> (1, p + swap) of ``_swap_shift``, then the
+    rotation by v's position.  With no swap, v on cycle 2 goes to (2, 1).
+    With refl, the reflection of ``_reflection``, the key is the lesser of
+    the carried state and its image under refl, which fixes (1, 1).  Equal
+    keys therefore mean states that are images of each other under an
+    automorphism these generate.  On Z(n, s) the converse holds as well: only
+    refl fixes (1, 1) in that group, so a state and its image, each seen from
+    its own vertex, get equal keys.
+    """
+    cv, pv = divmod(v, n)
+    h = n + pv
+    if cv and swap is not None:
+        t = (pv + swap) % n
+        key = state[h:] + state[n:h] + state[t:n] + state[:t]
+    else:
+        key = state[pv:n] + state[:pv] + state[h:] + state[n:h]
+    if refl is None:
+        return key.tobytes()
+    j = refl[n]  # refl's image of (2, 1): cycle 1 reverses about index 0, cycle 2 about j
+    mirrored = key[:1] + key[n - 1:0:-1] + key[j:n - 1:-1] + key[:j:-1]
+    return min(key.tobytes(), mirrored.tobytes())
 
 
 def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> ExactResult:
@@ -200,7 +240,8 @@ def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> Exact
     if best_labels is None:
         best_span, best_labels = greedy_span_for_order(g, list(g.vertices()))
 
-    pinned = _is_vertex_transitive(g)
+    swap = _swap_shift(g)
+    pinned = swap is not None
     refl = _reflection(g) if pinned else None
     # tails[m]: with m vertices unplaced, a child labeled c forces a span of at
     # least c + tails[m] + 1, since m - 1 more labels cost at least
@@ -208,20 +249,19 @@ def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> Exact
     tails = [m - 2 + (m - 1) // 2 * pair_step for m in range(nv + 1)]
 
     # seen[key] = the least label c of a frame pushed with that key, where the
-    # key is its unplaced set (as a bit mask) and their forced labels minus c
+    # key is its forced labels minus c by vertex index, 0 where placed, seen
+    # from its own vertex (``_frame_key``)
     seen: dict[bytes, int] = {}
     seen_bytes = 0
-    mask_len = (nv + 7) // 8
-    typecode = _key_typecode(g.diameter)
+    no_labels = array(_key_typecode(g.diameter), [0]) * nv
 
     # A frame is one node of the tree, labeled base: an iterator over its
     # children (label - base, position in rest), ascending and already cut
     # against best_span; its unplaced vertices, ascending, with their forced
-    # labels minus base; base; tails[m]; whether every placed vertex is a
-    # fixed point of refl; and the bit mask of its unplaced vertices.
+    # labels minus base; base; tails[m]; and whether every placed vertex is a
+    # fixed point of refl.
     root_kids = [(1, 0)] if pinned else [(1, v) for v in range(nv)]
-    stack = [(iter(root_kids), list(range(nv)), [1] * nv, 0, tails[nv],
-              refl is not None, (1 << nv) - 1)]
+    stack = [(iter(root_kids), list(range(nv)), [1] * nv, 0, tails[nv], refl is not None)]
     path = [0] * nv  # path[d]: the vertex placed at depth d
     path_labels = [0] * nv
     nodes = 0
@@ -231,7 +271,7 @@ def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> Exact
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
     while stack and not stopped:
-        kids, rest, rel, base, tail, sym, mask = stack[-1]
+        kids, rest, rel, base, tail, sym = stack[-1]
         for r, i in kids:
             c = base + r
             if c + tail >= best_span:
@@ -261,9 +301,11 @@ def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> Exact
             row = to_1[n - pv:nv - pv] + to_2[n - pv:nv - pv]  # by vertex index, >= 1
             # each unplaced vertex's forced label minus c, which is positive
             child = [o if (o := row[u]) > (x := lr - r) else x for u, lr in zip(rest, rel)]
-            del child[i]
-            child_mask = mask ^ (1 << v)
-            key = _table_key(child_mask, child, mask_len, typecode)
+            state = no_labels[:]
+            for u, x in zip(rest, child):
+                state[u] = x
+            state[v] = 0
+            key = _frame_key(state, v, n, swap, refl)
             first = seen.get(key)
             if first is not None and first <= c:
                 continue  # the completions below are those of the first, shifted up
@@ -272,6 +314,7 @@ def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> Exact
             if seen_bytes > _TABLE_BYTES:
                 seen.clear()
                 seen_bytes = 0
+            del child[i]
             child_rest = rest.copy()
             del child_rest[i]
             child_tail = tails[m - 1]
@@ -285,8 +328,7 @@ def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> Exact
             else:
                 child_kids = [(x, j) for j, x in enumerate(child) if x < lim]
             child_kids.sort()
-            stack.append((iter(child_kids), child_rest, child, c, child_tail, child_sym,
-                          child_mask))
+            stack.append((iter(child_kids), child_rest, child, c, child_tail, child_sym))
             break
         else:
             stack.pop()

@@ -22,7 +22,7 @@ replaced: it compares every pair, with no label window.
 ``prismradio.exact``; ``recursive_exact_search`` is the branch-and-bound
 search as it was before it broke the reflection symmetry and ran on an
 explicit stack: one recursive call per depth and no symmetry but the fixed
-first vertex.
+first vertex, on any distance matrix.
 ``scalar_label_order`` evaluates the construction's position formulas one
 index at a time in Python integers, as ``label_order`` did before it worked
 on NumPy arrays.
@@ -43,8 +43,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from prismradio.bounds import d_offset, omega, pair_gap
-from prismradio.graphs import PrismGraph, Vertex, _validate_params, build_graph
+from prismradio.bounds import d_offset, omega
+from prismradio.graphs import PrismGraph, Vertex, _validate_params
 from prismradio.labeling import construct_labeling
 
 
@@ -197,24 +197,32 @@ def brute_force_radio_number(n: int, s: int) -> int:
     return best
 
 
-def recursive_exact_search(n: int, s: int) -> tuple[int, int]:
-    """(rn, nodes explored) of Z(n, s) by the recursive, tie-preserving search.
+def recursive_exact_search(matrix: np.ndarray, s: int) -> tuple[int, int]:
+    """(rn, nodes explored) of the graph with hop counts ``matrix`` by the
+    recursive, tie-preserving search.
 
-    The incumbent is seeded from ``construct_labeling`` when it covers (n, s),
-    else from the greedy labels of the vertices in index order.  The first
-    vertex is fixed to (1, 1) when the orbit oracle shows the graph is
-    vertex-transitive.  Children are expanded in ascending (forced label,
-    vertex index) order, and a child is cut when its label plus the
-    ``pair_gap`` bound on the vertices still to come exceeds the incumbent.
+    The incumbent is seeded from ``construct_labeling(n, s)`` when it covers
+    (n, s) and is a radio labeling of the graph, else from the greedy labels
+    of the vertices in index order.  The first vertex is fixed to (1, 1)
+    when the orbit oracle shows the graph is vertex-transitive.  Children are
+    expanded in ascending (forced label, vertex index) order, and a child is
+    cut when its label plus the ``dense_pair_gap`` bound on the vertices
+    still to come exceeds the incumbent.
     """
-    matrix = all_pairs_distances(n, s)
-    nv = 2 * n
-    required = int(matrix.max()) + 1
-    pair_step = max(0, pair_gap(build_graph(n, s)) - 2)
+    nv = len(matrix)
+    n = nv // 2
+    diam = int(matrix.max())
+    required = diam + 1
+    pair_step = max(0, dense_pair_gap(matrix) - 2)
     dist = matrix.tolist()
+    best = None
     try:
-        best = construct_labeling(n, s).span
+        seed = construct_labeling(n, s)
+        if not all_pairs_violations(matrix, seed.labels.tolist(), diam):
+            best = seed.span
     except ValueError:
+        pass
+    if best is None:
         labels = [1]
         for v in range(1, nv):
             labels.append(max(labels[-1] + 1,

@@ -1,3 +1,5 @@
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,11 +17,12 @@ from prismradio import (
 )
 from prismradio import exact
 from prismradio.exact import (
+    _frame_key,
     _is_vertex_transitive,
     _key_typecode,
     _least_roll,
     _reflection,
-    _table_key,
+    _swap_shift,
 )
 from reference import (
     all_pairs_distances,
@@ -99,19 +102,20 @@ def test_transitivity_matches_the_orbit_oracle_on_supported_graphs():
             assert _is_vertex_transitive(build_graph(n, s)) == expected, (n, s)
 
 
-@pytest.mark.parametrize(
-    "n,step,offsets,expected",
-    [
-        # generalized Petersen graphs GP(n, k): no swap keeps the inner ring step
-        (5, 2, (0,), False), (7, 2, (0,), False), (8, 3, (0,), False), (13, 5, (0,), False),
-        # rings with equal steps, so rows[0, 0] == rows[1, 1]; a swap exists iff
-        # the cross offsets are a reflection of themselves
-        (10, 1, (0, 1, 3), False), (12, 1, (0, 1, 5), False),
-        (10, 1, (0, 2), True), (12, 1, (0, 3), True),
-        # Z(n, s) for s >= 4, which build_graph does not cover
-        (15, 1, (-1, 0, 1, 2), True), (14, 1, (-2, -1, 0, 1, 2), True),
-    ],
-)
+# (n, ring step of cycle 2, cross offsets, whether rotation and swap reach every vertex)
+OTHER_BICIRCULANTS = [
+    # generalized Petersen graphs GP(n, k): no swap keeps the inner ring step
+    (5, 2, (0,), False), (7, 2, (0,), False), (8, 3, (0,), False), (13, 5, (0,), False),
+    # rings with equal steps, so rows[0, 0] == rows[1, 1]; a swap exists iff
+    # the cross offsets are a reflection of themselves
+    (10, 1, (0, 1, 3), False), (12, 1, (0, 1, 5), False),
+    (10, 1, (0, 2), True), (12, 1, (0, 3), True),
+    # Z(n, s) for s >= 4, which build_graph does not cover
+    (15, 1, (-1, 0, 1, 2), True), (14, 1, (-2, -1, 0, 1, 2), True),
+]
+
+
+@pytest.mark.parametrize("n,step,offsets,expected", OTHER_BICIRCULANTS)
 def test_transitivity_matches_the_orbit_oracle_on_other_bicirculants(n, step, offsets, expected):
     dist = bicirculant_distances(n, step, offsets)
     assert swap_orbit_is_everything(dist) == expected
@@ -121,7 +125,7 @@ def test_transitivity_matches_the_orbit_oracle_on_other_bicirculants(n, step, of
 @pytest.mark.parametrize("n,s", [(n, s) for n in range(3, 8) for s in (1, 2, 3) if s <= n])
 def test_search_matches_the_recursive_oracle(n, s):
     g, result = _solve(n, s)
-    rn, oracle_nodes = recursive_exact_search(n, s)
+    rn, oracle_nodes = recursive_exact_search(all_pairs_distances(n, s), s)
     assert result.proven_optimal and result.rn == rn
     assert result.nodes_explored <= oracle_nodes
     assert verify(g, result.witness).valid
@@ -259,8 +263,9 @@ def test_a_tiny_table_keeps_the_answer(monkeypatch, n, s):
 
 
 def test_a_full_table_is_cleared_not_frozen(monkeypatch):
-    # a table that stops taking entries at this cap explores 149,304 nodes
-    monkeypatch.setattr(exact, "_TABLE_BYTES", 256 << 10)
+    # a table that stops taking entries at this cap explores 105,847 nodes;
+    # uncapped, the table never holds more than 128 KB on this graph
+    monkeypatch.setattr(exact, "_TABLE_BYTES", 24 << 10)
     g, result = _solve(8, 3)
     assert result.proven_optimal and result.rn == 30
     assert result.nodes_explored < 100_000
@@ -268,7 +273,7 @@ def test_a_full_table_is_cleared_not_frozen(monkeypatch):
 
 
 # nodes explored from the greedy seed, with the construction withheld
-LOOSE_SEED_NODES = {(8, 2): 780, (9, 1): 27_850, (7, 3): 22_408}
+LOOSE_SEED_NODES = {(8, 2): 641, (9, 1): 10_074, (7, 3): 4709}
 
 
 @pytest.mark.parametrize("n,s", [(8, 2), (9, 1), (7, 3)])
@@ -287,21 +292,109 @@ def test_table_search_from_a_loose_seed_finds_the_optimum(monkeypatch, n, s):
     assert verify(g, result.witness).valid
 
 
-def test_table_key_is_exact_past_one_byte():
+def _key_symmetries(g, dist):
+    """The swap shift and reflection that exact verifies on g, and every
+    product of those automorphisms and the rotation as an index map, each
+    generator checked to keep every distance of the dense matrix."""
+    n = g.n
+    p = np.arange(n)
+    maps = [np.r_[(p + 1) % n, n + (p + 1) % n]]
+    swap = _swap_shift(g)
+    refl = None if swap is None else _reflection(g)
+    if swap is not None:  # (1, p) -> (2, p), (2, p) -> (1, p + swap)
+        maps.append(np.r_[n + p, (p + swap) % n])
+    if refl is not None:
+        maps.append(np.array(refl))
+    for m in maps:
+        assert (dist[np.ix_(m, m)] == dist).all()
+    group = {tuple(range(2 * n))}
+    while True:
+        grown = group | {tuple(m[list(e)]) for m in maps for e in group}
+        if grown == group:
+            return swap, refl, [np.array(e) for e in sorted(group)]
+        group = grown
+
+
+def _check_frame_key(g, dist, data, rotations_only=False):
+    # key(psi . state, psi(v)) == key(state, v) for psi in the group, and
+    # equal keys only for states that some psi in the group carries over
+    n, diam = g.n, g.diameter
+    swap, refl, group = _key_symmetries(g, dist)
+
+    def key(state, v):
+        return _frame_key(array(_key_typecode(diam), state), v, n, swap, refl)
+
+    state = np.array(data.draw(st.lists(st.integers(0, diam), min_size=2 * n, max_size=2 * n)))
+    v = data.draw(st.integers(0, 2 * n - 1))
+    state[v] = 0  # the frame's own vertex is placed
+    p = np.arange(n)
+    rotations = [np.r_[(p + t) % n, n + (p + t) % n] for t in range(n)]
+    psi = data.draw(st.sampled_from(rotations if rotations_only else group))
+    image = np.empty_like(state)
+    image[psi] = state
+    w = int(psi[v])
+    assert key(image.tolist(), w) == key(state.tolist(), v)
+    # the image with two labels swapped: the same multiset, mostly no image
+    others = [u for u in range(2 * n) if u != w]
+    a, b = data.draw(st.lists(st.sampled_from(others), min_size=2, max_size=2, unique=True))
+    image[[a, b]] = image[[b, a]]
+    if key(image.tolist(), w) == key(state.tolist(), v):
+        assert any(e[v] == w and (image[e] == state).all() for e in group)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, min(n, 3)))),
+       st.data())
+def test_frame_key_is_invariant_under_the_verified_symmetries(ns, data):
+    n, s = ns
+    _check_frame_key(build_graph(n, s), all_pairs_distances(n, s), data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("n,step,offsets,expected", OTHER_BICIRCULANTS)
+def test_frame_key_is_invariant_under_rotation_on_other_bicirculants(
+        n, step, offsets, expected, data):
+    dist = bicirculant_distances(n, step, offsets)
+    _check_frame_key(graph_of(dist, 1), dist, data, rotations_only=True)
+
+
+def test_frame_key_is_exact_past_one_byte():
     g = build_graph(600, 3)  # 2n = 1200 vertices, diameter 300
-    nv, diam = 2 * g.n, g.diameter
+    n, diam = g.n, g.diameter
     assert diam == 300 and _key_typecode(255) == "B" and _key_typecode(diam) == "H"
     assert _key_typecode(1 << 16) == "Q"
-    mask_len, typecode = (nv + 7) // 8, _key_typecode(diam)
-    unplaced, rel = (1 << nv - 1) | (1 << 300) | 1, [1, diam, 256]
-    key = _table_key(unplaced, rel, mask_len, typecode)
-    assert int.from_bytes(key[:mask_len], "little") == unplaced
-    assert np.frombuffer(key[mask_len:], np.uint16).tolist() == rel
-    # frames equal modulo 256, and one that differs only in its last vertex
-    for other_unplaced, other_rel in [(unplaced, [1, diam - 256, 256]),
-                                      (unplaced, [257, diam, 256]),
-                                      (unplaced ^ 1 << nv - 1, rel)]:
-        assert _table_key(other_unplaced, other_rel, mask_len, typecode) != key
+    swap, refl = _swap_shift(g), _reflection(g)
+    state = array("H", [0]) * (2 * n)
+    state[1], state[n + 300], state[2 * n - 1] = 1, diam, 256
+    key = _frame_key(state, 0, n, swap, refl)
+    # no automorphism relates states whose labels differ as multisets: one
+    # label 256 higher or lower, or one more or one fewer vertex placed
+    for u, x in [(1, 257), (n + 300, diam - 256), (2 * n - 1, 0), (5, 256)]:
+        other = state[:]
+        other[u] = x
+        assert _frame_key(other, 0, n, swap, refl) != key
+
+
+# rn of generalized Petersen graphs GP(n, k), which only rotation maps onto
+# themselves among the maps exact verifies
+GP_RN = {(5, 2): 10, (7, 2): 14, (8, 3): 26, (10, 3): 38}
+
+
+@pytest.mark.parametrize("n,k", sorted(GP_RN))
+def test_generalized_petersen_graphs_are_proven(n, k):
+    g = graph_of(bicirculant_distances(n, k, (0,)), 1)
+    result = exact_radio_number(g)
+    assert result.proven_optimal and result.rn == GP_RN[n, k]
+    assert verify(g, result.witness).valid and result.witness.span == result.rn
+
+
+def test_generalized_petersen_search_matches_the_recursive_oracle():
+    dist = bicirculant_distances(5, 2, (0,))
+    result = exact_radio_number(graph_of(dist, 1))
+    rn, oracle_nodes = recursive_exact_search(dist, 1)
+    assert result.proven_optimal and result.rn == rn == GP_RN[5, 2]
+    assert result.nodes_explored <= oracle_nodes
 
 
 @pytest.mark.parametrize("n,s", [(8, 3), (10, 2), (11, 2)])
@@ -315,11 +408,11 @@ def test_table_brings_larger_instances_into_reach(n, s):
 # rn and nodes explored on the instances of the prove benchmark workload: a
 # change that adds work to the search raises one of these counts
 PROVE_RN_NODES = {
-    (3, 1): (6, 6), (3, 2): (8, 10), (3, 3): (6, 58), (4, 1): (11, 18), (4, 2): (8, 55),
-    (4, 3): (9, 85), (5, 1): (14, 300), (5, 2): (14, 57), (5, 3): (10, 394),
-    (6, 1): (22, 353), (6, 2): (17, 3783), (6, 3): (17, 562), (7, 1): (20, 25),
-    (7, 2): (26, 1115), (8, 1): (30, 325), (8, 2): (23, 175), (9, 1): (34, 19962),
-    (9, 2): (34, 724),
+    (3, 1): (6, 6), (3, 2): (8, 8), (3, 3): (6, 47), (4, 1): (11, 14), (4, 2): (8, 40),
+    (4, 3): (9, 72), (5, 1): (14, 118), (5, 2): (14, 29), (5, 3): (10, 235),
+    (6, 1): (22, 85), (6, 2): (17, 876), (6, 3): (17, 247), (7, 1): (20, 25),
+    (7, 2): (26, 177), (8, 1): (30, 141), (8, 2): (23, 168), (9, 1): (34, 4124),
+    (9, 2): (34, 230),
 }
 
 

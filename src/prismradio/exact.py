@@ -146,18 +146,14 @@ def _swap_shift(g: PrismGraph) -> int | None:
 
     The swap (1, p) -> (2, p), (2, p) -> (1, p + u) is an automorphism
     exactly when rows[0, 0] == rows[1, 1] and rows[1, 0] is rows[0, 1]
-    rolled by u; this returns the least such u.
+    rolled by u; this returns the least such u.  With rotation, which
+    carries (1, 1) over cycle 1, a swap, which carries it to cycle 2, makes
+    g vertex-transitive.
     """
     rows = g.rows
     if not np.array_equal(rows[0, 0], rows[1, 1]):
         return None
     return _least_roll(rows[1, 0], rows[0, 1])
-
-
-def _is_vertex_transitive(g: PrismGraph) -> bool:
-    """Whether rotation, which carries (1, 1) over cycle 1, and a verified
-    cycle swap, which carries it to cycle 2, make g vertex-transitive."""
-    return _swap_shift(g) is not None
 
 
 def _reflection(g: PrismGraph) -> list[int] | None:
@@ -301,10 +297,12 @@ def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> Exact
             row = to_1[n - pv:nv - pv] + to_2[n - pv:nv - pv]  # by vertex index, >= 1
             # each unplaced vertex's forced label minus c, which is positive
             child = [o if (o := row[u]) > (x := lr - r) else x for u, lr in zip(rest, rel)]
+            del child[i]
+            child_rest = rest.copy()
+            del child_rest[i]
             state = no_labels[:]
-            for u, x in zip(rest, child):
+            for u, x in zip(child_rest, child):
                 state[u] = x
-            state[v] = 0
             key = _frame_key(state, v, n, swap, refl)
             first = seen.get(key)
             if first is not None and first <= c:
@@ -314,9 +312,6 @@ def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> Exact
             if seen_bytes > _TABLE_BYTES:
                 seen.clear()
                 seen_bytes = 0
-            del child[i]
-            child_rest = rest.copy()
-            del child_rest[i]
             child_tail = tails[m - 1]
             lim = best_span - child_tail - c
             # while every placed vertex is fixed by refl, an order and its

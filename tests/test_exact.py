@@ -18,7 +18,6 @@ from prismradio import (
 from prismradio import exact
 from prismradio.exact import (
     _frame_key,
-    _is_vertex_transitive,
     _key_typecode,
     _least_roll,
     _reflection,
@@ -92,14 +91,14 @@ def test_zero_budget_returns_constructive_incumbent():
 
 @pytest.mark.parametrize("n,s", [(4, 1), (5, 2), (6, 3), (7, 1)])
 def test_prisms_are_vertex_transitive(n, s):
-    assert _is_vertex_transitive(build_graph(n, s))
+    assert _swap_shift(build_graph(n, s)) is not None
 
 
 def test_transitivity_matches_the_orbit_oracle_on_supported_graphs():
     for n in range(3, 13):
         for s in range(1, min(n, 3) + 1):
             expected = swap_orbit_is_everything(all_pairs_distances(n, s))
-            assert _is_vertex_transitive(build_graph(n, s)) == expected, (n, s)
+            assert (_swap_shift(build_graph(n, s)) is not None) == expected, (n, s)
 
 
 # (n, ring step of cycle 2, cross offsets, whether rotation and swap reach every vertex)
@@ -119,7 +118,7 @@ OTHER_BICIRCULANTS = [
 def test_transitivity_matches_the_orbit_oracle_on_other_bicirculants(n, step, offsets, expected):
     dist = bicirculant_distances(n, step, offsets)
     assert swap_orbit_is_everything(dist) == expected
-    assert _is_vertex_transitive(graph_of(dist, 1)) == expected
+    assert (_swap_shift(graph_of(dist, 1)) is not None) == expected
 
 
 @pytest.mark.parametrize("n,s", [(n, s) for n in range(3, 8) for s in (1, 2, 3) if s <= n])
@@ -189,7 +188,7 @@ def test_root_symmetries_compare_only_the_aligned_shifts(monkeypatch):
         return array_equal(a, b)
 
     monkeypatch.setattr(np, "array_equal", counting)
-    assert _is_vertex_transitive(g) and _reflection(g) is not None
+    assert _swap_shift(g) is not None and _reflection(g) is not None
     assert len(compared) <= 1 + 2 * s
 
 
@@ -268,7 +267,7 @@ def test_a_full_table_is_cleared_not_frozen(monkeypatch):
     monkeypatch.setattr(exact, "_TABLE_BYTES", 24 << 10)
     g, result = _solve(8, 3)
     assert result.proven_optimal and result.rn == 30
-    assert result.nodes_explored < 100_000
+    assert result.nodes_explored < 85_000
     assert verify(g, result.witness).valid
 
 
@@ -374,6 +373,17 @@ def test_frame_key_is_exact_past_one_byte():
         other = state[:]
         other[u] = x
         assert _frame_key(other, 0, n, swap, refl) != key
+
+
+@pytest.mark.parametrize("n,s", [(508, 1), (509, 2), (510, 3)])
+def test_search_runs_at_the_widest_one_byte_diameter(n, s):
+    # diameter 255 is the largest label a one-byte key holds; the child's own
+    # vertex, whose row entry is diam + 1, must stay out of the key
+    g = build_graph(n, s)
+    assert g.diameter == 255 and _key_typecode(g.diameter) == "B"
+    result = exact_radio_number(g, time_budget=0.05)
+    assert result.rn == result.witness.span
+    assert verify(g, result.witness).valid
 
 
 # rn of generalized Petersen graphs GP(n, k), which only rotation maps onto

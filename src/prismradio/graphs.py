@@ -17,21 +17,19 @@ A Vertex holds plain int coordinates already in range; lookups reject any
 other (``PrismGraph.index``) rather than wrap or coerce them.
 
 Distances are hop counts.  Shifting every position by the same amount maps
-edges to edges, so d((c, i), (c', j)) depends only on c, c' and (j - i)
-mod n, and the whole metric is two rows, one from (1, 1) and one from
-(2, 1).  For s <= 3 the rows have a closed form: a cross offset moves the
-position by at most 1, so crossing over and back (2 hops) shifts it by at
-most 2, which 2 ring hops do as well, and some shortest path crosses between
-the cycles at most once (see ``build_graph``).  ``PrismGraph.rows`` holds
-the rows as a read-only (2, 2, n) array, so a graph costs O(n) memory and
-O(n) NumPy build time, and every layer of the library reads the rows.
-The dense 2n x 2n matrix ``PrismGraph.dist`` is derived from them on each
-access and not kept; no library code reads it.  It stays only because the
-benchmark's tracing and tests read it, and goes once they count and compare
-the rows instead.  Built graphs are immutable and safe to share across
-threads.  ``build_graph`` memoizes the last 128 instances in a typed cache
-keyed on (n, s), so a float or bool argument meets the parameter check
-rather than the entry of an equal int;
+edges to edges, so d((c, i), (c', j)) depends only on c, c' and (j - i) mod
+n, and the whole metric is two rows, one from (1, 1) and one from (2, 1).
+For s <= 3 the rows have a closed form: a cross offset moves the position by
+at most 1, so crossing over and back (2 hops) shifts it by at most 2, which
+2 ring hops do as well, and some shortest path crosses between the cycles at
+most once (see ``build_graph``).  ``PrismGraph.rows`` holds the rows as a
+read-only (2, 2, n) array, so a graph costs O(n) memory and O(n) build time
+in a fixed number of NumPy calls, and every layer of the library reads the
+rows.  The dense 2n x 2n matrix ``PrismGraph.dist`` is derived from them on
+each access and not kept; no library code reads it.  Built graphs are
+immutable and safe to share across threads.  ``build_graph`` memoizes the
+last 128 instances in a typed cache keyed on (n, s), so a float or bool
+argument meets the parameter check rather than the entry of an equal int;
 ``selftest.run_selftest`` sweeps more graphs than that and keeps a memo of
 its own for the run.
 
@@ -81,11 +79,7 @@ def _validate_params(n: int, s: int) -> None:
 
 
 def _dense_from_rows(rows: np.ndarray) -> np.ndarray:
-    """The 2n x 2n matrix dist[c*n + i, c'*n + j] = rows[c, c', (j - i) mod n].
-
-    Only ``PrismGraph.dist`` calls it; both go when the benchmark stops
-    reading ``dist``.
-    """
+    """The 2n x 2n matrix dist[c*n + i, c'*n + j] = rows[c, c', (j - i) mod n]."""
     n = rows.shape[2]
     k = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     dist = np.block([[rows[0, 0][k], rows[0, 1][k]], [rows[1, 0][k], rows[1, 1][k]]])
@@ -98,9 +92,8 @@ class PrismGraph:
 
     ``rows[c, c', k]`` is the hop distance from (c + 1, 1) to (c' + 1, 1 + k)
     (0-based c, c', k); ``diameter`` is its maximum, read from the rows.
-    Vertex (c, p) maps to matrix index (c - 1) * n + (p - 1), and ``dist`` is
-    the read-only dense matrix of hop counts over those indices, rebuilt on
-    each access.  Use ``build_graph`` to obtain instances.
+    Vertex (c, p) maps to index (c - 1) * n + (p - 1) of ``dist``, the
+    dense matrix of hop counts.  Use ``build_graph`` to obtain instances.
     """
 
     __slots__ = ("n", "s", "rows", "diameter")
@@ -176,22 +169,27 @@ def build_graph(n: int, s: int) -> PrismGraph:
         d((1, 1), (2, 1 + k)) = 1 + min over sigma of ring(k - sigma),
         d((2, 1), (1, 1 + k)) = 1 + min over sigma of ring(k + sigma).
 
-    The lemma fails for s >= 4, which is rejected.  Raises
-    ValueError("unsupported graph parameters") outside the supported range.
-    Asserts that the rows describe a symmetric metric (d(u, v) = d(v, u)
-    and d(v, v) = 0) and that the diameter matches the closed form.
+    The rows are written in place into one (2, 2, n) int32 array.  As
+    |sigma| <= 1, each cross row is 1 plus a running minimum of slices of
+    ring wrapped by one entry on each side.  The lemma fails for s >= 4,
+    which is rejected.  Raises ValueError("unsupported graph parameters")
+    outside the supported range.  Asserts that the rows describe a
+    symmetric metric (d(u, v) = d(v, u) and d(v, v) = 0) and that the
+    diameter matches the closed form.
     """
     _validate_params(n, s)
-    k = np.arange(n)
-    ring = np.minimum(k, n - k).astype(np.int32)
-    sigma = np.arange(-((s - 1) // 2), s // 2 + 1)[:, None]  # the cross offsets
-    to_2 = 1 + ring[(k - sigma) % n].min(axis=0)
-    to_1 = 1 + ring[(k + sigma) % n].min(axis=0)
-    rows = np.stack([ring, to_2, to_1, ring]).reshape(2, 2, n)
-    # d((c, 1), (c', 1 + k)) == d((c', 1), (c, 1 - k)), and d(v, v) == 0
-    back = (-k) % n
-    assert (rows == rows.transpose(1, 0, 2)[:, :, back]).all()
-    assert rows[0, 0, 0] == rows[1, 1, 0] == 0
+    rows = np.empty((2, 2, n), dtype=np.int32)
+    k = np.arange(n, dtype=np.int32)
+    ring = np.minimum(k, n - k, out=rows[0, 0])
+    rows.reshape(4, n)[1:] = ring  # the cross rows start from sigma = 0
+    wrapped = np.concatenate((ring[-1:], ring, ring[:1]))  # wrapped[1 + j] = ring(j)
+    for sigma in (1, -1)[:s - 1]:  # the cross offsets other than 0
+        np.minimum(rows[0, 1], wrapped[1 - sigma:n + 1 - sigma], out=rows[0, 1])
+        np.minimum(rows[1, 0], wrapped[1 + sigma:n + 1 + sigma], out=rows[1, 0])
+    rows.reshape(4, n)[1:3] += 1
+    # d((c, 1), (c', 1 + k)) == d((c', 1), (c, 1 - k)), k -> n - k being [..., :0:-1]
+    assert (rows[..., 1:] == rows.transpose(1, 0, 2)[..., :0:-1]).all()
+    assert rows[0, 1, 0] == rows[1, 0, 0] and rows[0, 0, 0] == rows[1, 1, 0] == 0  # d(v, v) == 0
 
     rows.setflags(write=False)
     g = PrismGraph(n, s, rows)

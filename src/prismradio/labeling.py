@@ -21,9 +21,8 @@ walk is one of four chosen by ``case_select``:
 In cases 1 and 2 the partner lies across the cycles, d_offset(n, s) ahead;
 in cases 3 and 4 on the same cycle, n // 2 ahead.  Both vertices are
 wrapped to the index (c mod 2) * n + (p mod n) that ``PrismGraph.index``
-uses.
-``construct_labeling`` writes the label sequence into a label array at
-those indices.
+uses, as one row of an (n, 2) array.  ``construct_labeling`` writes the
+label sequence into a label array at those indices and keeps it, uncopied.
 
 A ``Labeling`` is that array: one int64 label per vertex index, read-only.
 Its two checked constructors, from a vertex -> label mapping and from the
@@ -95,7 +94,10 @@ def case_select(n: int, s: int) -> CaseId:
 
 def label_sequence(n: int, s: int) -> np.ndarray:
     """The 2n label values in sorted order as an int64 array: 1, 2, 1 + phi, 2 + phi, ..."""
-    return (np.arange(n, dtype=np.int64)[:, None] * phi(n, s) + [1, 2]).ravel()
+    step = phi(n, s)
+    seq = np.arange(1, n * step + 1, step, dtype=np.int64).repeat(2)
+    seq[1::2] += 1
+    return seq
 
 
 def label_order(n: int, s: int) -> np.ndarray:
@@ -125,11 +127,12 @@ def label_order(n: int, s: int) -> np.ndarray:
         raise ValueError(f"Z({n},{s}) is {case.value}: construct_labeling labels it directly")
     # alpha_2i is the diametral partner of alpha_2i-1: the other cycle shifted
     # by d_offset, or the same cycle shifted by half its length
-    dc, dp = (1, d_offset(n, s)) if across else (0, n // 2)
-    order = np.empty(2 * n, dtype=np.int64)
-    order[0::2] = c % 2 * n + p % n
-    order[1::2] = (c + dc) % 2 * n + (p + dp) % n
-    return order
+    dp = d_offset(n, s) if across else n // 2
+    cyc = c % 2 * n
+    pairs = np.empty((n, 2), dtype=np.int64)  # row j: alpha_2i-1, alpha_2i
+    np.add(cyc, np.remainder(p, n, out=p), out=pairs[:, 0])
+    np.add(n - cyc if across else cyc, np.remainder(p + dp, n, out=p), out=pairs[:, 1])
+    return pairs.ravel()
 
 
 _MAX_LABEL = 2**63 - 1  # labels are held in int64
@@ -255,9 +258,8 @@ class Labeling:
         twice = _first_repeat(cycle_col, pos_col)
         if twice is not None:
             raise ValueError(f"malformed labeling file: vertex {shown(twice)[0]} labeled twice")
-        lab = object.__new__(cls)
-        lab._freeze(n, s, _checked_labels(n, s, cycle_col, pos_col, _int_column(label), shown))
-        return lab
+        return object.__new__(cls)._freeze(
+            n, s, _checked_labels(n, s, cycle_col, pos_col, _int_column(label), shown))
 
     @classmethod
     def from_labels(cls, n: int, s: int, labels: Iterable[int]) -> "Labeling":
@@ -265,15 +267,14 @@ class Labeling:
 
         The caller guarantees 2n labels in [1, 2**63); nothing is checked.
         """
-        lab = object.__new__(cls)
-        lab._freeze(n, s, np.array(labels, dtype=np.int64))
-        return lab
+        return object.__new__(cls)._freeze(n, s, np.array(labels, dtype=np.int64))
 
-    def _freeze(self, n: int, s: int, labels: np.ndarray) -> None:
+    def _freeze(self, n: int, s: int, labels: np.ndarray) -> "Labeling":
         labels.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "labels", labels)
+        return self
 
     @property
     def assignment(self) -> Mapping[Vertex, int]:
@@ -298,4 +299,4 @@ def construct_labeling(n: int, s: int) -> Labeling:
     order = label_order(n, s)  # first: its error names the graphs without a construction
     labels = np.empty(2 * n, dtype=np.int64)
     labels[order] = label_sequence(n, s)
-    return Labeling.from_labels(n, s, labels)
+    return object.__new__(Labeling)._freeze(n, s, labels)  # labels is its own: not copied

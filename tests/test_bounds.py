@@ -169,8 +169,8 @@ def _root_bound(g):
 @pytest.mark.parametrize("n,s", [(n, s) for n in (3, 4) for s in range(1, n + 1)])
 def test_root_bound_never_exceeds_the_brute_force_radio_number(n, s):
     # Z(4, 4) is outside build_graph's range: its graph comes from the definition
-    g = graph_of(all_pairs_distances(n, s), s)
-    assert _root_bound(g) <= brute_force_radio_number(n, s)
+    dist = all_pairs_distances(n, s)
+    assert _root_bound(graph_of(dist, s)) <= brute_force_radio_number(dist)
 
 
 def test_root_bound_never_exceeds_the_construction_span():

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prismradio import (ExactResult, Labeling, build_graph, cli, construct_labeling,
-                        exact_radio_number, radio_number)
+from prismradio import (ExactResult, Labeling, bounds, build_graph, cli, construct_labeling,
+                        exact_radio_number, lower_bound_rn, radio_number)
 from prismradio.cli import main
 from reference import (label_lines, labeling_by_json_load, labeling_document,
                        labels_from_document)
@@ -542,6 +542,27 @@ def test_table_json(capsys):
     rows = json.loads(out)
     assert [r["rn_formula"] for r in rows] == [30, 23, 30]
     assert all(r["match"] for r in rows)
+
+
+def test_table_reproduces_the_paper_over_the_census_range(capsys):
+    # the sweep the benchmark's census workload runs, checked row by row
+    code, out, _ = run(capsys, "table", "--n-min", "3", "--n-max", "240", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [(r["n"], r["s"]) for r in rows] == [(n, s) for n in range(3, 241) for s in (1, 2, 3)]
+    for r in rows:
+        key = (r["n"], r["s"])
+        if key in [(3, 1), (3, 2)]:
+            want = {"phi": None, "rn_formula": None, "span": None, "match": None,
+                    "note": "outside scope"}
+        elif key in bounds._SPECIAL_LABELS:
+            rn = max(bounds._SPECIAL_LABELS[key])
+            want = {"phi": None, "rn_formula": rn, "span": rn, "match": True, "note": "special"}
+        else:
+            rn = lower_bound_rn(*key)
+            want = {"phi": bounds.phi(*key), "rn_formula": rn, "span": rn, "match": True,
+                    "note": ""}
+        assert r == {"n": key[0], "s": key[1], **want}, r
 
 
 def test_table_bad_range(capsys):

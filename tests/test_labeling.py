@@ -176,6 +176,19 @@ def test_construction_holds_a_few_order_arrays(n, s):
         assert peak <= 4.5 * (2 * n * 8), (build.__name__, peak / (2 * n * 8))
 
 
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_construction_labels_alpha_in_order_with_the_label_sequence(s):
+    # construct_labeling writes its labels straight into the vertex array; read
+    # back in label_order they must be the documented 1 + (i - 1) * phi, 2 + (i - 1) * phi
+    for n in list(range(4, 301)) + [200_000, 200_001, 200_002]:
+        if case_select(n, s) is CaseId.SPECIAL:
+            continue
+        i = np.arange(2 * n)
+        seq = label_sequence(n, s)
+        assert (seq == 1 + i // 2 * phi(n, s) + i % 2).all(), (n, s)
+        assert (construct_labeling(n, s).labels[label_order(n, s)] == seq).all(), (n, s)
+
+
 def test_construct_labeling_special_3_3():
     lab = construct_labeling(3, 3)
     assert lab.span == 6

@@ -353,7 +353,7 @@ def cmd_exact(args: argparse.Namespace) -> Output:
     g = build_graph(args.n, args.s)
     result = exact_radio_number(g, None if args.budget is None else _parse_budget(args.budget))
     report = verify(g, result.witness)
-    if not report.valid or result.witness.span != result.rn:
+    if not report.valid or report.span != result.rn:
         print("internal inconsistency: exact witness failed verification", file=sys.stderr)
         return EXIT_INTERNAL, []
     if args.format == "json":
@@ -377,12 +377,13 @@ def _table_rows(n_min: int, n_max: int) -> Iterator[dict]:
                 continue
             g = build_graph(n, s)
             lab = construct_labeling(n, s)
-            valid = verify(g, lab).valid
+            report = verify(g, lab)
             formula, method = radio_number(n, s)
             special = method == "special"
             yield {"n": n, "s": s, "phi": None if special else phi(n, s),
-                   "rn_formula": formula, "span": lab.span,
-                   "match": valid and lab.span == formula, "note": "special" if special else ""}
+                   "rn_formula": formula, "span": report.span,
+                   "match": report.valid and report.span == formula,
+                   "note": "special" if special else ""}
 
 
 def _cell(x: object, width: int) -> str:

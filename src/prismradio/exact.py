@@ -44,28 +44,28 @@ labels.  So a child whose key was pushed before with a label c' <= c is
 skipped: its completions are the images of the earlier node's, shifted up
 by c - c' >= 0, and the earlier visit already explored every completion not
 strictly worse than the bound of its time.  A visit restricted by the
-mirror pairs still covers its node's whole subtree, since each skipped
-child mirrors an explored sibling.  No key can match while its first visit
-is still open: only descendants are visited meanwhile, and they have fewer
-unplaced vertices, which no automorphism changes.  Once the keys written
-and a per-entry charge pass ``_TABLE_BYTES``, the table is cleared, which
-only skips fewer children: a later entry still stands for a finished visit,
-or for an open one, which cannot match.  A skipped child still counts
+mirror pairs still covers its node's whole subtree, since each skipped child
+mirrors an explored sibling.  No key can match while its first visit is still
+open: only descendants are visited meanwhile, and they have fewer unplaced
+vertices, which no automorphism changes.  Once its entries, each charged its
+key and ``_TABLE_ENTRY_BYTES``, pass ``_TABLE_BYTES``, the table is cleared,
+which only skips fewer children: a later entry still stands for a finished
+visit, or for an open one, which cannot match.  A skipped child still counts
 in nodes_explored, which counts the children that pass the label cut.
 
 The search is single-threaded and deterministic: children are expanded in
 ascending (forced label, vertex index) order, so nodes_explored is
-reproducible for a given graph.  It runs on an explicit stack of
-frames, one per depth, each holding its children already cut and sorted,
-its unplaced vertices and their forced labels, so a search 2n deep needs
-no recursion.  The distances come from g's two metric rows, rotated per
-placed vertex, so the search holds O(n) of the metric.  The time budget is
-read whenever the nodes explored, each weighted by its unplaced vertices,
-pass another ``_BUDGET_CHECK_WORK``, and at the first node, so the
-overshoot is about the same at every n.  The incumbent is seeded from
-``construct_labeling`` when that covers (n, s) and its labeling verifies on
-g, which need not be Z(n, s), else from a greedy labeling, so a witness
-always exists even when the time budget runs out.
+reproducible for a given graph.  It runs on an explicit stack of frames, one
+per depth, each holding its children already cut and sorted, its unplaced
+vertices and its state, the one copy of their forced labels, from which its
+table key was cut, so a search 2n deep needs no recursion.  The distances
+come from g's two metric rows, rotated per placed vertex, so the search holds
+O(n) of the metric.  The time budget is read whenever the nodes explored,
+each weighted by its unplaced vertices, pass another ``_BUDGET_CHECK_WORK``,
+and at the first node, so the overshoot is about the same at every n.  The
+incumbent is seeded from ``construct_labeling`` when that covers (n, s) and
+its labeling verifies on g, which need not be Z(n, s), else from a greedy
+labeling, so a witness always exists even when the time budget runs out.
 """
 
 from __future__ import annotations
@@ -88,8 +88,10 @@ __all__ = ["ExactResult", "greedy_span_for_order", "exact_radio_number"]
 # the clock is read whenever nodes explored, each weighted by its number of
 # unplaced vertices, pass another multiple of this
 _BUDGET_CHECK_WORK = 1 << 16
-# memory cap of the transposition table: once the keys written plus a
-# per-entry charge for the dict slot pass it, the table is cleared
+# memory cap of the transposition table: it is cleared once the entries it
+# holds, each charged its key and _TABLE_ENTRY_BYTES, pass the cap.
+# tracemalloc measured about 62 bytes of bytes-object header and dict slot
+# beyond the key at 20,000 entries; the rest covers a label's int above 256
 _TABLE_BYTES = 64 << 20
 _TABLE_ENTRY_BYTES = 96
 
@@ -246,18 +248,19 @@ def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> Exact
 
     # seen[key] = the least label c of a frame pushed with that key, where the
     # key is its forced labels minus c by vertex index, 0 where placed, seen
-    # from its own vertex (``_frame_key``)
+    # from its own vertex (``_frame_key``); room: the entries it may hold
     seen: dict[bytes, int] = {}
-    seen_bytes = 0
-    no_labels = array(_key_typecode(g.diameter), [0]) * nv
+    typecode = _key_typecode(g.diameter)
+    no_labels = array(typecode, [0]) * nv
+    room = _TABLE_BYTES // (nv * no_labels.itemsize + _TABLE_ENTRY_BYTES)
 
     # A frame is one node of the tree, labeled base: an iterator over its
     # children (label - base, position in rest), ascending and already cut
-    # against best_span; its unplaced vertices, ascending, with their forced
-    # labels minus base; base; tails[m]; and whether every placed vertex is a
-    # fixed point of refl.
+    # against best_span; its unplaced vertices, ascending; its state, their
+    # forced labels minus base by vertex index, 0 where placed; base; and
+    # whether every placed vertex is a fixed point of refl.
     root_kids = [(1, 0)] if pinned else [(1, v) for v in range(nv)]
-    stack = [(iter(root_kids), list(range(nv)), [1] * nv, 0, tails[nv], refl is not None)]
+    stack = [(iter(root_kids), list(range(nv)), array(typecode, [1]) * nv, 0, refl is not None)]
     path = [0] * nv  # path[d]: the vertex placed at depth d
     path_labels = [0] * nv
     nodes = 0
@@ -267,14 +270,15 @@ def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> Exact
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
     while stack and not stopped:
-        kids, rest, rel, base, tail, sym = stack[-1]
+        kids, rest, state, base, sym = stack[-1]
+        m = len(rest)
+        tail = tails[m]
         for r, i in kids:
             c = base + r
             if c + tail >= best_span:
                 stack.pop()  # children are label-sorted: the rest are no better
                 break
             nodes += 1
-            m = len(rest)
             work += m
             if work >= next_check:
                 if time.monotonic() > deadline:
@@ -295,35 +299,30 @@ def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> Exact
             cv, pv = divmod(v, n)
             to_1, to_2 = doubled[cv]
             row = to_1[n - pv:nv - pv] + to_2[n - pv:nv - pv]  # by vertex index, >= 1
-            # each unplaced vertex's forced label minus c, which is positive
-            child = [o if (o := row[u]) > (x := lr - r) else x for u, lr in zip(rest, rel)]
-            del child[i]
             child_rest = rest.copy()
             del child_rest[i]
-            state = no_labels[:]
-            for u, x in zip(child_rest, child):
-                state[u] = x
-            key = _frame_key(state, v, n, swap, refl)
+            # each unplaced vertex's forced label minus c, which is positive
+            child = no_labels[:]
+            for u in child_rest:
+                child[u] = o if (o := row[u]) > (x := state[u] - r) else x
+            key = _frame_key(child, v, n, swap, refl)
             first = seen.get(key)
             if first is not None and first <= c:
                 continue  # the completions below are those of the first, shifted up
             seen[key] = c
-            seen_bytes += len(key) + _TABLE_ENTRY_BYTES
-            if seen_bytes > _TABLE_BYTES:
+            if len(seen) > room:
                 seen.clear()
-                seen_bytes = 0
-            child_tail = tails[m - 1]
-            lim = best_span - child_tail - c
+            lim = best_span - tails[m - 1] - c
             # while every placed vertex is fixed by refl, an order and its
-            # image under refl tie: keep only the child v <= refl[v] of each pair
+            # image under refl tie: keep only the child u <= refl[u] of each pair
             child_sym = sym and refl[v] == v
             if child_sym:
-                child_kids = [(x, j) for j, x in enumerate(child)
-                              if x < lim and child_rest[j] <= refl[child_rest[j]]]
+                child_kids = [(x, j) for j, u in enumerate(child_rest)
+                              if (x := child[u]) < lim and u <= refl[u]]
             else:
-                child_kids = [(x, j) for j, x in enumerate(child) if x < lim]
+                child_kids = [(x, j) for j, u in enumerate(child_rest) if (x := child[u]) < lim]
             child_kids.sort()
-            stack.append((iter(child_kids), child_rest, child, c, child_tail, child_sym))
+            stack.append((iter(child_kids), child_rest, child, c, child_sym))
             break
         else:
             stack.pop()

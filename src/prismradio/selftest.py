@@ -159,7 +159,7 @@ def _labeling_suite(n_max: int, graph: _Graphs) -> _Checks:
         yield (report.valid,
                f"constructed labeling of Z({n},{s}) is invalid: {report.violations[:1]}")
         rn = radio_number(n, s)[0]
-        yield (int(lab.labels.min()) == 1 and lab.span == rn,
+        yield (int(lab.labels.min()) == 1 and report.span == rn,
                f"labels of Z({n},{s}) do not run from 1 to rn = {rn}")
         if case is CaseId.SPECIAL:
             continue

@@ -275,20 +275,33 @@ def test_a_full_table_is_cleared_not_frozen(monkeypatch):
 LOOSE_SEED_NODES = {(8, 2): 641, (9, 1): 10_074, (7, 3): 4709}
 
 
+def _no_construction(n, s):
+    raise ValueError("no construction")
+
+
 @pytest.mark.parametrize("n,s", [(8, 2), (9, 1), (7, 3)])
 def test_table_search_from_a_loose_seed_finds_the_optimum(monkeypatch, n, s):
     # without the construction the greedy seed (61, 85 and 40) is a loose
     # incumbent that leaves many transposed frames to tell apart by their
     # labels; skipping a frame one label below its twin loses Z(9,1)
-    def no_construction(n, s):
-        raise ValueError("no construction")
-
-    monkeypatch.setattr(exact, "construct_labeling", no_construction)
+    monkeypatch.setattr(exact, "construct_labeling", _no_construction)
     rn = radio_number(n, s)[0]
     g, result = _solve(n, s)
     assert result.rn == rn and result.proven_optimal
     assert result.nodes_explored <= LOOSE_SEED_NODES[n, s]
     assert verify(g, result.witness).valid
+
+
+def test_the_table_cap_counts_entries_held_not_pushes(monkeypatch):
+    # from the loose seed, Z(9,1) holds 4,988 distinct 18-byte keys but
+    # pushes some of them again with a lower label; a cap charged per push
+    # would clear the table at room for 5,000 and explore 12,222 nodes
+    monkeypatch.setattr(exact, "construct_labeling", _no_construction)
+    _, full = _solve(9, 1)
+    monkeypatch.setattr(exact, "_TABLE_BYTES", 5_000 * (18 + exact._TABLE_ENTRY_BYTES))
+    _, capped = _solve(9, 1)
+    assert capped.proven_optimal and capped.rn == full.rn == 34
+    assert capped.nodes_explored == full.nodes_explored
 
 
 def _key_symmetries(g, dist):
@@ -386,25 +399,33 @@ def test_search_runs_at_the_widest_one_byte_diameter(n, s):
     assert verify(g, result.witness).valid
 
 
-# rn of generalized Petersen graphs GP(n, k), which only rotation maps onto
-# themselves among the maps exact verifies
-GP_RN = {(5, 2): 10, (7, 2): 14, (8, 3): 26, (10, 3): 38}
+# rn and nodes explored of generalized Petersen graphs GP(n, k), which only
+# rotation maps onto themselves among the maps exact verifies: the search
+# runs the unpinned root and the rotation-only key, which no other count pins
+GP_RN = {(5, 2): (10, 2666), (7, 2): (14, 670), (8, 3): (26, 63_342), (10, 3): (38, 3640)}
 
 
 @pytest.mark.parametrize("n,k", sorted(GP_RN))
 def test_generalized_petersen_graphs_are_proven(n, k):
+    rn, nodes = GP_RN[n, k]
     g = graph_of(bicirculant_distances(n, k, (0,)), 1)
     result = exact_radio_number(g)
-    assert result.proven_optimal and result.rn == GP_RN[n, k]
+    assert result.proven_optimal and result.rn == rn
+    assert result.nodes_explored <= nodes
     assert verify(g, result.witness).valid and result.witness.span == result.rn
 
 
 def test_generalized_petersen_search_matches_the_recursive_oracle():
-    dist = bicirculant_distances(5, 2, (0,))
-    result = exact_radio_number(graph_of(dist, 1))
-    rn, oracle_nodes = recursive_exact_search(dist, 1)
-    assert result.proven_optimal and result.rn == rn == GP_RN[5, 2]
-    assert result.nodes_explored <= oracle_nodes
+    # GP(5,2), GP(7,3) and the 6-cycle whose spokes lead to two triangles,
+    # GP(6,2), as (n, k, rn): none has a verified swap
+    for n, k, expected in [(5, 2, 10), (7, 3, 14), (6, 2, 23)]:
+        dist = bicirculant_distances(n, k, (0,))
+        g = graph_of(dist, 1)
+        assert _swap_shift(g) is None
+        result = exact_radio_number(g)
+        rn, oracle_nodes = recursive_exact_search(dist, 1)
+        assert result.proven_optimal and result.rn == rn == expected, (n, k)
+        assert result.nodes_explored <= oracle_nodes, (n, k)
 
 
 @pytest.mark.parametrize("n,s", [(8, 3), (10, 2), (11, 2)])

@@ -56,9 +56,10 @@ in nodes_explored, which counts the children that pass the label cut.
 The search is single-threaded and deterministic: children are expanded in
 ascending (forced label, vertex index) order, so nodes_explored is
 reproducible for a given graph.  It runs on an explicit stack of frames, one
-per depth, each holding its children already cut and sorted, its unplaced
-vertices and its state, the one copy of their forced labels, from which its
-table key was cut, so a search 2n deep needs no recursion.  The distances
+per depth, each holding the vertex it placed and its label, its children
+already cut and sorted, its unplaced vertices and its state, the one copy of
+their forced labels, from which its table key was cut, so a search 2n deep
+needs no recursion, and a completed order is read off the stack.  The distances
 come from g's two metric rows, rotated per placed vertex, so the search holds
 O(n) of the metric.  The time budget is read whenever the nodes explored,
 each weighted by its unplaced vertices, pass another ``_BUDGET_CHECK_WORK``,
@@ -230,8 +231,8 @@ def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> Exact
     best_labels: list[int] | None = None  # by vertex index
     try:
         seed = construct_labeling(n, g.s)
-        if verify(g, seed).valid:  # g need not be Z(n, s)
-            best_span = seed.span
+        if (report := verify(g, seed)).valid:  # g need not be Z(n, s)
+            best_span = report.span
             best_labels = seed.labels.tolist()
     except ValueError:
         pass
@@ -255,14 +256,13 @@ def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> Exact
     room = _TABLE_BYTES // (nv * no_labels.itemsize + _TABLE_ENTRY_BYTES)
 
     # A frame is one node of the tree, labeled base: an iterator over its
-    # children (label - base, position in rest), ascending and already cut
-    # against best_span; its unplaced vertices, ascending; its state, their
-    # forced labels minus base by vertex index, 0 where placed; base; and
-    # whether every placed vertex is a fixed point of refl.
+    # children (label - base, vertex index), ascending and already cut against
+    # best_span; its unplaced vertices, ascending; its state, their forced
+    # labels minus base by vertex index, 0 where placed; base; whether every
+    # placed vertex is a fixed point of refl; and its vertex, -1 at the root.
     root_kids = [(1, 0)] if pinned else [(1, v) for v in range(nv)]
-    stack = [(iter(root_kids), list(range(nv)), array(typecode, [1]) * nv, 0, refl is not None)]
-    path = [0] * nv  # path[d]: the vertex placed at depth d
-    path_labels = [0] * nv
+    stack = [(iter(root_kids), list(range(nv)), array(typecode, [1]) * nv, 0,
+              refl is not None, -1)]
     nodes = 0
     work = 0  # nodes explored, each weighted by its count of unplaced vertices
     next_check = 0 if time_budget is not None else float("inf")
@@ -270,10 +270,10 @@ def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> Exact
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
     while stack and not stopped:
-        kids, rest, state, base, sym = stack[-1]
+        kids, rest, state, base, sym, _ = stack[-1]
         m = len(rest)
         tail = tails[m]
-        for r, i in kids:
+        for r, v in kids:
             c = base + r
             if c + tail >= best_span:
                 stack.pop()  # children are label-sorted: the rest are no better
@@ -285,22 +285,19 @@ def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> Exact
                     stopped = True
                     break
                 next_check = work + _BUDGET_CHECK_WORK
-            v = rest[i]
-            depth = nv - m
-            path[depth] = v
-            path_labels[depth] = c
             if m == 1:
                 # order complete; the cut above guarantees c <= best_span
                 best_span = c
                 best_labels = [0] * nv
-                for w, cw in zip(path, path_labels):
+                best_labels[v] = c
+                for _, _, _, cw, _, w in stack[1:]:
                     best_labels[w] = cw
                 continue
             cv, pv = divmod(v, n)
             to_1, to_2 = doubled[cv]
             row = to_1[n - pv:nv - pv] + to_2[n - pv:nv - pv]  # by vertex index, >= 1
             child_rest = rest.copy()
-            del child_rest[i]
+            child_rest.remove(v)
             # each unplaced vertex's forced label minus c, which is positive
             child = no_labels[:]
             for u in child_rest:
@@ -317,12 +314,11 @@ def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> Exact
             # image under refl tie: keep only the child u <= refl[u] of each pair
             child_sym = sym and refl[v] == v
             if child_sym:
-                child_kids = [(x, j) for j, u in enumerate(child_rest)
-                              if (x := child[u]) < lim and u <= refl[u]]
+                child_kids = [(x, u) for u in child_rest if (x := child[u]) < lim and u <= refl[u]]
             else:
-                child_kids = [(x, j) for j, u in enumerate(child_rest) if (x := child[u]) < lim]
+                child_kids = [(x, u) for u in child_rest if (x := child[u]) < lim]
             child_kids.sort()
-            stack.append((iter(child_kids), child_rest, child, c, child_sym))
+            stack.append((iter(child_kids), child_rest, child, c, child_sym, v))
             break
         else:
             stack.pop()

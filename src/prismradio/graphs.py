@@ -92,8 +92,9 @@ class PrismGraph:
 
     ``rows[c, c', k]`` is the hop distance from (c + 1, 1) to (c' + 1, 1 + k)
     (0-based c, c', k); ``diameter`` is its maximum, read from the rows.
-    Vertex (c, p) maps to index (c - 1) * n + (p - 1) of ``dist``, the
-    dense matrix of hop counts.  Use ``build_graph`` to obtain instances.
+    Vertex (c, p) has vertex index (c - 1) * n + (p - 1), the index every
+    layer uses (``index``, ``vertex_at``, ``Labeling.labels``, ``verify`` and
+    ``exact``).  Use ``build_graph`` to obtain instances.
     """
 
     __slots__ = ("n", "s", "rows", "diameter")

@@ -196,7 +196,8 @@ def _exact_suite(n_max: int, graph: _Graphs) -> _Checks:
         res = exact_radio_number(g)
         yield (res.rn == expected and res.proven_optimal,
                f"exact search on Z({n},{s}) returned {res.rn}, expected {expected}")
-        yield (verify(g, res.witness).valid and res.witness.span == res.rn,
+        report = verify(g, res.witness)
+        yield (report.valid and report.span == res.rn,
                f"exact witness for Z({n},{s}) does not verify")
 
 

@@ -192,14 +192,6 @@ def test_root_symmetries_compare_only_the_aligned_shifts(monkeypatch):
     assert len(compared) <= 1 + 2 * s
 
 
-def test_greedy_is_optimal_on_witness_order():
-    g, result = _solve(4, 2)
-    order = [v for v, _ in sorted(result.witness.assignment.items(), key=lambda kv: kv[1])]
-    span, labels = greedy_span_for_order(g, order)
-    assert span == result.rn
-    assert labels == sorted(result.witness.assignment.values())
-
-
 def test_greedy_rejects_non_permutation():
     g = build_graph(4, 1)
     with pytest.raises(ValueError, match="not a permutation"):
@@ -455,6 +447,29 @@ def test_search_effort_is_pinned(n, s):
     assert result.nodes_explored <= nodes
 
 
+# the prove instances; the loose-seed trio, searched from the greedy seed; and
+# GP(5,2), GP(7,3) and GP(6,2), the 6-cycle whose spokes lead to two
+# triangles, whose roots are not pinned
+WITNESS_ORDER_GRAPHS = ([("Z", n, s) for n, s in sorted(PROVE_RN_NODES)]
+                        + [("loose", n, s) for n, s in sorted(LOOSE_SEED_NODES)]
+                        + [("GP", n, k) for n, k in [(5, 2), (7, 3), (6, 2)]])
+
+
+@pytest.mark.parametrize("kind,n,s", WITNESS_ORDER_GRAPHS)
+def test_greedy_is_optimal_on_witness_order(monkeypatch, kind, n, s):
+    # the witness is read off the search stack: sorted by label, its order
+    # forces exactly its own labels
+    if kind == "loose":
+        monkeypatch.setattr(exact, "construct_labeling", _no_construction)
+    g = graph_of(bicirculant_distances(n, s, (0,)), 1) if kind == "GP" else build_graph(n, s)
+    result = exact_radio_number(g)
+    labels = result.witness.labels.tolist()
+    order = sorted(range(2 * n), key=labels.__getitem__)
+    span, forced = greedy_span_for_order(g, [g.vertex_at(i) for i in order])
+    assert forced == [labels[i] for i in order]
+    assert span == result.rn
+
+
 def test_budget_is_read_by_work_done(monkeypatch):
     # a clock that advances one second per read: a 3 s budget stops at the
     # fourth check.  At 2n = 1200 a node weighs about a thousand unplaced
@@ -466,6 +481,19 @@ def test_budget_is_read_by_work_done(monkeypatch):
     assert next(ticks) == 5  # the deadline's read and four checks
     assert 3 * exact._BUDGET_CHECK_WORK // 1200 < result.nodes_explored
     assert result.nodes_explored <= 4 * exact._BUDGET_CHECK_WORK // 600
+
+
+def test_a_budgeted_deep_search_is_pinned(monkeypatch):
+    # a clock that advances one second per read, so the search stops at its
+    # 21st check.  The count names the search tree: a change to the tree
+    # changes it
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(exact.time, "monotonic", lambda: next(ticks))
+    g, result = _solve(200, 1, time_budget=20)
+    assert not result.proven_optimal
+    assert result.nodes_explored == 8743
+    report = verify(g, result.witness)
+    assert report.valid and report.span == result.rn
 
 
 def test_zero_budget_stops_at_the_first_node():

@@ -81,7 +81,7 @@ import numpy as np
 
 from .bounds import pair_gap
 from .graphs import PrismGraph, Vertex, _hops
-from .labeling import Labeling, construct_labeling
+from .labeling import CaseId, Labeling, case_select, construct_labeling
 from .verification import verify
 
 __all__ = ["ExactResult", "greedy_span_for_order", "exact_radio_number"]
@@ -227,16 +227,13 @@ def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> Exact
     # counted from 0: how far the label of (c', k) must lie above that of (c, p)
     doubled = [[row * 2 for row in (g.diameter + 1 - g.rows[c]).tolist()] for c in (0, 1)]
 
-    best_span: int | None = None
-    best_labels: list[int] | None = None  # by vertex index
-    try:
-        seed = construct_labeling(n, g.s)
-        if (report := verify(g, seed)).valid:  # g need not be Z(n, s)
-            best_span = report.span
-            best_labels = seed.labels.tolist()
-    except ValueError:
-        pass
-    if best_labels is None:
+    # the incumbent, labels by vertex index: the construction's labeling when
+    # (n, s) has one and it verifies on g, which need not be Z(n, s), else
+    # the greedy labeling of the index order
+    if (g.s in (1, 2, 3) and n >= 3 and case_select(n, g.s) is not CaseId.UNSUPPORTED
+            and (report := verify(g, seed := construct_labeling(n, g.s))).valid):
+        best_span, best_labels = report.span, seed.labels.tolist()
+    else:
         best_span, best_labels = greedy_span_for_order(g, list(g.vertices()))
 
     swap = _swap_shift(g)
@@ -313,10 +310,8 @@ def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> Exact
             # while every placed vertex is fixed by refl, an order and its
             # image under refl tie: keep only the child u <= refl[u] of each pair
             child_sym = sym and refl[v] == v
-            if child_sym:
-                child_kids = [(x, u) for u in child_rest if (x := child[u]) < lim and u <= refl[u]]
-            else:
-                child_kids = [(x, u) for u in child_rest if (x := child[u]) < lim]
+            cands = [u for u in child_rest if u <= refl[u]] if child_sym else child_rest
+            child_kids = [(x, u) for u in cands if (x := child[u]) < lim]
             child_kids.sort()
             stack.append((iter(child_kids), child_rest, child, c, child_sym, v))
             break

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prismradio import (
+    CaseId,
     Vertex,
     build_graph,
     construct_labeling,
@@ -86,6 +87,27 @@ def test_zero_budget_returns_constructive_incumbent():
     result = exact_radio_number(g, time_budget=0.0)
     assert not result.proven_optimal
     assert result.rn == construct_labeling(10, 1).span
+    assert verify(g, result.witness).valid
+
+
+GREEDY_SEEDED = {
+    "Z-3-1": (lambda: build_graph(3, 1), 10),
+    "Z-3-2": (lambda: build_graph(3, 2), 11),
+    "GP-6-2": (lambda: graph_of(bicirculant_distances(6, 2, (0,)), 1), 34),
+    "Z-4-4": (lambda: graph_of(all_pairs_distances(4, 4), 4), 15),
+}
+
+
+@pytest.mark.parametrize("name", GREEDY_SEEDED)
+def test_zero_budget_returns_the_greedy_incumbent(name):
+    # Z(3,1) and Z(3,2) have no construction, Z(6,1)'s is no radio labeling
+    # of GP(6,2), and Z(4,4), built from its definition, has s outside the
+    # constructions' 1..3, so the index-order greedy seeds the search
+    graph, span = GREEDY_SEEDED[name]
+    g = graph()
+    result = exact_radio_number(g, time_budget=0.0)
+    assert not result.proven_optimal and result.nodes_explored == 1
+    assert result.rn == span == greedy_span_for_order(g, list(g.vertices()))[0]
     assert verify(g, result.witness).valid
 
 
@@ -268,7 +290,7 @@ LOOSE_SEED_NODES = {(8, 2): 641, (9, 1): 10_074, (7, 3): 4709}
 
 
 def _no_construction(n, s):
-    raise ValueError("no construction")
+    return CaseId.UNSUPPORTED
 
 
 @pytest.mark.parametrize("n,s", [(8, 2), (9, 1), (7, 3)])
@@ -276,7 +298,7 @@ def test_table_search_from_a_loose_seed_finds_the_optimum(monkeypatch, n, s):
     # without the construction the greedy seed (61, 85 and 40) is a loose
     # incumbent that leaves many transposed frames to tell apart by their
     # labels; skipping a frame one label below its twin loses Z(9,1)
-    monkeypatch.setattr(exact, "construct_labeling", _no_construction)
+    monkeypatch.setattr(exact, "case_select", _no_construction)
     rn = radio_number(n, s)[0]
     g, result = _solve(n, s)
     assert result.rn == rn and result.proven_optimal
@@ -288,7 +310,7 @@ def test_the_table_cap_counts_entries_held_not_pushes(monkeypatch):
     # from the loose seed, Z(9,1) holds 4,988 distinct 18-byte keys but
     # pushes some of them again with a lower label; a cap charged per push
     # would clear the table at room for 5,000 and explore 12,222 nodes
-    monkeypatch.setattr(exact, "construct_labeling", _no_construction)
+    monkeypatch.setattr(exact, "case_select", _no_construction)
     _, full = _solve(9, 1)
     monkeypatch.setattr(exact, "_TABLE_BYTES", 5_000 * (18 + exact._TABLE_ENTRY_BYTES))
     _, capped = _solve(9, 1)
@@ -460,7 +482,7 @@ def test_greedy_is_optimal_on_witness_order(monkeypatch, kind, n, s):
     # the witness is read off the search stack: sorted by label, its order
     # forces exactly its own labels
     if kind == "loose":
-        monkeypatch.setattr(exact, "construct_labeling", _no_construction)
+        monkeypatch.setattr(exact, "case_select", _no_construction)
     g = graph_of(bicirculant_distances(n, s, (0,)), 1) if kind == "GP" else build_graph(n, s)
     result = exact_radio_number(g)
     labels = result.witness.labels.tolist()

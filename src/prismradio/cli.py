@@ -30,17 +30,20 @@ chunk of vertices at a time, so output never holds one object per vertex.
 CSV output has a cycle,pos,label header row, and DOT output names nodes
 c<cycle>_p<pos> inside graph Z_<n>_<s>.
 
-``verify --file`` reads the file once as bytes.  A document in exactly the
-layout ``label --format json`` writes (``json.dump`` of the same dict gives
-it too, without the final newline) has its columns pulled out with
-whole-buffer operations a chunk at a time, building no object per entry:
-the text without its digits must be the fixed head, entry skeletons and
-tail, and every number a JSON integer of at most 18 digits in its slot, so
-the reader accepts a document only where ``json.loads`` would read the same
-n, s and columns.  Any other document is decoded as text mode decodes it
-and goes through ``json.loads`` and ``labeling_from_dict``.  Both paths end
-in ``Labeling.from_columns``, so a fault gives one message whichever path
-read the file.
+``verify --file`` reads the file once as bytes.  The layout ``label
+--format json`` writes, which ``json.dump`` of the same dict gives without
+the final newline, is the pattern ``_LAYOUT``::
+
+    {"n": N, "s": N, "diameter": N, "span": N, "labels": [E, E, ..., E]}
+
+with E ``{"cycle": N, "pos": N, "label": N}``, N ``[1-9][0-9]{0,17}``, any
+number of entries, and only JSON whitespace after it.  A document that it
+matches in full has its columns read from its bytes a chunk at a time,
+building no object per entry; ``json.loads`` would read the same n, s and
+columns.  Any other document, including one with a zero or negative entry,
+is decoded as text mode decodes it and goes through ``json.loads`` and
+``labeling_from_dict``.  Both paths end in ``Labeling.from_columns``, so a
+fault gives one message whichever path read the file.
 """
 
 from __future__ import annotations
@@ -126,71 +129,42 @@ _ENTRY = {
 }
 
 
-# The layout ``label --format json`` writes: the head, a %-template of
-# (n, s, diameter, span), the entries joined by ", " and the tail.  _HEAD
-# matches the head in bytes; _SKELETON is an entry with its digits deleted
-# and the separator after it.
+# The layout of the module docstring, built from the writer's templates with
+# each number marked %d: groups 1 and 2 are n and s, group 3 the entry list.
+# The repeats are possessive, so a match keeps no backtracking state per entry.
 _HEAD_FORMAT = '{"n": %s, "s": %s, "diameter": %s, "span": %s, "labels": ['
-_NUMBER = rb"-?(?:0|[1-9][0-9]{0,17})"  # longer numbers go to json.loads
-_HEAD = re.compile(re.escape(_HEAD_FORMAT.encode())
-                   % (b"(%s)" % _NUMBER, b"(%s)" % _NUMBER, _NUMBER, _NUMBER))
-_TAIL = b"]}"
-_DIGITS = b"0123456789"
-_SEP = b", "
-_SKELETON = (_ENTRY["json"](0) % (0, 0)).encode().translate(None, _DIGITS) + _SEP
-_DIGITS_IN_SPACES = bytes(c if c in _DIGITS else ord(" ") for c in range(256))
-_POWERS_OF_TEN = 10 ** np.arange(1, 18, dtype=np.int64)  # a value's digits, less 1, up to 17
-# Bytes of the entry list checked at a time, so no copy of the whole list is made.
+_LAYOUT = re.compile(
+    (re.escape(_HEAD_FORMAT) % ("(%d)", "(%d)", "%d", "%d")
+     + "((?:{0}(?:, {0})*+)?+)".format(re.escape(_ENTRY["json"]("%d")))
+     + r"\]\}[ \t\n\r]*+").replace("%d", "[1-9][0-9]{0,17}+").encode())
+_DIGITS_IN_SPACES = bytes(c if c in b"0123456789" else ord(" ") for c in range(256))
+# Bytes of the entry list read at a time, so no copy of the whole list is made.
 _READ_CHUNK = 1 << 16
 
 
 def _labeling_columns(raw: bytes) -> tuple[int, int, np.ndarray] | None:
     """n, s and the cycle, pos, label values of the entries in turn, for a
-    document in exactly the layout ``label --format json`` writes (which
-    ``json.dump`` gives for the same dict); None for any other document.
+    document that ``_LAYOUT`` matches in full; None for any other document.
 
-    The entry list is checked a chunk at a time with whole-buffer
-    operations.  Without its digits it must be k skeletons joined by
-    ``", "``.  No number slot may be empty and there may be no more than 3k
-    digit runs, so the runs fill the 3k slots.  Each run must be a JSON
-    integer below 10**18: the values ``np.fromstring`` reads must have as
-    many decimal digits in total as the runs have bytes, counting at most
-    18 per value, which fails on a leading zero, on a longer run and on the
-    one 0 that fromstring reads from a piece with no digits.  Then
-    ``json.loads`` would read the same n, s and values.
+    Every number there is a JSON integer from 1 to 10**18 - 1, which int64
+    holds, so ``json.loads`` would read the same n, s and values.  The entry
+    list is read a chunk at a time.
     """
-    head = _HEAD.match(raw)
-    last = raw[-64:]  # a longer run of trailing whitespace goes to json.loads
-    # JSON's whitespace only: a bare rstrip() also strips \v and \f
-    end = len(raw) - len(last) + len(last.rstrip(b" \t\n\r")) - len(_TAIL)
-    if head is None or raw[end:end + len(_TAIL)] != _TAIL:
+    layout = _LAYOUT.fullmatch(raw)
+    if layout is None:
         return None
-    start = head.end()
-    k = raw.count(b"{", start, end)
-    values = np.empty(3 * k, dtype=np.int64)
-    filled = matched = 0  # values read; skeleton bytes matched
+    start, end = layout.span(3)
+    values = np.empty(3 * raw.count(b"{", start, end), dtype=np.int64)
+    filled = 0
     while start < end:
-        # a chunk ends before a space, so no digit run and no " ," spans two chunks
+        # a chunk ends before a space, so no number spans two chunks
         stop = raw.find(b" ", start + _READ_CHUNK, end)
         piece = raw[start:end if stop == -1 else stop]
         start += len(piece)
-        b = np.frombuffer(piece, dtype=np.uint8)
-        if ((b[:-1] == ord(" ")) & ((b[1:] == ord(",")) | (b[1:] == ord("}")))).any():
-            return None  # an empty number slot
-        skeleton = piece.translate(None, _DIGITS)
-        at = matched % len(_SKELETON)
-        if skeleton != (_SKELETON * (len(skeleton) // len(_SKELETON) + 2))[at:at + len(skeleton)]:
-            return None
-        matched += len(skeleton)
         numbers = np.fromstring(piece.translate(_DIGITS_IN_SPACES), dtype=np.int64, sep=" ")
-        digits = numbers.size + int(np.searchsorted(_POWERS_OF_TEN, numbers, "right").sum())
-        if filled + numbers.size > values.size or digits != len(piece) - len(skeleton):
-            return None
         values[filled:filled + numbers.size] = numbers
         filled += numbers.size
-    if matched != max(k * len(_SKELETON) - len(_SEP), 0):
-        return None
-    return int(head[1]), int(head[2]), values
+    return int(layout[1]), int(layout[2]), values
 
 
 def _read_labeling(path: str) -> Labeling:
@@ -213,11 +187,11 @@ def _read_labeling(path: str) -> Labeling:
         return Labeling.from_columns(n, s, values[0::3], values[1::3], values[2::3])
     # decoded as open(path, encoding="utf-8") reads it: \r\n and a lone \r become
     # \n, which the line and column of a JSONDecodeError count
-    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
-    del raw
     try:
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+        del raw
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # invalid UTF-8, invalid JSON, or an integer int() refuses
         raise ValueError(f"malformed labeling file: {e}") from None
     except RecursionError:  # the decoder recurses once per nesting level
         raise ValueError("malformed labeling file: nested too deeply") from None

@@ -379,7 +379,7 @@ def labeling_by_json_load(path):
             data = json.load(fh)
     except OSError as e:
         raise ValueError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # invalid UTF-8, invalid JSON, or an integer int() refuses
         raise ValueError(f"malformed labeling file: {e}") from None
     except RecursionError:
         raise ValueError("malformed labeling file: nested too deeply") from None

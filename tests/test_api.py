@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -46,7 +47,6 @@ def test_removed_names_stay_removed(name):
 
 
 def test_version_matches_pyproject():
-    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     with pyproject.open("rb") as fh:
         assert prismradio.__version__ == tomllib.load(fh)["project"]["version"]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -814,6 +815,7 @@ _BYTE_EDITS = {  # edits of label --format json of Z(5,1)
     "label 10**18": lambda b: b.replace(b'"label": 1}', b'"label": 1%s}' % (b"0" * 18), 1),
     "label 10**18 - 1": lambda b: b.replace(b'"label": 1}', b'"label": %s}' % (b"9" * 18), 1),
     "label 0": lambda b: b.replace(b'"label": 1}', b'"label": 0}', 1),
+    "label of 5000 digits": lambda b: b.replace(b'"label": 1}', b'"label": %s}' % (b"9" * 5000), 1),
     "pos 1.0": lambda b: b.replace(b'"pos": 2,', b'"pos": 2.0,', 1),
     "label 1e3": lambda b: b.replace(b'"label": 1}', b'"label": 1e3}', 1),
     "extra space": lambda b: b.replace(b'"pos": 2,', b'"pos":  2,', 1),
@@ -852,6 +854,29 @@ def test_verify_file_edits_read_as_json_load_reads_them(tmp_path, edit):
     path = tmp_path / "doc.json"
     path.write_bytes(_BYTE_EDITS[edit](_canonical()))
     assert _verify_outcome(path) == _json_load_outcome(path)
+
+
+@pytest.mark.parametrize("edit", ["invalid UTF-8", "label of 5000 digits"])
+def test_verify_file_that_neither_decodes_nor_parses_is_malformed(capsys, tmp_path, edit):
+    path = tmp_path / "doc.json"
+    path.write_bytes(_BYTE_EDITS[edit](_canonical()))
+    code, out, err = run(capsys, "verify", "--file", str(path))
+    assert (code, out) == (2, "") and err.startswith("error: malformed labeling file: "), err
+
+
+def test_reading_label_output_holds_little_beyond_its_columns(capsys):
+    n = 200_000
+    code, out, _ = run(capsys, "label", "--n", str(n), "--s", "2", "--format", "json")
+    raw = out.encode()
+    del out
+    tracemalloc.start()
+    try:
+        columns = cli._labeling_columns(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and columns is not None and columns[2].size == 3 * 2 * n
+    assert peak <= 1.25 * (3 * 2 * n * 8)  # the cycle, pos and label columns in int64
 
 
 @settings(max_examples=300, deadline=None)

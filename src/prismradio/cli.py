@@ -10,10 +10,10 @@ went red, or an unexpected exception, reported as one ``internal error:``
 line).
 
 Each ``cmd_*`` only computes: it returns its exit code and its stdout in
-pieces, lazily for ``label`` and ``exact --format json``.  ``main`` is the
-one writer and the one place that handles a closed stdout: a reader that
-closes it early (``| head``) changes nothing, since the rest of the output
-is dropped and the command exits with its own code.
+pieces, lazily for ``label``, ``verify --format json`` and ``exact --format
+json``.  ``main`` is the one writer and the one place that handles a closed
+stdout: a reader that closes it early (``| head``) changes nothing, since
+the rest of the output is dropped and the command exits with its own code.
 
 The JSON labeling schema, shared by ``label --format json`` output and
 ``verify --file`` input, is::
@@ -66,7 +66,7 @@ from .exact import exact_radio_number
 from .graphs import PrismGraph, build_graph
 from .labeling import CaseId, Labeling, case_select, construct_labeling
 from .selftest import run_selftest
-from .verification import verify
+from .verification import VerificationReport, verify
 
 # The library needs no scipy.  perfbench/repeat.py records
 # sys.modules["scipy"].__version__ after each benchmark run, so the bare
@@ -126,6 +126,14 @@ _ENTRY = {
     "csv": lambda c: f"{c},%d,%d",
     "text": lambda c: f"({c},%d) %d",
     "dot": lambda c: f'  c{c}_p%d [label="%d"];',
+}
+
+# One violating pair per output format: a %-template of the (cycle, pos) of its lower
+# and higher vertex, its distance, its label gap and the sum the pair needs.
+_VIOLATION = {
+    "json": '{"u": {"cycle": %d, "pos": %d}, "v": {"cycle": %d, "pos": %d}, '
+            '"distance": %d, "label_gap": %d, "required": %d}',
+    "text": "  (%d,%d) -- (%d,%d): distance %d + gap %d < required %d",
 }
 
 
@@ -226,6 +234,24 @@ def _edge_lines(g: PrismGraph) -> Iterator[str]:
         yield "  c%d_p%d -- c%d_p%d;\n" * i.size % tuple(values.ravel().tolist())
 
 
+def _violation_entries(report: VerificationReport, fmt: str, sep: str,
+                       stop: int | None = None) -> Iterator[str]:
+    """The violating pairs of the report before ``stop`` in (lower, higher)
+    order, as ``_VIOLATION[fmt]`` formats them, joined by ``sep``, in pieces
+    of at most ``_CHUNK`` pairs."""
+    pairs = report.pairs[:stop]
+    for k in range(0, len(pairs), _CHUNK):
+        rows = pairs[k:k + _CHUNK]
+        values = np.empty((len(rows), 7), dtype=np.int64)  # the numbers of _VIOLATION, per pair
+        values[:, 0], values[:, 1] = np.divmod(rows[:, 0], report.n)
+        values[:, 2], values[:, 3] = np.divmod(rows[:, 1], report.n)
+        values[:, :4] += 1
+        values[:, 4:6] = rows[:, 2:]
+        values[:, 6] = report.required
+        piece = sep.join([_VIOLATION[fmt]] * len(rows)) % tuple(values.ravel().tolist())
+        yield piece if k == 0 else sep + piece
+
+
 def _labeling_json(g: PrismGraph, lab: Labeling) -> Iterator[str]:
     """The JSON labeling schema of ``lab`` in pieces, the text json.dumps gives."""
     yield _HEAD_FORMAT % (g.n, g.s, g.diameter, lab.span)
@@ -300,7 +326,7 @@ def cmd_label(args: argparse.Namespace) -> Output:
     report = verify(g, lab)
     if not report.valid:
         print(f"internal inconsistency: constructed labeling of Z({args.n},{args.s}) "
-              f"failed verification ({len(report.violations)} violations)", file=sys.stderr)
+              f"failed verification ({len(report.pairs)} violations)", file=sys.stderr)
         return EXIT_INTERNAL, []
     return EXIT_OK, _label_output(g, lab, args.format)
 
@@ -311,15 +337,19 @@ def cmd_verify(args: argparse.Namespace) -> Output:
     report = verify(g, lab)
     code = EXIT_OK if report.valid else EXIT_INVALID_LABELING
     if args.format == "json":
-        return code, _lines([json.dumps(report.to_dict())])
+        head = json.dumps({"valid": report.valid, "span": report.span,
+                           "pairs_checked": report.pairs_checked})
+        # the object reopened after its last key, for the violations to go last
+        return code, itertools.chain([head[:-1], ', "violations": ['],
+                                     _violation_entries(report, "json", ", "), ["]}\n"])
     if report.valid:
         return code, _lines([f"valid: span={report.span}, pairs_checked={report.pairs_checked}"])
-    lines = [f"INVALID: {len(report.violations)} violations "
-             f"(span={report.span}, pairs_checked={report.pairs_checked})"]
-    lines += [f"  {w.u} -- {w.v}: distance {w.distance} + gap {w.label_gap} "
-              f"< required {w.required}" for w in report.violations[:20]]
-    if len(report.violations) > 20:
-        lines.append(f"  ... and {len(report.violations) - 20} more")
+    count = len(report.pairs)
+    lines = [f"INVALID: {count} violations "
+             f"(span={report.span}, pairs_checked={report.pairs_checked})",
+             "".join(_violation_entries(report, "text", "\n", 20))]
+    if count > 20:
+        lines.append(f"  ... and {count - 20} more")
     return code, _lines(lines)
 
 

@@ -4,8 +4,15 @@
 for every unordered vertex pair and returns a report rather than a verdict
 bit.  Duplicate labels need no special treatment: a pair with gap 0 always
 violates the condition, so collisions surface as ordinary violations with
-label_gap = 0.  Violations are listed in lexicographic (cycle, position)
-order of the pair, so reports are stable.
+label_gap = 0.
+
+The report keeps the violating pairs as one (k, 4) int64 array,
+``VerificationReport.pairs``, whose columns are the lower vertex index, the
+higher vertex index, the distance and the label gap, with rows in
+lexicographic (lower, higher) order, which is (cycle, position) order of
+the pair, so reports are stable.  Nothing builds an object per pair: the
+CLI formats the rows a chunk at a time, and ``violations`` reads them as
+``Violation`` tuples only when it is asked for.
 
 Only a window of pairs needs a distance.  A pair whose label gap exceeds
 diam satisfies the condition whatever its distance, so it is certified by
@@ -17,19 +24,21 @@ length one ``searchsorted`` gives for all positions at once.  The window
 pairs are then formed in one pass, ``_CHUNK`` pairs at a time, with
 ``np.repeat`` over a cumulative sum of the run lengths; a position whose
 own run is longer forms a chunk by itself, so the sweep holds O(n) memory
-even when many labels are equal.  Distances are read in sorted space from
-a flat copy of the graph's O(n) rotation-invariant rows, doubled along the
-offset axis: the distance of a pair is one entry of it, at the sum of a
-gather index of the lower vertex and one of the higher, so no remainder is
-taken per pair.  Labels come straight from ``Labeling.labels``, which is
-indexed like the graph's vertices, so a construction with O(n) pairs in its
-window verifies in O(n log n) time and O(n) memory; ``pairs_checked`` still
-counts all nv(nv - 1)/2 pairs, because every pair is certified, by its
-distance or by its gap.
+beyond the rows of the violating pairs, even when many labels are equal.
+Distances are read in sorted space from a flat copy of the graph's O(n)
+rotation-invariant rows, doubled along the offset axis: the distance of a
+pair is one entry of it, at the sum of a gather index of the lower vertex
+and one of the higher, so no remainder is taken per pair.  Labels come
+straight from ``Labeling.labels``, which is indexed like the graph's
+vertices, so a construction with O(n) pairs in its window verifies in
+O(n log n) time and O(n) memory; ``pairs_checked`` still counts all
+nv(nv - 1)/2 pairs, because every pair is certified, by its distance or by
+its gap.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,29 +60,52 @@ class Violation(NamedTuple):
     required: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
-    """Outcome of checking every pair: valid iff violations is empty."""
+    """Outcome of checking every pair of Z(n, s): valid iff no pair violates.
 
-    valid: bool
-    violations: tuple[Violation, ...]
+    ``pairs`` is a read-only (k, 4) int64 array with one row per violating
+    pair: its lower and higher vertex index (``(c - 1) * n + p - 1`` for
+    vertex (c, p)), its distance and its label gap, in (lower, higher)
+    order.  Every pair needs distance + gap >= ``required``, which is
+    diam + 1.
+    """
+
+    n: int
+    required: int
     span: int
     pairs_checked: int
+    pairs: np.ndarray
+
+    @property
+    def valid(self) -> bool:
+        return not len(self.pairs)
+
+    @functools.cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """The rows of ``pairs`` as ``Violation`` tuples, built when first read."""
+        n, required = self.n, self.required
+        return tuple(
+            Violation(Vertex(lo // n + 1, lo % n + 1), Vertex(hi // n + 1, hi % n + 1),
+                      d, gap, required)
+            for lo, hi, d, gap in self.pairs.tolist()
+        )
 
     def to_dict(self) -> dict:
+        n, required = self.n, self.required
         return {
             "valid": self.valid,
             "span": self.span,
             "pairs_checked": self.pairs_checked,
             "violations": [
                 {
-                    "u": {"cycle": w.u.cycle, "pos": w.u.position},
-                    "v": {"cycle": w.v.cycle, "pos": w.v.position},
-                    "distance": w.distance,
-                    "label_gap": w.label_gap,
-                    "required": w.required,
+                    "u": {"cycle": lo // n + 1, "pos": lo % n + 1},
+                    "v": {"cycle": hi // n + 1, "pos": hi % n + 1},
+                    "distance": d,
+                    "label_gap": gap,
+                    "required": required,
                 }
-                for w in self.violations
+                for lo, hi, d, gap in self.pairs.tolist()
             ],
         }
 
@@ -112,7 +144,7 @@ def verify(g: PrismGraph, labeling: Labeling) -> VerificationReport:
     del order
     doubled = np.empty((2, 2, 2 * n), dtype=g.rows.dtype)
     doubled[..., :n] = doubled[..., n:] = g.rows.transpose(1, 0, 2)
-    found = []  # per chunk: (lower index, higher index, distance, gap) of violations
+    found = []  # per chunk: (lower index, higher index, distance, gap) rows of violations
     start = 0
     while start < nv:  # positions start .. stop - 1: at most _CHUNK pairs, or one position
         k0 = int(ends[start])
@@ -128,19 +160,18 @@ def verify(g: PrismGraph, labeling: Labeling) -> VerificationReport:
         if np.count_nonzero(bad):
             u, v = right[a[bad]], higher[bad]
             u, v = u - 3 * n * (u >= n), v - 3 * n * (v >= n)  # back to vertex indices
-            found.append((np.minimum(u, v), np.maximum(u, v), d[bad], gap[bad]))
+            found.append(np.column_stack((np.minimum(u, v), np.maximum(u, v), d[bad], gap[bad])))
         start = stop
-    violations: tuple[Violation, ...] = ()
+    pairs = np.empty((0, 4), dtype=np.int64)
     if found:
-        lo, hi, dist, gap = (np.concatenate(cols) for cols in zip(*found))
-        violations = tuple(
-            Violation(g.vertex_at(int(lo[k])), g.vertex_at(int(hi[k])), int(dist[k]),
-                      int(gap[k]), required)
-            for k in np.lexsort((hi, lo))
-        )
+        pairs = np.concatenate(found)
+        del found  # before the sorted copy: the report's rows are held twice at most
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    pairs.flags.writeable = False
     return VerificationReport(
-        valid=not violations,
-        violations=violations,
+        n=n,
+        required=required,
         span=int(sorted_labels[-1]),
         pairs_checked=nv * (nv - 1) // 2,
+        pairs=pairs,
     )

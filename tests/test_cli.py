@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prismradio.verification
 from prismradio import (ExactResult, Labeling, bounds, build_graph, cli, construct_labeling,
-                        exact_radio_number, lower_bound_rn, radio_number)
+                        exact_radio_number, lower_bound_rn, radio_number, verify)
 from prismradio.cli import main
-from reference import (label_lines, labeling_by_json_load, labeling_document,
-                       labels_from_document)
+from reference import (all_pairs_distances, all_pairs_violations, label_lines,
+                       labeling_by_json_load, labeling_document, labels_from_document)
 
 
 def run(capsys, *argv):
@@ -262,6 +263,55 @@ def test_verify_text_lists_twenty_violations_then_counts_the_rest(capsys, tmp_pa
     assert lines[21] == "  ... and 9 more"
 
 
+
+def _violating_files(tmp_path):
+    """Labels 1..2n in vertex-index order on Z(40, 2) (745 violations), and
+    the swapped Z(8, 2) (3 violations)."""
+    path = tmp_path / "index_order.json"
+    path.write_text(json.dumps(labeling_document(build_graph(40, 2),
+                                                 _index_order_labeling(40, 2))))
+    return [path, _swapped_labeling_file(tmp_path / "swapped.json")]
+
+
+def test_verify_reports_list_the_violations_of_the_all_pairs_reference(
+        capsys, tmp_path, monkeypatch):
+    # small chunks on both sides, so the report spans several sweep chunks and pieces
+    monkeypatch.setattr(prismradio.verification, "_CHUNK", 5)
+    monkeypatch.setattr(cli, "_CHUNK", 2)
+    for path in _violating_files(tmp_path):
+        data = json.loads(path.read_text())
+        n, s, labels = data["n"], data["s"], labels_from_document(data)
+        g = build_graph(n, s)
+        report = verify(g, Labeling.from_labels(n, s, labels))
+        code, out, err = run(capsys, "verify", "--file", str(path))
+        assert (code, err) == (1, "")
+        assert out.splitlines()[1:21] == [
+            f"  {w.u} -- {w.v}: distance {w.distance} + gap {w.label_gap} < required {w.required}"
+            for w in report.violations[:20]]
+        code, out, err = run(capsys, "verify", "--file", str(path), "--format", "json")
+        assert (code, err) == (1, "")
+        # split at each entry: pytest would take minutes to diff two long lines
+        assert out.split(", {") == (json.dumps(report.to_dict()) + "\n").split(", {")
+        assert json.loads(out)["violations"] == [
+            {"u": {"cycle": i // n + 1, "pos": i % n + 1},
+             "v": {"cycle": j // n + 1, "pos": j % n + 1},
+             "distance": d, "label_gap": gap, "required": g.diameter + 1}
+            for i, j, d, gap in all_pairs_violations(all_pairs_distances(n, s), labels,
+                                                     g.diameter)]
+
+
+def test_verify_file_builds_no_violation_per_pair(capsys, tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Violation built")
+
+    paths = _violating_files(tmp_path)
+    argvs = [["verify", "--file", str(path), "--format", fmt]
+             for path in paths for fmt in ("text", "json")]
+    outputs = [run(capsys, *argv) for argv in argvs]
+    assert [code for code, _, _ in outputs] == [1, 1, 1, 1]
+    monkeypatch.setattr(prismradio.verification, "Violation", refuse)
+    assert [run(capsys, *argv) for argv in argvs] == outputs
+
 def test_verify_file_with_an_array_at_the_top_is_bad_input(capsys, tmp_path):
     path = tmp_path / "array.json"
     path.write_text("[1, 2]")
@@ -380,7 +430,7 @@ _COMMANDS = [
       for fmt in ("text", "json", "csv", "dot")),
     (["verify", "--file", "valid.json"], 0, False),
     (["verify", "--file", "swapped.json"], 1, False),
-    (["verify", "--file", "swapped.json", "--format", "json"], 1, False),
+    (["verify", "--file", "swapped.json", "--format", "json"], 1, True),
     (["exact", "--n", "5", "--s", "2"], 0, False),
     (["exact", "--n", "5", "--s", "2", "--format", "json"], 0, True),
     *((["table", "--n-min", "3", "--n-max", "6", "--format", fmt], 0, False)

@@ -1,6 +1,7 @@
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -189,6 +190,21 @@ def test_verify_holds_a_few_label_arrays_beyond_its_inputs():
         tracemalloc.stop()
     assert peak <= 8 * (2 * n * 8)  # eight int64 arrays of length 2n
 
+
+
+def test_verify_holds_its_violations_as_int64_columns():
+    # labels 1..2n: 468,625 violating pairs at n = 1000
+    n = 1000
+    g, lab = build_graph(n, 2), Labeling.from_labels(n, 2, np.arange(1, 2 * n + 1))
+    tracemalloc.start()
+    try:
+        report = verify(g, lab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.pairs.shape == (468_625, 4) and report.pairs.dtype == np.int64
+    # three copies of the four columns, plus eight int64 arrays of length 2n
+    assert peak <= 3 * report.pairs.nbytes + 8 * (2 * n * 8)
 
 def test_labels_up_to_the_int64_limit_are_windowed_without_overflow():
     g, lab = build_graph(9, 2), construct_labeling(9, 2)

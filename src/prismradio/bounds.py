@@ -17,18 +17,19 @@ which the constructive labelings in ``labeling`` meet exactly.
 n >= 4 and no special graph.  The special graphs, Z(3, 3) = K_6 and
 Z(4, 3), are named only in ``_SPECIAL_LABELS``, with a least-span labeling
 each.  ``phi`` is a table lookup on (n mod 4, s) with n = 4k + r, k >= 1.
-``pair_gap`` reads the gap from a graph's own metric and
-``triple_bound_violations`` sweeps the triple budget, both up to rotation
-from (1, 1) and (2, 1).  ``d_offset`` and ``omega`` are the position-offset
-and rotation-step helpers the construction uses: (1, y) and
-(2, y + d_offset) are always at distance exactly diam, and omega is the step
-between consecutive odd-indexed positions in the general case of the
-construction (defined only for n not divisible by 4).
+``pair_gap`` reads the gap from a graph's own metric, in O(n^2) time with
+one block of sums held at a time, and ``triple_bound_violations`` sweeps the
+triple budget, both up to rotation from (1, 1) and (2, 1).  ``d_offset`` and
+``omega`` are the position-offset and rotation-step helpers the construction
+uses: (1, y) and (2, y + d_offset) are always at distance exactly diam, and
+omega is the step between consecutive odd-indexed positions in the general
+case of the construction (defined only for n not divisible by 4).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .graphs import PrismGraph, Vertex, _require_ints, _validate_params
 
@@ -51,6 +52,10 @@ _SPECIAL_LABELS: dict[tuple[int, int], tuple[int, ...]] = {
     (3, 3): (1, 2, 3, 4, 5, 6),
     (4, 3): (9, 4, 8, 3, 7, 2, 6, 1),
 }
+
+# sums of two steps formed at a time by ``pair_gap``, or one row of p (6n sums) if more;
+# bounds its temporaries (4 MB of int32), and covers every p in one block up to n = 418
+_BLOCK_CELLS = 1 << 20
 
 # (r, s) -> step, where phi(4k + r, s) = k + step, n = 4k + r with k >= 1
 _PHI_STEP: dict[tuple[int, int], int] = {
@@ -113,16 +118,27 @@ def pair_gap(g: PrismGraph) -> int:
     a = (ca, p), c = (cc, p + k) the term D - d(a, c) = D - rows[ca, cc, k]
     does not depend on p, so the least value is the least over (b, ca, cc, k)
     of max(min over p of step(a) + step(c), D - rows[ca, cc, k]), read from
-    the two rows in O(n^2) time and memory.
+    the two rows in O(n^2) time.  step(c) is read through a window over the
+    rows doubled along the position axis, with no index array, and the sums
+    are formed a block of rows of p at a time, at most ``_BLOCK_CELLS`` of
+    them or one row, so one block of sums is held at a time.
     """
     n, reach = g.n, g.diameter + 1
     # step[b, c, p] = max(1, D - d(b, (c + 1, p + 1))), and 2D at b itself so no sum uses b
     step = np.maximum(1, reach - g.rows)
     step[[0, 1], [0, 1], 0] = 2 * reach
     ca, cc = [0, 0, 1], [0, 1, 1]  # swapping a and c, block (1, 0) at k is (0, 1) at -k
-    pos = np.arange(n)
-    partner = step[:, cc][:, :, (pos[:, None] + pos) % n]  # [b, block, p, k]: step of (cc, p + k)
-    pairs = (step[:, ca, :, None] + partner).min(axis=2)  # [b, block, k]
+    doubled = np.concatenate((step[:, cc], step[:, cc]), axis=2)
+    # partner[b, block, p, k] = doubled[b, block, p + k], the step of (cc, p + k); the last
+    # entry read is 2n - 2
+    partner = as_strided(doubled, (2, 3, n, n), doubled.strides + doubled.strides[-1:],
+                         writeable=False)
+    first = step[:, ca, :, None]  # [b, block, p, 1]: the step of (ca, p)
+    rows = max(1, _BLOCK_CELLS // (6 * n))  # values of p summed at a time
+    pairs = (first[:, :, :rows] + partner[:, :, :rows]).min(axis=2)  # [b, block, k]
+    for p in range(rows, n, rows):
+        np.minimum(pairs, (first[:, :, p:p + rows] + partner[:, :, p:p + rows]).min(axis=2),
+                   out=pairs)
     far = reach - g.rows[ca, cc]  # [block, k] = D - d(a, c), and 2D where a = c
     far[[0, 2], 0] = 2 * reach
     return int(np.maximum(pairs, far).min())

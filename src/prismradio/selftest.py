@@ -84,13 +84,12 @@ def _neighbours(n: int, s: int) -> np.ndarray:
     (1, p) is joined to (1, p +- 1) and to (2, p + d) for each cross offset
     d, and (2, p) to (2, p +- 1) and to (1, p - d).
     """
-    pos = np.arange(n)[:, None]
     offsets = np.arange(-((s - 1) // 2), s // 2 + 1)
-    ring = np.array([1, -1])
-    return np.concatenate([
-        np.hstack([(pos + ring) % n, n + (pos + offsets) % n]),
-        np.hstack([n + (pos + ring) % n, (pos - offsets) % n]),
-    ])
+    # [cycle, j]: neighbour j's position step, and the first index of the cycle it lies on
+    step = np.array([[1, -1, *offsets], [1, -1, *-offsets]])
+    base = np.zeros_like(step)
+    base[0, 2:] = base[1, :2] = n
+    return ((np.arange(n)[:, None] + step[:, None]) % n + base[:, None]).reshape(2 * n, 2 + s)
 
 
 def _graphs_suite(n_max: int, graph: _Graphs) -> _Checks:
@@ -117,7 +116,7 @@ def _graphs_suite(n_max: int, graph: _Graphs) -> _Checks:
         yield (len(sc) == n + 3 - s and sc[0] == Vertex(1, 1),
                f"standard cycle of Z({n},{s}) has length {len(sc)} and starts at {sc[0]}")
         index = np.array([g.index(v) for v in sc])
-        steps = _hops(g, index, np.roll(index, -1))
+        steps = _hops(g, index, np.concatenate((index[1:], index[:1])))
         yield (len(set(sc)) == len(sc) and bool((steps == 1).all()),
                f"standard cycle of Z({n},{s}) is not a simple cycle of the graph")
         yield (is_v_tight(g, sc, Vertex(1, 1)), f"standard cycle of Z({n},{s}) not tight at (1,1)")

@@ -165,8 +165,10 @@ def verify(g: PrismGraph, labeling: Labeling) -> VerificationReport:
     pairs = np.empty((0, 4), dtype=np.int64)
     if found:
         pairs = np.concatenate(found)
-        del found  # before the sorted copy: the report's rows are held twice at most
-        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        del found  # before the sort's index: the rows are held twice at most
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        for j in range(4):  # a column at a time: the rows are held once, plus one column
+            pairs[:, j] = pairs[order, j]
     pairs.flags.writeable = False
     return VerificationReport(
         n=n,

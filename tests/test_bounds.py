@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from prismradio import (
@@ -13,6 +15,7 @@ from prismradio import (
     phi,
     triple_bound_violations,
 )
+from prismradio import bounds
 from prismradio.selftest import run_selftest
 from reference import (
     all_pairs_distances,
@@ -143,7 +146,17 @@ def test_anchored_triple_sweep_matches_every_triple_up_to_rotation():
     assert failing >= 10
 
 
-def test_pair_gap_matches_every_triple():
+@pytest.fixture(params=["default-block", "one-row-blocks"])
+def largest_n(request, monkeypatch):
+    """Run pair_gap with its default block, then with one row of p per block, so
+    every graph merges n block minima; the largest n checked on Z(n, s) for each."""
+    if request.param == "default-block":
+        return 200
+    monkeypatch.setattr(bounds, "_BLOCK_CELLS", 1)
+    return 60
+
+
+def test_pair_gap_matches_every_triple(largest_n):  # the fixture sets the block; n <= 10 here
     # Z(n, s) for every s <= n (s >= 4 from the definition) and the
     # generalized Petersen graphs GP(n, k): the same bound over every triple
     dists = [all_pairs_distances(n, s) for n in range(3, 11) for s in range(1, n + 1)]
@@ -153,11 +166,22 @@ def test_pair_gap_matches_every_triple():
         assert pair_gap(graph_of(dist, 1)) == pair_gap_every_triple(dist), len(dist)
 
 
-def test_pair_gap_matches_the_dense_gap_matrix():
+def test_pair_gap_matches_the_dense_gap_matrix(largest_n):
     # the dense matrix from a breadth-first search, not from the rows under test
-    for n in range(3, 201):
+    for n in range(3, largest_n + 1):
         for s in range(1, min(n, 3) + 1):
             assert pair_gap(build_graph(n, s)) == dense_pair_gap(all_pairs_distances(n, s)), (n, s)
+
+
+def test_pair_gap_holds_less_than_an_n_by_n_array():
+    g = build_graph.__wrapped__(2000, 2)  # uncached: its rows are not charged to another test
+    tracemalloc.start()
+    try:
+        assert pair_gap(g) == phi(2000, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 2000 * 4  # one n x n int32 array: 16 MB
 
 
 def _root_bound(g):

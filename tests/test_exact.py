@@ -1,3 +1,4 @@
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -88,6 +89,18 @@ def test_zero_budget_returns_constructive_incumbent():
     assert not result.proven_optimal
     assert result.rn == construct_labeling(10, 1).span
     assert verify(g, result.witness).valid
+
+
+def test_root_work_holds_less_than_an_n_by_n_array():
+    g = build_graph.__wrapped__(2000, 2)
+    tracemalloc.start()
+    try:
+        result = exact_radio_number(g, time_budget=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.rn == construct_labeling(2000, 2).span
+    assert peak < 2000 * 2000 * 4  # one n x n int32 array: 16 MB
 
 
 GREEDY_SEEDED = {

@@ -203,8 +203,8 @@ def test_verify_holds_its_violations_as_int64_columns():
     finally:
         tracemalloc.stop()
     assert report.pairs.shape == (468_625, 4) and report.pairs.dtype == np.int64
-    # three copies of the four columns, plus eight int64 arrays of length 2n
-    assert peak <= 3 * report.pairs.nbytes + 8 * (2 * n * 8)
+    # the chunks and their concatenation, plus eight int64 arrays of length 2n
+    assert peak <= 2.1 * report.pairs.nbytes + 8 * (2 * n * 8)
 
 def test_labels_up_to_the_int64_limit_are_windowed_without_overflow():
     g, lab = build_graph(9, 2), construct_labeling(9, 2)

@@ -17,13 +17,14 @@ which the constructive labelings in ``labeling`` meet exactly.
 n >= 4 and no special graph.  The special graphs, Z(3, 3) = K_6 and
 Z(4, 3), are named only in ``_SPECIAL_LABELS``, with a least-span labeling
 each.  ``phi`` is a table lookup on (n mod 4, s) with n = 4k + r, k >= 1.
-``pair_gap`` reads the gap from a graph's own metric, in O(n^2) time with
-one block of sums held at a time, and ``triple_bound_violations`` sweeps the
-triple budget, both up to rotation from (1, 1) and (2, 1).  ``d_offset`` and
-``omega`` are the position-offset and rotation-step helpers the construction
-uses: (1, y) and (2, y + d_offset) are always at distance exactly diam, and
-omega is the step between consecutive odd-indexed positions in the general
-case of the construction (defined only for n not divisible by 4).
+``pair_gap`` reads the gap from a graph's own metric, and
+``check_triple_bound`` the triple budget, both up to rotation from (1, 1)
+and (2, 1) through one windowed kernel, in O(n^2) time with one block of
+sums held at a time.  ``d_offset`` and ``omega`` are the position-offset
+and rotation-step helpers the construction uses: (1, y) and
+(2, y + d_offset) are always at distance exactly diam, and omega is the
+step between consecutive odd-indexed positions in the general case of the
+construction (defined only for n not divisible by 4).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .graphs import PrismGraph, Vertex, _require_ints, _validate_params
+from .graphs import PrismGraph, _require_ints, _validate_params
 
 __all__ = [
     "in_phi_scope",
@@ -42,7 +43,6 @@ __all__ = [
     "d_offset",
     "omega",
     "check_triple_bound",
-    "triple_bound_violations",
 ]
 
 # the special graphs, named nowhere else: (n, s) -> a least-span radio labeling
@@ -53,7 +53,7 @@ _SPECIAL_LABELS: dict[tuple[int, int], tuple[int, ...]] = {
     (4, 3): (9, 4, 8, 3, 7, 2, 6, 1),
 }
 
-# sums of two steps formed at a time by ``pair_gap``, or one row of p (6n sums) if more;
+# sums formed at a time by ``_window_reduce``, or one row of p (6n sums) if more;
 # bounds its temporaries (4 MB of int32), and covers every p in one block up to n = 418
 _BLOCK_CELLS = 1 << 20
 
@@ -100,6 +100,29 @@ def radio_number(n: int, s: int) -> tuple[int, str]:
     return lower_bound_rn(n, s), "formula"
 
 
+def _window_reduce(first: np.ndarray, second: np.ndarray, reduce: np.ufunc) -> np.ndarray:
+    """out[b, block, k] = reduce over p of first[b, block, p] + second[b, block, (p + k) % n].
+
+    Both inputs are (2, 3, n).  second is read through a read-only window
+    over its rows doubled along the position axis, so no index array or
+    gathered copy is made, and the sums are formed a block of rows of p at
+    a time, at most ``_BLOCK_CELLS`` of them or one row, merged with
+    ``reduce`` (np.minimum or np.maximum).
+    """
+    n = first.shape[-1]
+    doubled = np.concatenate((second, second), axis=-1)
+    # partner[b, block, p, k] = doubled[b, block, p + k]; the last entry read is 2n - 2
+    partner = as_strided(doubled, doubled.shape[:-1] + (n, n),
+                         doubled.strides + doubled.strides[-1:], writeable=False)
+    head = first[..., None]  # [b, block, p, 1]
+    rows = max(1, _BLOCK_CELLS // first.size)  # values of p summed at a time
+    out = reduce.reduce(head[:, :, :rows] + partner[:, :, :rows], axis=2)
+    for p in range(rows, n, rows):
+        reduce(out, reduce.reduce(head[:, :, p:p + rows] + partner[:, :, p:p + rows], axis=2),
+               out=out)
+    return out
+
+
 def pair_gap(g: PrismGraph) -> int:
     """The least label range of three vertices consecutive in sorted order, from g's metric.
 
@@ -118,27 +141,15 @@ def pair_gap(g: PrismGraph) -> int:
     a = (ca, p), c = (cc, p + k) the term D - d(a, c) = D - rows[ca, cc, k]
     does not depend on p, so the least value is the least over (b, ca, cc, k)
     of max(min over p of step(a) + step(c), D - rows[ca, cc, k]), read from
-    the two rows in O(n^2) time.  step(c) is read through a window over the
-    rows doubled along the position axis, with no index array, and the sums
-    are formed a block of rows of p at a time, at most ``_BLOCK_CELLS`` of
-    them or one row, so one block of sums is held at a time.
+    the two rows by ``_window_reduce`` in O(n^2) time, one block of sums
+    held at a time.
     """
-    n, reach = g.n, g.diameter + 1
+    reach = g.diameter + 1
     # step[b, c, p] = max(1, D - d(b, (c + 1, p + 1))), and 2D at b itself so no sum uses b
     step = np.maximum(1, reach - g.rows)
     step[[0, 1], [0, 1], 0] = 2 * reach
     ca, cc = [0, 0, 1], [0, 1, 1]  # swapping a and c, block (1, 0) at k is (0, 1) at -k
-    doubled = np.concatenate((step[:, cc], step[:, cc]), axis=2)
-    # partner[b, block, p, k] = doubled[b, block, p + k], the step of (cc, p + k); the last
-    # entry read is 2n - 2
-    partner = as_strided(doubled, (2, 3, n, n), doubled.strides + doubled.strides[-1:],
-                         writeable=False)
-    first = step[:, ca, :, None]  # [b, block, p, 1]: the step of (ca, p)
-    rows = max(1, _BLOCK_CELLS // (6 * n))  # values of p summed at a time
-    pairs = (first[:, :, :rows] + partner[:, :, :rows]).min(axis=2)  # [b, block, k]
-    for p in range(rows, n, rows):
-        np.minimum(pairs, (first[:, :, p:p + rows] + partner[:, :, p:p + rows]).min(axis=2),
-                   out=pairs)
+    pairs = _window_reduce(step[:, ca], step[:, cc], np.minimum)  # [b, block, k]
     far = reach - g.rows[ca, cc]  # [block, k] = D - d(a, c), and 2D where a = c
     far[[0, 2], 0] = 2 * reach
     return int(np.maximum(pairs, far).min())
@@ -177,45 +188,33 @@ def omega(n: int) -> int:
     return k if k % 2 == 1 else k + 1
 
 
-def triple_bound_violations(g: PrismGraph) -> list[tuple[Vertex, Vertex, Vertex, int]]:
-    """Vertex triples whose pairwise distances sum past n + 3 - s, up to rotation.
+def _max_triple_sum(g: PrismGraph) -> int:
+    """The largest pairwise distance sum of a vertex triple (outside the s = 3 exemption).
 
-    Rotation maps any vertex of a triple onto (1, 1) or (2, 1), so as in
-    ``pair_gap`` one O(n^2) sum array per anchor a covers every triple:
-    totals[cu, cv, p, k] = d(a, u) + d(a, v) + rows[cu, cv, k] for
-    u = (cu, p) and v = (cv, p + k).  Each violating triple is a rotation of
-    some listed (anchor, u, v, total), u before v in index order, and every
-    listed one violates.
+    Rotation maps any vertex of a triple onto an anchor (1, 1) or (2, 1), so
+    as in ``pair_gap`` the largest sum is the largest over (anchor, cu, cv, k)
+    of d(u, v) = rows[cu, cv, k] plus the max over p of d(anchor, u) +
+    d(anchor, v) for u = (cu, p) and v = (cv, p + k), formed by
+    ``_window_reduce`` in O(n^2) time with one block of sums held at a time.
 
     For s = 3, triples containing both (1, j) and (2, j) for some j are
     exempt: that pair is adjacent, yet both of its ends can sit at full
     diameter from a third vertex, which legitimately pushes the sum to n + 1.
-    The budget holds for every other triple, so the exempt family is excluded
-    from the sweep rather than reported.
     """
-    n, limit = g.n, g.n + 3 - g.s
-    pos = np.arange(n, dtype=np.int32)
-    vpos = (pos[:, None] + pos) % n  # [p, k]: the position of v
-    cu, cv = np.array([0, 0, 1]), np.array([0, 1, 1])  # not (1, 0): there u comes after v
-    out: list[tuple[Vertex, Vertex, Vertex, int]] = []
-    for a in (0, n):
-        da = g.rows[a // n]  # [c, p]: d(a, (c, p))
-        totals = g.rows[cu, cv, None, :] + da[cv][:, vpos]  # [block, p, k]: d(u, v) + d(a, v)
-        totals += da[cu, :, None]  # + d(a, u)
-        block, p, k = np.nonzero(totals > limit)
-        ui, vi, total = cu[block] * n + p, cv[block] * n + vpos[p, k], totals[block, p, k]
-        keep = (ui < vi) & (ui != a) & (vi != a)
-        if g.s == 3:  # the exempt pairs: (u, v) themselves (k = 0), or the anchor with u or v
-            mate = (a + n) % (2 * n)
-            keep &= (k != 0) & (ui != mate) & (vi != mate)
-        ui, vi, total = ui[keep], vi[keep], total[keep]
-        order = np.lexsort((vi, ui))
-        anchor = g.vertex_at(a)
-        out += [(anchor, g.vertex_at(i), g.vertex_at(j), t)
-                for i, j, t in zip(ui[order].tolist(), vi[order].tolist(), total[order].tolist())]
-    return out
+    masked = -2 * (g.diameter + 1)  # below every real sum, whatever it is added to
+    near = g.rows.copy()  # [anchor, c, p] = d(anchor, (c + 1, p + 1))
+    near[[0, 1], [0, 1], 0] = masked  # u or v the anchor itself
+    if g.s == 3:
+        near[[0, 1], [1, 0], 0] = masked  # u or v the anchor's mate
+    cu, cv = [0, 0, 1], [0, 1, 1]  # swapping u and v, block (1, 0) at k is (0, 1) at -k
+    sums = _window_reduce(near[:, cu], near[:, cv], np.maximum)  # [anchor, block, k]
+    sums += g.rows[cu, cv]  # + d(u, v)
+    sums[:, [0, 2], 0] = masked  # u = v
+    if g.s == 3:
+        sums[:, 1, 0] = masked  # u and v mates
+    return int(sums.max())
 
 
 def check_triple_bound(g: PrismGraph) -> bool:
-    """True iff no triple (outside the s = 3 exemption) exceeds the budget."""
-    return not triple_bound_violations(g)
+    """True iff no triple (outside the s = 3 exemption) has distances summing past n + 3 - s."""
+    return _max_triple_sum(g) <= g.n + 3 - g.s

@@ -25,24 +25,22 @@ at most 1, so crossing over and back (2 hops) shifts it by at most 2, which
 most once (see ``build_graph``).  ``PrismGraph.rows`` holds the rows as a
 read-only (2, 2, n) array, so a graph costs O(n) memory and O(n) build time
 in a fixed number of NumPy calls, and every layer of the library reads the
-rows.  The dense 2n x 2n matrix ``PrismGraph.dist`` is derived from them on
+rows.  Inside the library a vertex is its index (c - 1) * n + (p - 1), and
+``_hops`` gathers the distances between index arrays from the rows;
+``Vertex`` tuples are built only where the API takes or returns them.  The
+dense 2n x 2n matrix ``PrismGraph.dist`` is derived from them on
 each access and not kept; no library code reads it.  Built graphs are
 immutable and safe to share across threads.  ``build_graph`` memoizes the
 last 128 instances in a typed cache keyed on (n, s), so a float or bool
 argument meets the parameter check rather than the entry of an equal int;
 ``selftest.run_selftest`` sweeps more graphs than that and keeps a memo of
 its own for the run.
-
-A cycle is a plain tuple of vertices.  ``standard_cycle`` gives the cycle
-the paper's lower bound works on, and ``is_v_tight`` tells whether going
-around a cycle from v, the shorter way, reaches every entry in as few hops
-as the graph itself does.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -50,8 +48,6 @@ __all__ = [
     "Vertex",
     "PrismGraph",
     "build_graph",
-    "standard_cycle",
-    "is_v_tight",
 ]
 
 
@@ -198,40 +194,6 @@ def build_graph(n: int, s: int) -> PrismGraph:
         f"diameter {g.diameter} of Z({n},{s}) deviates from closed form {(n + 3 - s) // 2}"
     )
     return g
-
-
-def standard_cycle(g: PrismGraph) -> tuple[Vertex, ...]:
-    """The canonical (n + 3 - s)-cycle through (1, 1).
-
-    For s = 1 it runs (1,1), (1,2), (2,2), (2,3), ..., (2,n), (2,1); for
-    s in {2, 3} it runs (1,1), (2,2), (2,3), ..., (2, n + 3 - s), position
-    n + 1 standing for 1.  Its length equals n + 3 - s, i.e. twice the
-    diameter or one more, and the cycle is tight from (1, 1) (see
-    ``is_v_tight``); the selftest graphs suite checks that it is a simple
-    cycle of g.
-    """
-    n = g.n
-    head = [Vertex(1, 1), Vertex(1, 2)] if g.s == 1 else [Vertex(1, 1)]
-    end = n + 2 if g.s == 1 else n + 4 - g.s
-    return tuple(head + [Vertex(2, (p - 1) % n + 1) for p in range(2, end)])
-
-
-def is_v_tight(g: PrismGraph, cycle: Sequence[Vertex], v: Vertex) -> bool:
-    """True iff the cycle is tight from v: the hops from v to each entry,
-    going around the cycle the shorter way, equal the distance in g.
-
-    Raises ValueError("vertex not on cycle") when v is not an entry of the
-    cycle.  A cycle that is v-tight for every v realizes the host metric on
-    its vertex set.  Reads the distances from v to all entries in one gather
-    from the rows.
-    """
-    try:
-        i = cycle.index(v)
-    except ValueError:
-        raise ValueError(f"vertex not on cycle: {v}") from None
-    steps = (np.arange(len(cycle)) - i) % len(cycle)
-    around = np.minimum(steps, len(cycle) - steps)
-    return bool((_hops(g, g.index(v), np.array([g.index(u) for u in cycle])) == around).all())
 
 
 def _hops(g: PrismGraph, u, v) -> np.ndarray:

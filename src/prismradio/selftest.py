@@ -7,17 +7,20 @@ independent route: graph diameters against the closed form, the metric
 rows from (1, 1) and (2, 1), which rotation extends to the whole metric,
 against the Bellman equations of the edge rule from those two sources
 (whose only solution is the hop metric, so it is also symmetric and obeys
-the triangle inequality), the phi table against ``pair_gap`` of the built
-graph (the consecutive-triple bound read from the graph's own metric),
-constructions against the pair-by-pair verifier, and the exact solver
-against formula values on tiny instances.  A suite yields one ``(passed,
-detail)`` pair per check, and ``_run_suite`` names, counts and guards them:
-it reports the first failing check, or the exception a suite raises, so a
-defect localizes to the module whose suite goes red.  ``run_selftest`` hands
-every suite one memo of ``build_graph`` made for the run, so each graph of
-the sweep is built once however many suites read it (``build_graph``'s own
-cache of 128 graphs is smaller than the sweep from n_max = 45 on), and the
-memo is dropped when the run returns.
+the triangle inequality), the standard cycle against the hop counts from
+(1, 1), the phi table against ``pair_gap`` of the built graph (the
+consecutive-triple bound read from the graph's own metric) and the
+triple-distance budget that bound rests on, constructions against the
+pair-by-pair verifier, and the exact solver against formula values on tiny
+instances.  The suites check each graph on int64 vertex-index arrays read
+from ``g.rows`` and build no ``Vertex`` tuples.  A suite yields one
+``(passed, detail)`` pair per check, and ``_run_suite`` names, counts and
+guards them: it reports the first failing check, or the exception a suite
+raises, so a defect localizes to the module whose suite goes red.
+``run_selftest`` hands every suite one memo of ``build_graph`` made for the
+run, so each graph of the sweep is built once however many suites read it
+(``build_graph``'s own cache of 128 graphs is smaller than the sweep from
+n_max = 45 on), and the memo is dropped when the run returns.
 
 ``inject_fault="phi"`` deliberately perturbs one phi-table entry for the
 duration of the run (test mode for the localization story itself); the
@@ -44,7 +47,7 @@ from .bounds import (
     radio_number,
 )
 from .exact import exact_radio_number
-from .graphs import PrismGraph, Vertex, _hops, build_graph, is_v_tight, standard_cycle
+from .graphs import PrismGraph, _hops, build_graph
 from .labeling import (
     CaseId,
     Labeling,
@@ -92,6 +95,18 @@ def _neighbours(n: int, s: int) -> np.ndarray:
     return ((np.arange(n)[:, None] + step[:, None]) % n + base[:, None]).reshape(2 * n, 2 + s)
 
 
+def _standard_cycle(n: int, s: int) -> np.ndarray:
+    """The vertex indices of the (n + 3 - s)-cycle the paper's lower bound works on.
+
+    For s = 1 it runs (1,1), (1,2), (2,2), (2,3), ..., (2,n), (2,1); for
+    s in {2, 3} it runs (1,1), (2,2), (2,3), ..., (2, n + 3 - s), position
+    n + 1 standing for 1.  Its length is twice the diameter or one more.
+    """
+    if s == 1:
+        return np.concatenate(([0, 1], n + np.arange(1, n + 1) % n))
+    return np.concatenate(([0], n + np.arange(1, n + 3 - s) % n))
+
+
 def _graphs_suite(n_max: int, graph: _Graphs) -> _Checks:
     for n, s in _supported_params(n_max):
         g = graph(n, s)
@@ -112,14 +127,16 @@ def _graphs_suite(n_max: int, graph: _Graphs) -> _Checks:
         for which in (1, 2):  # principal cycle `which`, in cycle order
             yield (bool((d[which - 1, (which - 1) * n:which * n] == ring).all()),
                    f"principal cycle {which} of Z({n},{s}) not distance-true")
-        sc = standard_cycle(g)
-        yield (len(sc) == n + 3 - s and sc[0] == Vertex(1, 1),
-               f"standard cycle of Z({n},{s}) has length {len(sc)} and starts at {sc[0]}")
-        index = np.array([g.index(v) for v in sc])
-        steps = _hops(g, index, np.concatenate((index[1:], index[:1])))
-        yield (len(set(sc)) == len(sc) and bool((steps == 1).all()),
+        sc = _standard_cycle(n, s)
+        yield (sc.size == n + 3 - s and sc[0] == 0,
+               f"standard cycle of Z({n},{s}) has length {sc.size} and starts at "
+               f"({sc[0] // n + 1},{sc[0] % n + 1})")
+        steps = _hops(g, sc, np.concatenate((sc[1:], sc[:1])))
+        yield (np.bincount(sc).max() == 1 and bool((steps == 1).all()),
                f"standard cycle of Z({n},{s}) is not a simple cycle of the graph")
-        yield (is_v_tight(g, sc, Vertex(1, 1)), f"standard cycle of Z({n},{s}) not tight at (1,1)")
+        around = np.arange(sc.size)
+        yield (bool((_hops(g, 0, sc) == np.minimum(around, sc.size - around)).all()),
+               f"standard cycle of Z({n},{s}) not tight at (1,1)")
 
 
 def _bounds_suite(n_max: int, graph: _Graphs) -> _Checks:

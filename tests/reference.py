@@ -6,10 +6,12 @@ rotation-invariant rows of ``prismradio.graphs``; ``bicirculant_distances``
 does the same for other pairs of joined n-cycles, such as the generalized
 Petersen graphs.  ``swap_orbit_is_everything`` walks the orbit of (1, 1)
 under the rotation and cycle-swap maps, each checked edge by edge on the
-dense matrix, and ``triple_budget_violations`` sweeps every triple with
-``itertools.combinations``: the oracles of the symmetry check in
-``prismradio.exact`` and of the anchored sweep in ``prismradio.bounds``,
-which both read only the two metric rows.  ``pair_gap_every_triple``
+dense matrix, and ``triple_budget_violations`` and ``largest_triple_sum``
+sweep every triple with ``itertools.combinations``: the oracles of the
+symmetry check in ``prismradio.exact`` and of the windowed triple budget in
+``prismradio.bounds``, which both read only the two metric rows.
+``standard_route`` writes the paper's standard cycle vertex by vertex, the
+oracle of the selftest's index array.  ``pair_gap_every_triple``
 takes the consecutive-triple bound over every middle vertex and unordered
 pair of others, and ``dense_pair_gap`` is ``prismradio.bounds.pair_gap`` as
 it was before it read the rows: one 2n x 2n gap matrix per middle vertex
@@ -93,20 +95,40 @@ def swap_orbit_is_everything(dist: np.ndarray) -> bool:
         orbit = grown
 
 
-def triple_budget_violations(dist: np.ndarray, s: int) -> set:
-    """((i, j, k), total) for every index triple i < j < k whose pairwise
-    distances sum past n + 3 - s, leaving out for s = 3 the triples that
-    hold some pair i, i + n."""
+def _budget_triples(dist: np.ndarray, s: int):
+    """((i, j, k), distance sum) for every index triple i < j < k, leaving out
+    for s = 3 the triples that hold some pair i, i + n."""
     n = len(dist) // 2
-    out = set()
     for t in combinations(range(2 * n), 3):
         if s == 3 and any(y - x == n for x, y in combinations(t, 2)):
             continue
         i, j, k = t
-        total = int(dist[i, j] + dist[i, k] + dist[j, k])
-        if total > n + 3 - s:
-            out.add((t, total))
-    return out
+        yield t, int(dist[i, j] + dist[i, k] + dist[j, k])
+
+
+def triple_budget_violations(dist: np.ndarray, s: int) -> set:
+    """((i, j, k), total) for every triple of ``_budget_triples`` whose
+    distances sum past n + 3 - s."""
+    limit = len(dist) // 2 + 3 - s
+    return {(t, total) for t, total in _budget_triples(dist, s) if total > limit}
+
+
+def largest_triple_sum(dist: np.ndarray, s: int) -> int:
+    """The largest distance sum of a triple of ``_budget_triples``."""
+    return max(total for _, total in _budget_triples(dist, s))
+
+
+def standard_route(n: int, s: int) -> list[Vertex]:
+    """The paper's standard cycle through (1, 1), written vertex by vertex:
+    for s = 1, (1,1), (1,2), then cycle 2 from (2,2) round to (2,1); for
+    s = 2, 3, (1,1), then cycle 2 from (2,2) to (2, n + 3 - s), position
+    n + 1 being 1."""
+    route = [Vertex(1, 1), Vertex(1, 2)] if s == 1 else [Vertex(1, 1)]
+    p = 2
+    while len(route) < n + 3 - s:
+        route.append(Vertex(2, (p - 1) % n + 1))
+        p += 1
+    return route
 
 
 def pair_gap_every_triple(dist: np.ndarray) -> int:

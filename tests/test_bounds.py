@@ -13,7 +13,6 @@ from prismradio import (
     omega,
     pair_gap,
     phi,
-    triple_bound_violations,
 )
 from prismradio import bounds
 from prismradio.selftest import run_selftest
@@ -23,6 +22,7 @@ from reference import (
     brute_force_radio_number,
     dense_pair_gap,
     graph_of,
+    largest_triple_sum,
     pair_gap_every_triple,
     triple_budget_violations,
 )
@@ -119,31 +119,38 @@ def test_triple_bound_exemption_is_needed_for_s3():
 
 
 def test_triple_bound_violations_empty_on_supported_graphs():
-    assert triple_bound_violations(build_graph(9, 2)) == []
+    g = build_graph(9, 2)
+    assert bounds._max_triple_sum(g) == g.n + 3 - g.s  # the budget is met, not passed
+    assert not triple_budget_violations(all_pairs_distances(9, 2), 2)
 
 
-def _up_to_rotation(n, violations):
-    """Each (triple, total) with the triple replaced by the least sorted rotation of it."""
-    def least(t):
-        return min(tuple(sorted(i // n * n + (i + r) % n for i in t)) for r in range(n))
-    return {(least(t), total) for t, total in violations}
-
-
-def test_anchored_triple_sweep_matches_every_triple_up_to_rotation():
+def test_anchored_triple_sweep_matches_every_triple_up_to_rotation(monkeypatch):
     # the supported graphs meet the budget; the rows of Z(n, 1) fail the budget
     # of s = 2 and 3, and those of GP(9, 3) and GP(12, 3) fail it within cycle 2
     cases = [(all_pairs_distances(n, s), s) for n in range(3, 13) for s in (1, 2, 3) if s <= n]
     cases += [(all_pairs_distances(n, 1), s) for n in range(3, 13) for s in (2, 3)]
     cases += [(bicirculant_distances(9, 3, (0,)), 1), (bicirculant_distances(12, 3, (0,)), 2)]
     failing = 0
-    for dist, s in cases:
-        g = graph_of(dist, s)
-        expected = triple_budget_violations(dist, s)
-        found = [(tuple(g.index(v) for v in t[:3]), t[3]) for t in triple_bound_violations(g)]
-        assert _up_to_rotation(g.n, found) == _up_to_rotation(g.n, expected), (g, s)
-        assert check_triple_bound(g) == (not expected)
-        failing += bool(expected)
-    assert failing >= 10
+    for cells in (bounds._BLOCK_CELLS, 1):  # the default block, then one row of p per block
+        monkeypatch.setattr(bounds, "_BLOCK_CELLS", cells)
+        for dist, s in cases:
+            g = graph_of(dist, s)
+            assert bounds._max_triple_sum(g) == largest_triple_sum(dist, s), (g, s, cells)
+            expected = triple_budget_violations(dist, s)
+            assert check_triple_bound(g) == (not expected)
+            failing += bool(expected)
+    assert failing >= 20
+
+
+def test_triple_bound_holds_less_than_an_n_by_n_array():
+    g = build_graph.__wrapped__(2000, 2)  # uncached: its rows are not charged to another test
+    tracemalloc.start()
+    try:
+        assert check_triple_bound(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 2000 * 4  # one n x n int32 array: 16 MB
 
 
 @pytest.fixture(params=["default-block", "one-row-blocks"])

@@ -13,10 +13,8 @@ from prismradio import (
     check_triple_bound,
     construct_labeling,
     exact_radio_number,
-    is_v_tight,
     pair_gap,
     radio_number,
-    standard_cycle,
 )
 from prismradio.selftest import run_selftest
 from reference import all_pairs_distances, bfs_row
@@ -94,28 +92,6 @@ def test_edge_count():
     for n, s in [(8, 1), (8, 2), (8, 3), (3, 3), (4, 3)]:
         g = build_graph(n, s)
         assert g.edge_indices()[0].size == 2 * n + s * n
-
-
-def test_standard_cycle_s1_route():
-    g = build_graph(5, 1)
-    assert standard_cycle(g) == (
-        Vertex(1, 1), Vertex(1, 2), Vertex(2, 2), Vertex(2, 3),
-        Vertex(2, 4), Vertex(2, 5), Vertex(2, 1),
-    )
-
-
-def test_snake_cycle_is_not_tight():
-    # a Hamiltonian cycle that walks all of cycle 1 before crossing over
-    g = build_graph(8, 1)
-    snake = tuple([Vertex(1, p) for p in range(1, 9)] + [Vertex(2, p) for p in range(8, 0, -1)])
-    assert not is_v_tight(g, snake, Vertex(1, 1))
-
-
-def test_is_v_tight_rejects_foreign_vertex():
-    g = build_graph(8, 1)
-    pc = tuple(Vertex(1, p) for p in range(1, 9))
-    with pytest.raises(ValueError, match="vertex not on cycle"):
-        is_v_tight(g, pc, Vertex(2, 1))
 
 
 # each library reader of the metric, on fresh graphs outside the build_graph cache

@@ -1,13 +1,16 @@
-"""One selftest run builds each graph of its sweep once, through one memo."""
+"""One selftest run builds each graph of its sweep once, through one memo, and
+checks it on vertex-index arrays."""
 
 from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 
-from prismradio import selftest
+from prismradio import Vertex, selftest
 from prismradio.bounds import in_phi_scope
 from prismradio.selftest import run_selftest
+from reference import standard_route
 
 
 def _sweep(n_max: int) -> set[tuple[int, int]]:
@@ -57,3 +60,34 @@ def test_a_non_int_n_max_is_rejected_before_any_suite_runs(monkeypatch, n_max):
     with pytest.raises(ValueError, match=r"selftest needs an integer n_max, got"):
         run_selftest(n_max=n_max)
     assert builds == []
+
+
+def test_standard_cycle_indices_follow_the_route():
+    for n in range(3, 61):
+        for s in (1, 2, 3):
+            want = [(v.cycle - 1) * n + v.position - 1 for v in standard_route(n, s)]
+            assert selftest._standard_cycle(n, s).tolist() == want, (n, s)
+
+
+def test_a_cycle_that_is_not_tight_fails_the_graphs_suite(monkeypatch):
+    # for s = 2: all of cycle 1, then (2, 1), a simple cycle of the right length,
+    # but (1, n) sits 2 hops round it from (1, 1) and 1 hop away in the graph
+    standard = selftest._standard_cycle
+
+    def loop(n, s):
+        return np.append(np.arange(n), n) if s == 2 else standard(n, s)
+
+    monkeypatch.setattr(selftest, "_standard_cycle", loop)
+    results = {r.name: (r.passed, r.detail) for r in run_selftest(n_max=8)}
+    assert results["graphs"] == (False, "standard cycle of Z(3,2) not tight at (1,1)")
+    assert all(passed for name, (passed, _) in results.items() if name != "graphs")
+
+
+def test_suites_build_no_vertex_objects(monkeypatch):
+    def refuse(cls, *args):
+        raise AssertionError("Vertex built")
+
+    monkeypatch.setattr(Vertex, "__new__", refuse)
+    with pytest.raises(AssertionError, match="Vertex built"):
+        Vertex(1, 1)
+    assert [r.passed for r in run_selftest(60)] == [True] * 5

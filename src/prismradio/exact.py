@@ -4,7 +4,8 @@ Any radio labeling is determined by the order in which it sorts the vertices:
 given the order, the cheapest labels are forced greedily (label 1 for the
 first vertex, then for each next vertex the smallest integer exceeding the
 previous label that satisfies the radio condition against everything already
-placed).  ``greedy_span_for_order`` computes that forced span for one order;
+placed).  ``greedy_span_for_order`` computes that forced span for one order
+of vertex indices, the currency of ``label_order`` and ``Labeling.labels``;
 ``exact_radio_number`` searches the tree of all orders depth-first, keeping
 the best completed labeling as incumbent and pruning a branch as soon as its
 forced span plus an admissible bound on the remaining vertices reaches the
@@ -65,8 +66,9 @@ O(n) of the metric.  The time budget is read whenever the nodes explored,
 each weighted by its unplaced vertices, pass another ``_BUDGET_CHECK_WORK``,
 and at the first node, so the overshoot is about the same at every n.  The
 incumbent is seeded from ``construct_labeling`` when that covers (n, s) and
-its labeling verifies on g, which need not be Z(n, s), else from a greedy
-labeling, so a witness always exists even when the time budget runs out.
+its labeling verifies on g, which need not be Z(n, s), else from the greedy
+labeling of the index order 0..2n - 1, so a witness always exists even when
+the time budget runs out.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import pair_gap
-from .graphs import PrismGraph, Vertex, _hops
+from .graphs import PrismGraph, _hops
 from .labeling import CaseId, Labeling, case_select, construct_labeling
 from .verification import verify
 
@@ -112,22 +114,25 @@ class ExactResult:
 
 
 def greedy_span_for_order(
-    g: PrismGraph, order: Sequence[Vertex | tuple[int, int]]
+    g: PrismGraph, order: Sequence[int] | np.ndarray
 ) -> tuple[int, list[int]]:
     """Minimal span achievable with the given sorted order, plus its labels.
 
-    Labels are forced: the first vertex gets 1 and each later one the
-    smallest integer above its predecessor satisfying the radio condition
-    against all earlier vertices.  This greedy choice is optimal for the
-    fixed order because every constraint is a lower bound on the next label.
+    order holds the vertex indices (c - 1) * n + (p - 1) of (c, p), a
+    permutation of 0..2n - 1 as a 1-D integer sequence or array, as
+    ``label_order`` returns it.  Labels are forced: the first vertex gets 1
+    and each later one the smallest integer above its predecessor
+    satisfying the radio condition against all earlier vertices.  This
+    greedy choice is optimal for the fixed order because every constraint
+    is a lower bound on the next label.
     """
-    verts = [v if isinstance(v, Vertex) else Vertex(*v) for v in order]
-    if sorted(verts) != sorted(g.vertices()):
+    index = np.asarray(order)
+    if index.dtype.kind not in "iu" or not np.array_equal(np.sort(index), np.arange(2 * g.n)):
         raise ValueError("not a permutation of the vertex set")
-    index = np.array([g.index(v) for v in verts])
+    index = index.astype(np.int64)  # unsigned offsets would wrap in _hops
     required = g.diameter + 1
-    labels = np.ones(len(verts), dtype=np.int64)
-    for t in range(1, len(verts)):
+    labels = np.ones(len(index), dtype=np.int64)
+    for t in range(1, len(index)):
         # the radio condition against each earlier vertex
         need = labels[:t] + required - _hops(g, index[t], index[:t])
         labels[t] = max(labels[t - 1] + 1, need.max())
@@ -234,7 +239,7 @@ def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> Exact
             and (report := verify(g, seed := construct_labeling(n, g.s))).valid):
         best_span, best_labels = report.span, seed.labels.tolist()
     else:
-        best_span, best_labels = greedy_span_for_order(g, list(g.vertices()))
+        best_span, best_labels = greedy_span_for_order(g, np.arange(nv))
 
     swap = _swap_shift(g)
     pinned = swap is not None

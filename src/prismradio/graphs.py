@@ -89,8 +89,10 @@ class PrismGraph:
     ``rows[c, c', k]`` is the hop distance from (c + 1, 1) to (c' + 1, 1 + k)
     (0-based c, c', k); ``diameter`` is its maximum, read from the rows.
     Vertex (c, p) has vertex index (c - 1) * n + (p - 1), the index every
-    layer uses (``index``, ``vertex_at``, ``Labeling.labels``, ``verify`` and
-    ``exact``).  Use ``build_graph`` to obtain instances.
+    layer uses (``index``, ``Labeling.labels``, ``label_order``, ``verify``
+    and ``exact``, whose ``greedy_span_for_order`` takes an order of them).
+    ``vertices``, ``index`` and ``contains`` serve callers that name
+    vertices as ``Vertex`` tuples.  Use ``build_graph`` to obtain instances.
     """
 
     __slots__ = ("n", "s", "rows", "diameter")
@@ -121,10 +123,6 @@ class PrismGraph:
         if not self.contains(v):
             raise ValueError(f"unknown vertex {v} for Z({self.n},{self.s})")
         return (v.cycle - 1) * self.n + (v.position - 1)
-
-    def vertex_at(self, i: int) -> Vertex:
-        c, p = divmod(i, self.n)
-        return Vertex(c + 1, p + 1)
 
     def vertices(self) -> Iterator[Vertex]:
         """All 2n vertices in (cycle, position) lexicographic order."""

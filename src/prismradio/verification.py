@@ -91,24 +91,6 @@ class VerificationReport:
             for lo, hi, d, gap in self.pairs.tolist()
         )
 
-    def to_dict(self) -> dict:
-        n, required = self.n, self.required
-        return {
-            "valid": self.valid,
-            "span": self.span,
-            "pairs_checked": self.pairs_checked,
-            "violations": [
-                {
-                    "u": {"cycle": lo // n + 1, "pos": lo % n + 1},
-                    "v": {"cycle": hi // n + 1, "pos": hi % n + 1},
-                    "distance": d,
-                    "label_gap": gap,
-                    "required": required,
-                }
-                for lo, hi, d, gap in self.pairs.tolist()
-            ],
-        }
-
 
 def verify(g: PrismGraph, labeling: Labeling) -> VerificationReport:
     """Check the radio condition on all pairs of g under the given labels.

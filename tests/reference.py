@@ -32,7 +32,10 @@ on NumPy arrays.
 a time, keyed by (cycle, pos) tuples, as ``Labeling`` and the CLI reader did
 before they worked on int64 columns; ``labeling_document`` (serialized by
 ``json.dumps``) and ``label_lines`` write one vertex at a time, as the CLI
-did before it wrote the label array in chunks.
+did before it wrote the label array in chunks.  ``report_document`` is the
+verification report as nested dicts, one per violating pair, which
+``VerificationReport.to_dict`` returned before the CLI streamed it from the
+pairs.
 """
 
 from __future__ import annotations
@@ -374,6 +377,27 @@ def labeling_document(g: PrismGraph, lab) -> dict:
     }
 
 
+def report_document(report) -> dict:
+    """The JSON report of ``verify --format json`` as nested dicts, one per
+    violating pair: the document its streamed output serializes."""
+    n, required = report.n, report.required
+    return {
+        "valid": report.valid,
+        "span": report.span,
+        "pairs_checked": report.pairs_checked,
+        "violations": [
+            {
+                "u": {"cycle": lo // n + 1, "pos": lo % n + 1},
+                "v": {"cycle": hi // n + 1, "pos": hi % n + 1},
+                "distance": d,
+                "label_gap": gap,
+                "required": required,
+            }
+            for lo, hi, d, gap in report.pairs.tolist()
+        ],
+    }
+
+
 def label_lines(g: PrismGraph, lab, fmt: str) -> list[str]:
     """The lines of ``label --format text|csv|dot``, one vertex at a time."""
     items = lab.assignment.items()
@@ -383,8 +407,9 @@ def label_lines(g: PrismGraph, lab, fmt: str) -> list[str]:
         ii, jj = (a.tolist() for a in g.edge_indices())
         return ([f"graph Z_{g.n}_{g.s} {{"]
                 + [f'  c{v.cycle}_p{v.position} [label="{c}"];' for v, c in items]
-                + [f"  c{u.cycle}_p{u.position} -- c{v.cycle}_p{v.position};"
-                   for u, v in zip(map(g.vertex_at, ii), map(g.vertex_at, jj))]
+                + [f"  c{cu + 1}_p{pu + 1} -- c{cv + 1}_p{pv + 1};"
+                   for (cu, pu), (cv, pv) in ((divmod(i, g.n), divmod(j, g.n))
+                                              for i, j in zip(ii, jj))]
                 + ["}"])
     return ([f"Z({g.n},{g.s}): diameter {g.diameter}, span {lab.span}"]
             + [f"({v.cycle},{v.position}) {c}" for v, c in items])

@@ -11,6 +11,8 @@ import random
 import time
 from contextlib import contextmanager
 
+import numpy as np
+
 from prismradio import (
     build_graph,
     check_triple_bound,
@@ -139,12 +141,9 @@ def test_criterion_8_greedy_order_oracle():
             g = build_graph(n, s)
             result = exact_radio_number(g)
             assert result.proven_optimal
-            witness_order = [v for v, _ in sorted(result.witness.assignment.items(),
-                                                  key=lambda item: item[1])]
-            orders = [witness_order]
-            base = list(g.vertices())
+            orders = [np.argsort(result.witness.labels)]
             for _ in range(200):
-                order = base[:]
+                order = np.arange(2 * n)
                 rng.shuffle(order)
                 orders.append(order)
             spans = [greedy_span_for_order(g, order)[0] for order in orders]

@@ -47,6 +47,14 @@ def test_removed_names_stay_removed(name):
     assert not hasattr(prismradio, name)
 
 
+@pytest.mark.parametrize("owner,name", [(prismradio.PrismGraph, "vertex_at"),
+                                        (prismradio.VerificationReport, "to_dict")])
+def test_removed_methods_stay_removed(owner, name):
+    # orders are vertex-index arrays, and the CLI streams the report's JSON
+    # from its pairs; tests/reference.py holds the report document
+    assert not hasattr(owner, name)
+
+
 def test_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     with pyproject.open("rb") as fh:

@@ -120,8 +120,24 @@ def test_zero_budget_returns_the_greedy_incumbent(name):
     g = graph()
     result = exact_radio_number(g, time_budget=0.0)
     assert not result.proven_optimal and result.nodes_explored == 1
-    assert result.rn == span == greedy_span_for_order(g, list(g.vertices()))[0]
+    assert result.rn == span == greedy_span_for_order(g, np.arange(2 * g.n))[0]
     assert verify(g, result.witness).valid
+
+
+@pytest.mark.parametrize("name", [*GREEDY_SEEDED, "Z-4-3"])
+def test_the_search_builds_no_vertex_objects(monkeypatch, name):
+    # the greedy seed and the search work on vertex indices alone; Z(4,3)
+    # is seeded from its special labeling
+    g = build_graph(4, 3) if name == "Z-4-3" else GREEDY_SEEDED[name][0]()
+
+    def refuse(cls, *args):
+        raise AssertionError("Vertex built")
+
+    monkeypatch.setattr(Vertex, "__new__", refuse)
+    with pytest.raises(AssertionError, match="Vertex built"):
+        Vertex(1, 1)
+    result = exact_radio_number(g)
+    assert result.proven_optimal and verify(g, result.witness).valid
 
 
 @pytest.mark.parametrize("n,s", [(4, 1), (5, 2), (6, 3), (7, 1)])
@@ -229,10 +245,27 @@ def test_root_symmetries_compare_only_the_aligned_shifts(monkeypatch):
 
 def test_greedy_rejects_non_permutation():
     g = build_graph(4, 1)
-    with pytest.raises(ValueError, match="not a permutation"):
-        greedy_span_for_order(g, list(g.vertices())[:-1])
-    with pytest.raises(ValueError, match="not a permutation"):
-        greedy_span_for_order(g, [Vertex(1, 1)] * 8)
+    for order in [
+        [0, 1, 2, 3, 4, 5, 6, 6],  # a repeated index
+        [-1, 1, 2, 3, 4, 5, 6, 7],
+        [0, 1, 2, 3, 4, 5, 6, 8],  # 2n
+        list(range(7)),  # short
+        np.arange(8.0),  # float, though integral
+        np.arange(8) % 2 == 1,  # bool
+        [(c, p) for c in (1, 2) for p in (1, 2, 3, 4)],  # the (cycle, position) pairs
+        [(1, 2, 3)] * 8,  # raised TypeError when orders were Vertex tuples
+    ]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            greedy_span_for_order(g, order)
+
+
+def test_greedy_takes_any_integer_dtype():
+    g = build_graph(5, 2)
+    order = np.random.default_rng(7).permutation(10)
+    span, labels = greedy_span_for_order(g, order)
+    for dtype in (np.int8, np.uint8, np.int32, np.uint64):
+        assert greedy_span_for_order(g, order.astype(dtype)) == (span, labels)
+    assert greedy_span_for_order(g, order.tolist()) == (span, labels)
 
 
 def test_a_construction_that_fails_on_the_graph_does_not_seed_the_search():
@@ -246,14 +279,14 @@ def test_a_construction_that_fails_on_the_graph_does_not_seed_the_search():
 
 def test_greedy_labels_are_monotone_and_start_at_one():
     g = build_graph(5, 3)
-    span, labels = greedy_span_for_order(g, list(g.vertices()))
+    span, labels = greedy_span_for_order(g, np.arange(10))
     assert labels[0] == 1
     assert all(b > a for a, b in zip(labels, labels[1:]))
     assert span == labels[-1]
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.permutations([(c, p) for c in (1, 2) for p in (1, 2, 3)]))
+@given(st.permutations(range(6)))
 def test_greedy_never_beats_rn_on_z33(order):
     g = build_graph(3, 3)
     span, _ = greedy_span_for_order(g, order)
@@ -261,7 +294,7 @@ def test_greedy_never_beats_rn_on_z33(order):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.permutations([(c, p) for c in (1, 2) for p in (1, 2, 3, 4)]))
+@given(st.permutations(range(8)))
 def test_greedy_never_beats_rn_on_z41(order):
     g = build_graph(4, 1)
     span, _ = greedy_span_for_order(g, order)
@@ -498,10 +531,10 @@ def test_greedy_is_optimal_on_witness_order(monkeypatch, kind, n, s):
         monkeypatch.setattr(exact, "case_select", _no_construction)
     g = graph_of(bicirculant_distances(n, s, (0,)), 1) if kind == "GP" else build_graph(n, s)
     result = exact_radio_number(g)
-    labels = result.witness.labels.tolist()
-    order = sorted(range(2 * n), key=labels.__getitem__)
-    span, forced = greedy_span_for_order(g, [g.vertex_at(i) for i in order])
-    assert forced == [labels[i] for i in order]
+    labels = result.witness.labels
+    order = np.argsort(labels)
+    span, forced = greedy_span_for_order(g, order)
+    assert forced == labels[order].tolist()
     assert span == result.rn
 
 

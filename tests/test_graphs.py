@@ -79,8 +79,9 @@ def test_distance_matrix_is_read_only():
 
 def test_index_round_trip():
     g = build_graph(9, 3)
-    for v in g.vertices():
-        assert g.vertex_at(g.index(v)) == v
+    index = np.array([g.index(v) for v in g.vertices()])
+    assert np.array_equal(index, np.arange(18))
+    assert np.array_equal(np.divmod(index, 9), np.array(list(g.vertices())).T - 1)
     with pytest.raises(ValueError, match="unknown vertex"):
         g.index(Vertex(3, 1))
     with pytest.raises(ValueError, match="unknown vertex"):

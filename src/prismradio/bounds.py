@@ -74,8 +74,8 @@ def in_phi_scope(n: int, s: int) -> bool:
 
 def phi(n: int, s: int) -> int:
     """Minimum gap between labels two apart in sorted order, table lookup."""
-    _require_ints(n=n, s=s)
-    if not in_phi_scope(n, s):
+    if not in_phi_scope(n, s):  # which is False unless both are plain ints
+        _require_ints(n, s)
         raise ValueError(f"outside theorem scope: no phi for (n, s) = ({n}, {s})")
     k, r = divmod(n, 4)
     return k + _PHI_STEP[(r, s)]
@@ -160,7 +160,7 @@ def d_offset(n: int, s: int) -> int:
 
     d((1, y), (2, y + d_offset(n, s))) equals the diameter for every y.
     """
-    _require_ints(n=n, s=s)
+    _require_ints(n, s)
     if s not in (1, 2, 3):
         raise ValueError(f"outside theorem scope: s={s} (need s in {{1, 2, 3}})")
     if n < 3:
@@ -175,7 +175,7 @@ def omega(n: int) -> int:
     r = 1, or when r = 2 with k odd; equal to k + 1 when r = 3, or when
     r = 2 with k even.
     """
-    _require_ints(n=n)
+    _require_ints(n)
     k, r = divmod(n, 4)
     if r == 0:
         raise ValueError(f"case-1 only: omega is undefined for n={n} divisible by 4")

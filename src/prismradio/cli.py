@@ -252,22 +252,22 @@ def _violation_entries(report: VerificationReport, fmt: str, sep: str,
         yield piece if k == 0 else sep + piece
 
 
-def _labeling_json(g: PrismGraph, lab: Labeling) -> Iterator[str]:
-    """The JSON labeling schema of ``lab`` in pieces, the text json.dumps gives."""
-    yield _HEAD_FORMAT % (g.n, g.s, g.diameter, lab.span)
+def _labeling_json(g: PrismGraph, lab: Labeling, span: int) -> Iterator[str]:
+    """The JSON labeling schema of ``lab`` with its verified span, in pieces, as json.dumps."""
+    yield _HEAD_FORMAT % (g.n, g.s, g.diameter, span)
     yield from _labeled_vertices(lab, "json", ", ")
     yield "]}"
 
 
-def _label_output(g: PrismGraph, lab: Labeling, fmt: str) -> Iterator[str]:
+def _label_output(g: PrismGraph, lab: Labeling, span: int, fmt: str) -> Iterator[str]:
     """The output of ``label --format fmt`` in pieces, each formatted when it is asked for."""
     if fmt == "json":
-        yield from _labeling_json(g, lab)
+        yield from _labeling_json(g, lab, span)
         yield "\n"
         return
     yield {"csv": "cycle,pos,label",
            "dot": f"graph Z_{g.n}_{g.s} {{",
-           "text": f"Z({g.n},{g.s}): diameter {g.diameter}, span {lab.span}"}[fmt] + "\n"
+           "text": f"Z({g.n},{g.s}): diameter {g.diameter}, span {span}"}[fmt] + "\n"
     yield from _labeled_vertices(lab, fmt, "\n")
     yield "\n"
     if fmt == "dot":
@@ -328,7 +328,7 @@ def cmd_label(args: argparse.Namespace) -> Output:
         print(f"internal inconsistency: constructed labeling of Z({args.n},{args.s}) "
               f"failed verification ({len(report.pairs)} violations)", file=sys.stderr)
         return EXIT_INTERNAL, []
-    return EXIT_OK, _label_output(g, lab, args.format)
+    return EXIT_OK, _label_output(g, lab, report.span, args.format)
 
 
 def cmd_verify(args: argparse.Namespace) -> Output:
@@ -366,7 +366,7 @@ def cmd_exact(args: argparse.Namespace) -> Output:
                            "nodes_explored": result.nodes_explored})
         # the object reopened after its last key, for the witness to go last
         return EXIT_OK, itertools.chain([head[:-1], ', "witness": '],
-                                        _labeling_json(g, result.witness), ["}\n"])
+                                        _labeling_json(g, result.witness, report.span), ["}\n"])
     status = "proven optimal" if result.proven_optimal else "budget exhausted (upper bound)"
     return EXIT_OK, _lines([f"rn = {result.rn}", f"status = {status}",
                             f"nodes_explored = {result.nodes_explored}"])

@@ -126,7 +126,10 @@ def greedy_span_for_order(
     greedy choice is optimal for the fixed order because every constraint
     is a lower bound on the next label.
     """
-    index = np.asarray(order)
+    try:
+        index = np.asarray(order)
+    except ValueError:  # a ragged order makes no array
+        index = np.empty(0)  # and is refused below, as a float array
     if index.dtype.kind not in "iu" or not np.array_equal(np.sort(index), np.arange(2 * g.n)):
         raise ValueError("not a permutation of the vertex set")
     index = index.astype(np.int64)  # unsigned offsets would wrap in _hops

@@ -61,15 +61,16 @@ class Vertex(NamedTuple):
         return f"({self.cycle},{self.position})"
 
 
-def _require_ints(**params: int) -> None:
-    for value in params.values():
+def _require_ints(*values: int) -> None:
+    """Raise unless each value, n and then s if given, is a plain int."""
+    for value in values:
         if type(value) is not int:  # exact: bool is an int subclass
-            named = ", ".join(f"{k}={v!r}" for k, v in params.items())
+            named = ", ".join(f"{k}={v!r}" for k, v in zip("ns", values))
             raise ValueError(f"unsupported graph parameters: {named} (integers required)")
 
 
 def _validate_params(n: int, s: int) -> None:
-    _require_ints(n=n, s=s)
+    _require_ints(n, s)
     if n < 3 or s < 1 or s > 3:
         raise ValueError(f"unsupported graph parameters: n={n}, s={s} (need n >= 3, 1 <= s <= 3)")
 
@@ -189,8 +190,7 @@ def build_graph(n: int, s: int) -> PrismGraph:
     rows.setflags(write=False)
     g = PrismGraph(n, s, rows)
     assert g.diameter == (n + 3 - s) // 2, (
-        f"diameter {g.diameter} of Z({n},{s}) deviates from closed form {(n + 3 - s) // 2}"
-    )
+        f"diameter {g.diameter} of Z({n},{s}) deviates from closed form {(n + 3 - s) // 2}")
     return g
 
 

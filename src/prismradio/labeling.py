@@ -11,7 +11,8 @@ whose final value (n - 1) * phi(n, s) + 2 matches the lower bound from
 receive them.  Labels 1 apart need vertices at distance diam, so alpha_2i is
 the diametral partner of alpha_2i-1, and a case only walks the odd vertices.
 With j = i - 1 and 0-based cycle c and position p, before wrapping, the
-walk is one of four chosen by ``case_select``:
+walk ``_walk`` is one of four, and ``label_order`` and ``construct_labeling``
+each hand it the case they have from one call of ``case_select``:
 
 * case 1 (n not divisible by 4, except case 4): c = 0, p = omega(n) * j.
 * case 2 (n = 4k, s in {1, 3}): c = floor(j / 4), p = k * j - floor(j / 4).
@@ -107,7 +108,11 @@ def label_order(n: int, s: int) -> np.ndarray:
     Cases 1-4 only; raises ValueError for the special graphs and for the
     unsupported ones, which have no sorted-order construction.
     """
-    case = case_select(n, s)
+    return _walk(n, s, case_select(n, s))
+
+
+def _walk(n: int, s: int, case: CaseId) -> np.ndarray:
+    """``label_order`` of (n, s), given its case from ``case_select``."""
     j = np.arange(n, dtype=np.int64)  # i - 1
     # 0-based (cycle, position) of alpha_2i-1, before wrapping, and whether
     # its partner alpha_2i lies across the cycles
@@ -120,9 +125,8 @@ def label_order(n: int, s: int) -> np.ndarray:
     elif case is CaseId.CASE4:
         c, p, across = (j > (n - 2) // 2) - 1, (n - 2) // 4 * j, False
     elif case is CaseId.UNSUPPORTED:
-        raise ValueError(
-            f"unsupported graph parameters: no construction for (n={n}, s={s}); use the exact solver"
-        )
+        raise ValueError(f"unsupported graph parameters: no construction for (n={n}, s={s}); "
+                         "use the exact solver")
     else:
         raise ValueError(f"Z({n},{s}) is {case.value}: construct_labeling labels it directly")
     # alpha_2i is the diametral partner of alpha_2i-1: the other cycle shifted
@@ -294,9 +298,9 @@ def construct_labeling(n: int, s: int) -> Labeling:
     """Build the optimal labeling for (n, s); span equals lower_bound_rn(n, s)
     except for the special graphs, whose witness from the table is returned.
     """
-    if case_select(n, s) is CaseId.SPECIAL:
+    if (case := case_select(n, s)) is CaseId.SPECIAL:
         return Labeling.from_labels(n, s, _SPECIAL_LABELS[(n, s)])
-    order = label_order(n, s)  # first: its error names the graphs without a construction
+    order = _walk(n, s, case)  # first: its error names the graphs without a construction
     labels = np.empty(2 * n, dtype=np.int64)
     labels[order] = label_sequence(n, s)
     return object.__new__(Labeling)._freeze(n, s, labels)  # labels is its own: not copied

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prismradio.labeling
 import prismradio.verification
 from prismradio import (ExactResult, Labeling, bounds, build_graph, cli, construct_labeling,
                         exact_radio_number, lower_bound_rn, radio_number, verify)
@@ -615,6 +616,30 @@ def test_table_reproduces_the_paper_over_the_census_range(capsys):
             want = {"phi": bounds.phi(*key), "rn_formula": rn, "span": rn, "match": True,
                     "note": ""}
         assert r == {"n": key[0], "s": key[1], **want}, r
+
+
+def test_table_decides_a_case_once_per_row_in_each_layer(capsys, monkeypatch):
+    # the row picks its case once, and construct_labeling once more for its walk;
+    # label_order, which the construction used to call, decided it a third time
+    calls = {"cli": 0, "labeling": 0}
+
+    def counting(module, name):
+        original = module.case_select
+
+        def case_select(n, s):
+            calls[name] += 1
+            return original(n, s)
+
+        monkeypatch.setattr(module, "case_select", case_select)
+
+    counting(cli, "cli")
+    counting(prismradio.labeling, "labeling")
+    code, out, _ = run(capsys, "table", "--n-min", "3", "--n-max", "40", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    in_scope = sum(r["note"] != "outside scope" for r in rows)
+    assert (len(rows), in_scope) == (114, 112)
+    assert calls == {"cli": len(rows), "labeling": in_scope}
 
 
 def test_table_bad_range(capsys):

@@ -254,6 +254,8 @@ def test_greedy_rejects_non_permutation():
         np.arange(8) % 2 == 1,  # bool
         [(c, p) for c in (1, 2) for p in (1, 2, 3, 4)],  # the (cycle, position) pairs
         [(1, 2, 3)] * 8,  # raised TypeError when orders were Vertex tuples
+        [(1, 1), 2, 3, 4, 5, 6, 7, 8],  # ragged: NumPy makes no array of them
+        [[0, 1], [2, 3, 4], 5, 6, 7],
     ]:
         with pytest.raises(ValueError, match="not a permutation"):
             greedy_span_for_order(g, order)

@@ -20,11 +20,7 @@ each.  ``phi`` is a table lookup on (n mod 4, s) with n = 4k + r, k >= 1.
 ``pair_gap`` reads the gap from a graph's own metric, and
 ``check_triple_bound`` the triple budget, both up to rotation from (1, 1)
 and (2, 1) through one windowed kernel, in O(n^2) time with one block of
-sums held at a time.  ``d_offset`` and ``omega`` are the position-offset
-and rotation-step helpers the construction uses: (1, y) and
-(2, y + d_offset) are always at distance exactly diam, and omega is the
-step between consecutive odd-indexed positions in the general case of the
-construction (defined only for n not divisible by 4).
+sums held at a time.
 """
 
 from __future__ import annotations
@@ -40,8 +36,6 @@ __all__ = [
     "lower_bound_rn",
     "radio_number",
     "pair_gap",
-    "d_offset",
-    "omega",
     "check_triple_bound",
 ]
 
@@ -153,39 +147,6 @@ def pair_gap(g: PrismGraph) -> int:
     far = reach - g.rows[ca, cc]  # [block, k] = D - d(a, c), and 2D where a = c
     far[[0, 2], 0] = 2 * reach
     return int(np.maximum(pairs, far).min())
-
-
-def d_offset(n: int, s: int) -> int:
-    """Position offset realizing the diameter between the two cycles.
-
-    d((1, y), (2, y + d_offset(n, s))) equals the diameter for every y.
-    """
-    _require_ints(n, s)
-    if s not in (1, 2, 3):
-        raise ValueError(f"outside theorem scope: s={s} (need s in {{1, 2, 3}})")
-    if n < 3:
-        raise ValueError(f"outside theorem scope: n={n} (need n >= 3)")
-    return (n + 1) // 2 if s in (1, 3) else (n + 2) // 2
-
-
-def omega(n: int) -> int:
-    """Rotation step used by the general-case construction.
-
-    Defined for n = 4k + r with r in {1, 2, 3} and k >= 1: equal to k when
-    r = 1, or when r = 2 with k odd; equal to k + 1 when r = 3, or when
-    r = 2 with k even.
-    """
-    _require_ints(n)
-    k, r = divmod(n, 4)
-    if r == 0:
-        raise ValueError(f"case-1 only: omega is undefined for n={n} divisible by 4")
-    if k < 1:
-        raise ValueError(f"case-1 only: omega needs n >= 5, got n={n}")
-    if r == 1:
-        return k
-    if r == 3:
-        return k + 1
-    return k if k % 2 == 1 else k + 1
 
 
 def _max_triple_sum(g: PrismGraph) -> int:

@@ -61,12 +61,10 @@ class Vertex(NamedTuple):
         return f"({self.cycle},{self.position})"
 
 
-def _require_ints(*values: int) -> None:
-    """Raise unless each value, n and then s if given, is a plain int."""
-    for value in values:
-        if type(value) is not int:  # exact: bool is an int subclass
-            named = ", ".join(f"{k}={v!r}" for k, v in zip("ns", values))
-            raise ValueError(f"unsupported graph parameters: {named} (integers required)")
+def _require_ints(n: int, s: int) -> None:
+    """Raise unless n and s are plain ints."""
+    if type(n) is not int or type(s) is not int:  # exact: bool is an int subclass
+        raise ValueError(f"unsupported graph parameters: n={n!r}, s={s!r} (integers required)")
 
 
 def _validate_params(n: int, s: int) -> None:

@@ -14,13 +14,13 @@ With j = i - 1 and 0-based cycle c and position p, before wrapping, the
 walk ``_walk`` is one of four, and ``label_order`` and ``construct_labeling``
 each hand it the case they have from one call of ``case_select``:
 
-* case 1 (n not divisible by 4, except case 4): c = 0, p = omega(n) * j.
+* case 1 (n not divisible by 4, except case 4): c = 0, p = _omega(n) * j.
 * case 2 (n = 4k, s in {1, 3}): c = floor(j / 4), p = k * j - floor(j / 4).
 * case 3 (n = 4k, s = 2): c = j, p = k * j - floor(j / 2).
 * case 4 (n = 4k + 2, k even, s = 3): c = -1 for j <= 2k, else 0; p = k * j.
 
-In cases 1 and 2 the partner lies across the cycles, d_offset(n, s) ahead;
-in cases 3 and 4 on the same cycle, n // 2 ahead.  Both vertices are
+In cases 1 and 2 the partner lies across the cycles, ``_d_offset(n, s)``
+ahead; in cases 3 and 4 on the same cycle, n // 2 ahead.  Both vertices are
 wrapped to the index (c mod 2) * n + (p mod n) that ``PrismGraph.index``
 uses, as one row of an (n, 2) array.  ``construct_labeling`` writes the
 label sequence into a label array at those indices and keeps it, uncopied.
@@ -54,7 +54,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .bounds import _SPECIAL_LABELS, d_offset, in_phi_scope, omega, phi
+from .bounds import _SPECIAL_LABELS, in_phi_scope, phi
 from .graphs import Vertex, _validate_params
 
 __all__ = [
@@ -111,13 +111,25 @@ def label_order(n: int, s: int) -> np.ndarray:
     return _walk(n, s, case_select(n, s))
 
 
+def _d_offset(n: int, s: int) -> int:
+    """Position offset of the diametral partner across the cycles: d((1, y),
+    (2, y + _d_offset(n, s))) is the diameter of Z(n, s) for every y."""
+    return (n + 1 + (s == 2)) // 2
+
+
+def _omega(n: int) -> int:
+    """Rotation step of the case-1 walk, for n = 4k + r with r != 0 and k >= 1."""
+    k, r = divmod(n, 4)
+    return k + (r == 3 or r == 2 and k % 2 == 0)
+
+
 def _walk(n: int, s: int, case: CaseId) -> np.ndarray:
     """``label_order`` of (n, s), given its case from ``case_select``."""
     j = np.arange(n, dtype=np.int64)  # i - 1
     # 0-based (cycle, position) of alpha_2i-1, before wrapping, and whether
     # its partner alpha_2i lies across the cycles
     if case is CaseId.CASE1:
-        c, p, across = 0, omega(n) * j, True
+        c, p, across = 0, _omega(n) * j, True
     elif case is CaseId.CASE2:
         c, p, across = j // 4, n // 4 * j - j // 4, True
     elif case is CaseId.CASE3:
@@ -130,8 +142,8 @@ def _walk(n: int, s: int, case: CaseId) -> np.ndarray:
     else:
         raise ValueError(f"Z({n},{s}) is {case.value}: construct_labeling labels it directly")
     # alpha_2i is the diametral partner of alpha_2i-1: the other cycle shifted
-    # by d_offset, or the same cycle shifted by half its length
-    dp = d_offset(n, s) if across else n // 2
+    # by _d_offset, or the same cycle shifted by half its length
+    dp = _d_offset(n, s) if across else n // 2
     cyc = c % 2 * n
     pairs = np.empty((n, 2), dtype=np.int64)  # row j: alpha_2i-1, alpha_2i
     np.add(cyc, np.remainder(p, n, out=p), out=pairs[:, 0])

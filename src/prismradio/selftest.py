@@ -37,20 +37,14 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import bounds as _bounds
-from .bounds import (
-    check_triple_bound,
-    d_offset,
-    in_phi_scope,
-    omega,
-    pair_gap,
-    phi,
-    radio_number,
-)
+from .bounds import check_triple_bound, in_phi_scope, pair_gap, phi, radio_number
 from .exact import exact_radio_number
 from .graphs import PrismGraph, _hops, build_graph
 from .labeling import (
     CaseId,
     Labeling,
+    _d_offset,
+    _omega,
     case_select,
     construct_labeling,
     label_order,
@@ -152,13 +146,13 @@ def _bounds_suite(n_max: int, graph: _Graphs) -> _Checks:
                f"{step} vs {gap}")
         yield (2 * step >= g.diameter, f"2*phi < diam at (n={n}, s={s})")
         if case_select(n, s) is CaseId.CASE1:
-            w = omega(n)
+            w = _omega(n)
             yield (step + w >= g.diameter + 1, f"phi + omega < diam + 1 at (n={n}, s={s})")
             slack = 1 if (n - s) % 2 == 0 else 2
             yield (step - w >= slack, f"phi - omega < {slack} at (n={n}, s={s})")
     for n, s in _supported_params(n_max):
         g = graph(n, s)
-        yield (int(g.rows[0, 1, d_offset(n, s) % n]) == g.diameter,
+        yield (int(g.rows[0, 1, _d_offset(n, s) % n]) == g.diameter,
                f"d_offset does not realize the diameter on Z({n},{s})")
         if n <= 16:
             yield (check_triple_bound(g), f"triple-distance budget exceeded in Z({n},{s})")

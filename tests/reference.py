@@ -27,7 +27,9 @@ explicit stack: one recursive call per depth and no symmetry but the fixed
 first vertex.  Both take any distance matrix.
 ``scalar_label_order`` evaluates the construction's position formulas one
 index at a time in Python integers, as ``label_order`` did before it worked
-on NumPy arrays.
+on NumPy arrays.  Its rotation step ``case1_omega`` and diametral partner
+offset ``partner_offset`` are written from the paper's case definitions,
+so it shares no code with ``prismradio.labeling``.
 ``entry_labels`` and ``labels_from_document`` check a labeling one entry at
 a time, keyed by (cycle, pos) tuples, as ``Labeling`` and the CLI reader did
 before they worked on int64 columns; ``labeling_document`` (serialized by
@@ -48,7 +50,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from prismradio.bounds import d_offset, omega
 from prismradio.graphs import PrismGraph, Vertex, _validate_params
 from prismradio.labeling import construct_labeling
 
@@ -288,14 +289,31 @@ def recursive_exact_search(matrix: np.ndarray, s: int) -> tuple[int, int]:
     return best, nodes
 
 
+def case1_omega(n: int) -> int:
+    """The rotation step omega of construction case 1, n = 4k + r with r != 0, k >= 1."""
+    k, r = divmod(n, 4)
+    if r == 1:
+        return k
+    if r == 3:
+        return k + 1
+    return k if k % 2 == 1 else k + 1  # r == 2
+
+
+def partner_offset(n: int, s: int) -> int:
+    """How far along cycle 2 the diametral partner of (1, y) sits: ceil(n / 2)
+    for s in {1, 3}, and floor(n / 2) + 1 for s = 2, whose one diagonal runs
+    from (1, y) to (2, y + 1)."""
+    return n // 2 + 1 if s == 2 else -(-n // 2)
+
+
 def scalar_label_order(case: int, n: int, s: int) -> list[tuple[int, int]]:
     """alpha_1..alpha_2n of construction case 1..4 as (cycle, position) pairs."""
     out = []
     for j in range(1, 2 * n + 1):
         i, odd = (j + 1) // 2, j % 2 == 1
         if case == 1:
-            w = omega(n)
-            c, p = (1, 1 + w * (i - 1)) if odd else (2, 1 + d_offset(n, s) + w * (i - 1))
+            w = case1_omega(n)
+            c, p = (1, 1 + w * (i - 1)) if odd else (2, 1 + partner_offset(n, s) + w * (i - 1))
         elif case == 2:
             k, l = n // 4, (i - 1) // 4
             c, p = (1 + l, 1 + k * (i - 1) - l) if odd else (2 + l, 1 + k * (i + 1) - l)

@@ -40,7 +40,7 @@ def test_library_modules_are_the_expected_ones():
     [
         "CycleView", "position_case1", "position_case2", "position_case3", "position_case4",
         "normalize_vertex", "cycle_view", "principal_cycle", "SearchConfig",
-        "standard_cycle", "is_v_tight", "triple_bound_violations",
+        "standard_cycle", "is_v_tight", "triple_bound_violations", "d_offset", "omega",
     ],
 )
 def test_removed_names_stay_removed(name):

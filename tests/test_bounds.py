@@ -7,10 +7,8 @@ from prismradio import (
     build_graph,
     check_triple_bound,
     construct_labeling,
-    d_offset,
     in_phi_scope,
     lower_bound_rn,
-    omega,
     pair_gap,
     phi,
 )
@@ -56,11 +54,6 @@ _NOT_INTS = {
     "phi float n": lambda: phi(6.0, 1),
     "lower_bound_rn float n": lambda: lower_bound_rn(6.0, 1),
     "lower_bound_rn str n": lambda: lower_bound_rn("6", 1),
-    "d_offset float n": lambda: d_offset(5.0, 1),
-    "d_offset bool s": lambda: d_offset(5, True),
-    "omega float n": lambda: omega(6.0),
-    "omega float n in range": lambda: omega(5.0),
-    "omega bool n": lambda: omega(True),
 }
 
 
@@ -81,28 +74,9 @@ def test_lower_bound_examples(n, s, expected):
     assert lower_bound_rn(n, s) == expected
 
 
-@pytest.mark.parametrize("n,s,expected", [(5, 1, 3), (8, 2, 5), (7, 2, 4), (8, 3, 4), (3, 3, 2)])
-def test_d_offset_values(n, s, expected):
-    assert d_offset(n, s) == expected
-
-
-@pytest.mark.parametrize("n,expected", [(5, 1), (6, 1), (7, 2), (9, 2), (10, 3), (11, 3), (14, 3), (18, 5)])
-def test_omega_values(n, expected):
-    assert omega(n) == expected
-
-
-def test_omega_rejects_multiples_of_four():
-    for n in (4, 8, 12):
-        with pytest.raises(ValueError, match="case-1 only"):
-            omega(n)
-
-
 @pytest.mark.parametrize("call,message", [
-    (lambda: d_offset(5, 4), r"outside theorem scope: s=4 \(need s in \{1, 2, 3\}\)"),
-    (lambda: d_offset(2, 1), r"outside theorem scope: n=2 \(need n >= 3\)"),
-    (lambda: omega(3), r"case-1 only: omega needs n >= 5, got n=3"),
     (lambda: run_selftest(inject_fault="x"), r"unknown fault kind: 'x'"),
-], ids=["d_offset s=4", "d_offset n=2", "omega n=3", "selftest fault x"])
+], ids=["selftest fault x"])
 def test_domain_errors_name_their_rule(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -20,10 +20,11 @@ from prismradio import (
     verify,
 )
 from prismradio import bounds
+from prismradio.labeling import _d_offset, _omega
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import entry_labels, scalar_label_order
+from reference import case1_omega, entry_labels, partner_offset, scalar_label_order
 
 
 def alphas(n, s, js):
@@ -154,6 +155,24 @@ def test_label_order_matches_scalar_formulas(s):
         if case in cases:
             assert np.array_equal(label_order(n, s),
                                   indices(n, scalar_label_order(cases[case], n, s))), (n, s)
+
+
+@pytest.mark.parametrize("n,s,expected", [(5, 1, 3), (8, 2, 5), (7, 2, 4), (8, 3, 4), (3, 3, 2)])
+def test_d_offset_values(n, s, expected):
+    assert _d_offset(n, s) == expected
+
+
+@pytest.mark.parametrize("n,expected", [(5, 1), (6, 1), (7, 2), (9, 2), (10, 3), (11, 3), (14, 3), (18, 5)])
+def test_omega_values(n, expected):
+    assert _omega(n) == expected
+
+
+def test_walk_steps_match_the_paper_case_definitions():
+    for n in range(3, 3000):
+        for s in (1, 2, 3):
+            assert _d_offset(n, s) == partner_offset(n, s), (n, s)
+        if n >= 5 and n % 4:
+            assert _omega(n) == case1_omega(n), n
 
 
 def test_the_construction_labels_are_the_forced_labels_of_its_order():

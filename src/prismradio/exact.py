@@ -62,13 +62,12 @@ already cut and sorted, its unplaced vertices and its state, the one copy of
 their forced labels, from which its table key was cut, so a search 2n deep
 needs no recursion, and a completed order is read off the stack.  The distances
 come from g's two metric rows, rotated per placed vertex, so the search holds
-O(n) of the metric.  The time budget is read whenever the nodes explored,
-each weighted by its unplaced vertices, pass another ``_BUDGET_CHECK_WORK``,
-and at the first node, so the overshoot is about the same at every n.  The
-incumbent is seeded from ``construct_labeling`` when that covers (n, s) and
-its labeling verifies on g, which need not be Z(n, s), else from the greedy
-labeling of the index order 0..2n - 1, so a witness always exists even when
-the time budget runs out.
+O(n) of the metric.  The time budget starts after the root work (``pair_gap``,
+the seed and its ``verify``, and the symmetry checks), and the clock is read
+at every counted node.  The incumbent is seeded from ``construct_labeling``
+when that covers (n, s) and its labeling verifies on g, which need not be
+Z(n, s), else from the greedy labeling of the index order 0..2n - 1, so a
+witness always exists even when the time budget runs out.
 """
 
 from __future__ import annotations
@@ -88,9 +87,6 @@ from .verification import verify
 
 __all__ = ["ExactResult", "greedy_span_for_order", "exact_radio_number"]
 
-# the clock is read whenever nodes explored, each weighted by its number of
-# unplaced vertices, pass another multiple of this
-_BUDGET_CHECK_WORK = 1 << 16
 # memory cap of the transposition table: it is cleared once the entries it
 # holds, each charged its key and _TABLE_ENTRY_BYTES, pass the cap.
 # tracemalloc measured about 62 bytes of bytes-object header and dict slot
@@ -219,9 +215,10 @@ def _frame_key(state: array, v: int, n: int, swap: int | None,
 def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> ExactResult:
     """Branch-and-bound search for the radio number of g.
 
-    time_budget: wall-clock seconds, finite and nonnegative, before the
-    search stops with its best incumbent (proven_optimal False).  Without
-    one the search is deterministic.
+    time_budget: wall-clock seconds, finite and nonnegative, counted from
+    the end of the root work, before the search stops at the first node past
+    it with its best incumbent (proven_optimal False).  Without one the
+    search is deterministic.
     """
     if time_budget is not None:
         if not math.isfinite(time_budget):  # NaN would make a deadline no clock reaches
@@ -269,8 +266,6 @@ def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> Exact
     stack = [(iter(root_kids), list(range(nv)), array(typecode, [1]) * nv, 0,
               refl is not None, -1)]
     nodes = 0
-    work = 0  # nodes explored, each weighted by its count of unplaced vertices
-    next_check = 0 if time_budget is not None else float("inf")
     stopped = False
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
@@ -284,12 +279,9 @@ def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> Exact
                 stack.pop()  # children are label-sorted: the rest are no better
                 break
             nodes += 1
-            work += m
-            if work >= next_check:
-                if time.monotonic() > deadline:
-                    stopped = True
-                    break
-                next_check = work + _BUDGET_CHECK_WORK
+            if deadline is not None and time.monotonic() > deadline:
+                stopped = True
+                break
             if m == 1:
                 # order complete; the cut above guarantees c <= best_span
                 best_span = c

@@ -62,8 +62,21 @@ def bicirculant_distances(n: int, step: int, offsets) -> np.ndarray:
         edges.append((p, (p + 1) % n))  # ring of cycle 1
         edges.append((n + p, n + (p + step) % n))  # ring of cycle 2
         edges += [(p, n + (p + d) % n) for d in offsets]  # (1, p) -- (2, p + d)
-    a, b = np.array(edges).T
-    adj = csr_matrix((np.ones(2 * a.size), (np.r_[a, b], np.r_[b, a])), shape=(2 * n, 2 * n))
+    return _hop_counts(2 * n, *np.array(edges).T)
+
+
+def interleaved_circulant(m: int, offsets) -> np.ndarray:
+    """Hop counts of the circulant on 2m vertices x -- x + d for d in offsets,
+    with vertex 2p at index p and 2p + 1 at index m + p; C_2m is offsets [1]."""
+    a = np.repeat(np.arange(2 * m), len(offsets))
+    b = (a + np.tile(offsets, 2 * m)) % (2 * m)
+    return _hop_counts(2 * m, a % 2 * m + a // 2, b % 2 * m + b // 2)  # vertex -> index
+
+
+def _hop_counts(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """BFS hop counts of the connected graph on vertices 0..size - 1 with
+    edges a[i] -- b[i]."""
+    adj = csr_matrix((np.ones(2 * a.size), (np.r_[a, b], np.r_[b, a])), shape=(size, size))
     d = shortest_path(adj, method="D", unweighted=True)
     assert np.isfinite(d).all()
     return d.astype(np.int32)

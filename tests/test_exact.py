@@ -30,6 +30,7 @@ from reference import (
     bicirculant_distances,
     brute_force_radio_number,
     graph_of,
+    interleaved_circulant,
     recursive_exact_search,
     swap_orbit_is_everything,
 )
@@ -490,6 +491,27 @@ def test_generalized_petersen_search_matches_the_recursive_oracle():
         assert result.nodes_explored <= oracle_nodes, (n, k)
 
 
+# nodes explored proving rn(C_2m), by m
+EVEN_CYCLE_NODES = {3: 6, 4: 17, 5: 10, 6: 40, 7: 14, 8: 103, 9: 18, 10: 179, 11: 22, 12: 826}
+
+
+@pytest.mark.parametrize("m", sorted(EVEN_CYCLE_NODES))
+def test_even_cycles_match_the_published_radio_number(m):
+    # a closed form from outside this repository: the computed values match
+    # Liu and Zhu's rn(C_n) for even n = 2m (SIAM J. Discrete Math. 19, 2005),
+    # (n - 2)/2 * (floor(n/4) + 2) + 1 with labels from 0, so one more from 1
+    dist = interleaved_circulant(m, [1])
+    x = np.r_[0:2 * m:2, 1:2 * m:2]  # the cycle vertex at each index
+    gap = abs(x[:, None] - x)
+    assert (dist == np.minimum(gap, 2 * m - gap)).all()
+    g = graph_of(dist, 1)
+    result = exact_radio_number(g)
+    assert result.proven_optimal and result.rn == (m - 1) * (m // 2 + 2) + 2
+    assert result.nodes_explored <= EVEN_CYCLE_NODES[m]
+    report = verify(g, result.witness)
+    assert report.valid and report.span == result.rn
+
+
 @pytest.mark.parametrize("n,s", [(8, 3), (10, 2), (11, 2)])
 def test_table_brings_larger_instances_into_reach(n, s):
     # untabled, Z(8,3) took 958,039 nodes (1.2 s) and Z(10,2) 3.79 M (5.4 s)
@@ -540,28 +562,31 @@ def test_greedy_is_optimal_on_witness_order(monkeypatch, kind, n, s):
     assert span == result.rn
 
 
-def test_budget_is_read_by_work_done(monkeypatch):
+@pytest.mark.parametrize("loose,n,s", [(False, 600, 3), (False, 5, 1), (True, 9, 1)],
+                         ids=["Z-600-3", "Z-5-1", "greedy-seeded-Z-9-1"])
+def test_budget_is_read_at_every_node(monkeypatch, loose, n, s):
     # a clock that advances one second per read: a 3 s budget stops at the
-    # fourth check.  At 2n = 1200 a node weighs about a thousand unplaced
-    # vertices, so the checks come every few dozen nodes, not every few thousand
+    # fourth node, whatever n and the seed, after the deadline's read and four more
+    if loose:
+        monkeypatch.setattr(exact, "case_select", _no_construction)
     ticks = iter(range(10**6))
     monkeypatch.setattr(exact.time, "monotonic", lambda: next(ticks))
-    _, result = _solve(600, 3, time_budget=3)
+    _, result = _solve(n, s, time_budget=3)
     assert not result.proven_optimal
-    assert next(ticks) == 5  # the deadline's read and four checks
-    assert 3 * exact._BUDGET_CHECK_WORK // 1200 < result.nodes_explored
-    assert result.nodes_explored <= 4 * exact._BUDGET_CHECK_WORK // 600
+    assert result.nodes_explored == 4
+    assert next(ticks) == 5
 
 
 def test_a_budgeted_deep_search_is_pinned(monkeypatch):
     # a clock that advances one second per read, so the search stops at its
-    # 21st check.  The count names the search tree: a change to the tree
-    # changes it
+    # 2,001st node.  From the greedy seed the incumbent falls as the search
+    # goes, so its span names the search tree: a change to the tree changes it
+    monkeypatch.setattr(exact, "case_select", _no_construction)
     ticks = iter(range(10**6))
     monkeypatch.setattr(exact.time, "monotonic", lambda: next(ticks))
-    g, result = _solve(200, 1, time_budget=20)
+    g, result = _solve(200, 1, time_budget=2000)
     assert not result.proven_optimal
-    assert result.nodes_explored == 8743
+    assert (result.nodes_explored, result.rn) == (2001, 10_411)
     report = verify(g, result.witness)
     assert report.valid and report.span == result.rn
 

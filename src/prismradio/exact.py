@@ -27,6 +27,19 @@ order and its image under r share the placed prefix and the span, so of
 each pair of children v, r(v) only the one with the smaller index is
 expanded.
 
+The rows may also verify true twins (see ``_twin_shift``): (1, p) and
+(2, p + t) for every p, adjacent and equally far from every other vertex,
+as (1, p) and (2, p) are in Z(n, 3), the lexicographic product C_n[K_2].
+Swapping two twins is an automorphism that fixes every other vertex, so
+transposing two unplaced twins in an order leaves every forced label
+unchanged, and of two unplaced twins only the lower index (1, p) is a
+child; (1, 1), the first vertex, is the lower of its pair.  With r
+verified, the rule is applied only where r fixes (2, 1 + t), which is
+exactly where r maps each twin pair onto a twin pair.  Then, as r keeps
+each cycle, it keeps each lower twin ahead of its partner: the image of an
+order that obeys the twin rule obeys it too, so the two rules together
+still keep one order of each mirror pair.
+
 Different placed prefixes often leave the same subproblem up to an
 automorphism: unplaced vertices whose forced labels, shifted by a constant,
 match those of another prefix once the graph is rotated, its cycles swapped
@@ -45,13 +58,14 @@ labels.  So a child whose key was pushed before with a label c' <= c is
 skipped: its completions are the images of the earlier node's, shifted up
 by c - c' >= 0, and the earlier visit already explored every completion not
 strictly worse than the bound of its time.  A visit restricted by the
-mirror pairs still covers its node's whole subtree, since each skipped child
-mirrors an explored sibling.  No key can match while its first visit is still
-open: only descendants are visited meanwhile, and they have fewer unplaced
-vertices, which no automorphism changes.  Once its entries, each charged its
-key and ``_TABLE_ENTRY_BYTES``, pass ``_TABLE_BYTES``, the table is cleared,
-which only skips fewer children: a later entry still stands for a finished
-visit, or for an open one, which cannot match.  A skipped child still counts
+mirror pairs and the twins still covers its node's whole subtree, since each
+skipped child mirrors an explored sibling or is the twin of one, which has
+the same forced labels below it.  No key can match while its first visit is
+still open: only descendants are visited meanwhile, and they have fewer
+unplaced vertices, which no automorphism changes.  Once its entries, each
+charged its key and ``_TABLE_ENTRY_BYTES``, pass ``_TABLE_BYTES``, the table
+is cleared, which only skips fewer children: a later entry still stands for
+a finished visit, or for an open one, which cannot match.  A skipped child still counts
 in nodes_explored, which counts the children that pass the label cut.
 
 The search is single-threaded and deterministic: children are expanded in
@@ -138,14 +152,23 @@ def greedy_span_for_order(
     return int(labels[-1]), labels.tolist()
 
 
+def _first_roll(a: np.ndarray, b: np.ndarray, shifts) -> int | None:
+    """The least t of shifts with a == np.roll(b, t, axis=-1), or None.
+
+    Each shift is one comparison of a with a window of b doubled along its
+    last axis, np.roll(b, t, axis=-1) being doubled[..., n - t:2n - t].
+    """
+    n = a.shape[-1]
+    doubled = np.concatenate((b, b), axis=-1)
+    return next((t for t in sorted(shifts)
+                 if np.array_equal(a, doubled[..., n - t:2 * n - t])), None)
+
+
 def _least_roll(a: np.ndarray, b: np.ndarray) -> int | None:
     """The least t with a == np.roll(b, t), or None.  A t that works is
     (i - j) mod n for i = a.argmin() and some b[j] == a[i]: few, tried ascending."""
     i = int(a.argmin())
-    for t in sorted((i - j) % len(a) for j in np.nonzero(b == a[i])[0].tolist()):
-        if np.array_equal(a, np.roll(b, t)):
-            return t
-    return None
+    return _first_roll(a, b, ((i - j) % len(a) for j in np.nonzero(b == a[i])[0].tolist()))
 
 
 def _swap_shift(g: PrismGraph) -> int | None:
@@ -177,6 +200,24 @@ def _reflection(g: PrismGraph) -> list[int] | None:
     return None if k is None else np.concatenate([(-x) % n, n + (k - x) % n]).tolist()
 
 
+def _twin_shift(g: PrismGraph, refl: list[int] | None) -> int | None:
+    """The least t such that (1, 1) and (2, 1 + t) are true twins and refl,
+    if given, fixes (2, 1 + t), verified on g's two metric rows, or None.
+
+    True twins are adjacent and equally far from every other vertex, so
+    swapping them is an automorphism; with rotation, (1, p) and (2, p + t)
+    are then twins for every p.  Raised to at least 1, which sets both pair
+    entries to 1, their distances agree exactly when max(rows[0], 1) is
+    max(rows[1], 1) rolled by t; only the t with rows[0, 1, t] == 1 are
+    tried.  refl fixes (1, 1), so it maps every pair onto a pair exactly
+    when it fixes (2, 1 + t): refl[n + t] == n + t.
+    """
+    n, rows = g.n, g.rows
+    shifts = [t for t in np.nonzero(rows[0, 1] == 1)[0].tolist()
+              if refl is None or refl[n + t] == n + t]
+    return _first_roll(np.maximum(rows[0], 1), np.maximum(rows[1], 1), shifts)
+
+
 def _key_typecode(diam: int) -> str:
     """The narrowest ``array`` typecode holding every relative label 0..diam."""
     return next(t for t in "BHQ" if diam < 1 << 8 * array(t).itemsize)
@@ -185,31 +226,32 @@ def _key_typecode(diam: int) -> str:
 def _frame_key(state: array, v: int, n: int, swap: int | None,
                refl: list[int] | None) -> bytes:
     """The transposition key of a frame placed at vertex index v, whose state
-    holds the forced labels minus its own label by vertex index, 0 where placed.
+    holds the forced labels minus its own label by vertex index, 0 where placed;
+    entries past index 2n - 1 are left out.
 
     The key is the state seen from v, carried by the automorphism that takes
     v to (1, 1): when v is on cycle 2 and swap is not None, first the swap
     (1, p) -> (2, p), (2, p) -> (1, p + swap) of ``_swap_shift``, then the
     rotation by v's position.  With no swap, v on cycle 2 goes to (2, 1).
-    With refl, the reflection of ``_reflection``, the key is the lesser of
-    the carried state and its image under refl, which fixes (1, 1).  Equal
-    keys therefore mean states that are images of each other under an
-    automorphism these generate.  On Z(n, s) the converse holds as well: only
-    refl fixes (1, 1) in that group, so a state and its image, each seen from
-    its own vertex, get equal keys.
+    With refl, the reflection of ``_reflection``, the key is the lesser,
+    label by label, of the carried state and its image under refl, which
+    fixes (1, 1).  Equal keys therefore mean states that are images of each
+    other under an automorphism these generate.  On Z(n, s) the converse
+    holds as well: only refl fixes (1, 1) in that group, so a state and its
+    image, each seen from its own vertex, get equal keys.
     """
     cv, pv = divmod(v, n)
     h = n + pv
     if cv and swap is not None:
         t = (pv + swap) % n
-        key = state[h:] + state[n:h] + state[t:n] + state[:t]
+        key = state[h:2 * n] + state[n:h] + state[t:n] + state[:t]
     else:
-        key = state[pv:n] + state[:pv] + state[h:] + state[n:h]
+        key = state[pv:n] + state[:pv] + state[h:2 * n] + state[n:h]
     if refl is None:
         return key.tobytes()
     j = refl[n]  # refl's image of (2, 1): cycle 1 reverses about index 0, cycle 2 about j
     mirrored = key[:1] + key[n - 1:0:-1] + key[j:n - 1:-1] + key[:j:-1]
-    return min(key.tobytes(), mirrored.tobytes())
+    return min(key, mirrored).tobytes()
 
 
 def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> ExactResult:
@@ -244,6 +286,12 @@ def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> Exact
     swap = _swap_shift(g)
     pinned = swap is not None
     refl = _reflection(g) if pinned else None
+    # lead[u]: the vertex that must be placed before u: (1, p) for its twin
+    # (2, p + t), else the slot nv past the vertices, which every child state
+    # holds at 0, as if placed
+    lead = [nv] * nv
+    if (t := _twin_shift(g, refl)) is not None:
+        lead[n:] = [(q - t) % n for q in range(n)]
     # tails[m]: with m vertices unplaced, a child labeled c forces a span of at
     # least c + tails[m] + 1, since m - 1 more labels cost at least
     # max(m - 1, floor((m - 1) / 2) * pair_gap + (m - 1) mod 2)
@@ -254,7 +302,7 @@ def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> Exact
     # from its own vertex (``_frame_key``); room: the entries it may hold
     seen: dict[bytes, int] = {}
     typecode = _key_typecode(g.diameter)
-    no_labels = array(typecode, [0]) * nv
+    no_labels = array(typecode, [0]) * (nv + 1)
     room = _TABLE_BYTES // (nv * no_labels.itemsize + _TABLE_ENTRY_BYTES)
 
     # A frame is one node of the tree, labeled base: an iterator over its
@@ -311,7 +359,8 @@ def exact_radio_number(g: PrismGraph, time_budget: float | None = None) -> Exact
             # image under refl tie: keep only the child u <= refl[u] of each pair
             child_sym = sym and refl[v] == v
             cands = [u for u in child_rest if u <= refl[u]] if child_sym else child_rest
-            child_kids = [(x, u) for u in cands if (x := child[u]) < lim]
+            # of two unplaced twins, only the lower is a child
+            child_kids = [(x, u) for u in cands if (x := child[u]) < lim and not child[lead[u]]]
             child_kids.sort()
             stack.append((iter(child_kids), child_rest, child, c, child_sym, v))
             break

@@ -6,10 +6,12 @@ rotation-invariant rows of ``prismradio.graphs``; ``bicirculant_distances``
 does the same for other pairs of joined n-cycles, such as the generalized
 Petersen graphs.  ``swap_orbit_is_everything`` walks the orbit of (1, 1)
 under the rotation and cycle-swap maps, each checked edge by edge on the
-dense matrix, and ``triple_budget_violations`` and ``largest_triple_sum``
-sweep every triple with ``itertools.combinations``: the oracles of the
-symmetry check in ``prismradio.exact`` and of the windowed triple budget in
-``prismradio.bounds``, which both read only the two metric rows.
+dense matrix, ``true_twin_pairs`` compares the closed neighbourhoods of
+every adjacent pair, and ``triple_budget_violations`` and
+``largest_triple_sum`` sweep every triple with ``itertools.combinations``:
+the oracles of the symmetry and twin checks in ``prismradio.exact`` and of
+the windowed triple budget in ``prismradio.bounds``, which all read only the
+two metric rows.
 ``standard_route`` writes the paper's standard cycle vertex by vertex, the
 oracle of the selftest's index array.  ``pair_gap_every_triple``
 takes the consecutive-triple bound over every middle vertex and unordered
@@ -110,6 +112,15 @@ def swap_orbit_is_everything(dist: np.ndarray) -> bool:
         if grown == orbit:
             return len(orbit) == 2 * n
         orbit = grown
+
+
+def true_twin_pairs(dist: np.ndarray) -> set:
+    """Every pair (i, j), i < j, of adjacent vertices with the same closed
+    neighbourhood in the graph with hop counts ``dist``, read off the dense
+    adjacency one row pair at a time."""
+    closed = (dist == 1) | np.eye(len(dist), dtype=bool)
+    return {(i, j) for i, j in combinations(range(len(dist)), 2)
+            if dist[i, j] == 1 and (closed[i] == closed[j]).all()}
 
 
 def _budget_triples(dist: np.ndarray, s: int):

@@ -24,6 +24,7 @@ from prismradio.exact import (
     _least_roll,
     _reflection,
     _swap_shift,
+    _twin_shift,
 )
 from reference import (
     all_pairs_distances,
@@ -33,6 +34,7 @@ from reference import (
     interleaved_circulant,
     recursive_exact_search,
     swap_orbit_is_everything,
+    true_twin_pairs,
 )
 
 
@@ -240,8 +242,11 @@ def test_root_symmetries_compare_only_the_aligned_shifts(monkeypatch):
         return array_equal(a, b)
 
     monkeypatch.setattr(np, "array_equal", counting)
-    assert _swap_shift(g) is not None and _reflection(g) is not None
+    assert _swap_shift(g) is not None and (refl := _reflection(g)) is not None
     assert len(compared) <= 1 + 2 * s
+    compared.clear()
+    assert _twin_shift(g, refl) is None
+    assert len(compared) <= s  # at most one per neighbour of (1, 1) on cycle 2
 
 
 def test_greedy_rejects_non_permutation():
@@ -304,7 +309,7 @@ def test_greedy_never_beats_rn_on_z41(order):
     assert span >= 11
 
 
-@pytest.mark.parametrize("n,s,untabled_nodes", [(5, 3, 1047), (6, 2, 18119)])
+@pytest.mark.parametrize("n,s,untabled_nodes", [(5, 3, 80), (6, 2, 18119)])
 def test_search_without_table_explores_the_untabled_tree(monkeypatch, n, s, untabled_nodes):
     # with no room for entries the search is the one before the table
     monkeypatch.setattr(exact, "_TABLE_BYTES", 0)
@@ -325,17 +330,17 @@ def test_a_tiny_table_keeps_the_answer(monkeypatch, n, s):
 
 
 def test_a_full_table_is_cleared_not_frozen(monkeypatch):
-    # a table that stops taking entries at this cap explores 105,847 nodes;
-    # uncapped, the table never holds more than 128 KB on this graph
-    monkeypatch.setattr(exact, "_TABLE_BYTES", 24 << 10)
-    g, result = _solve(8, 3)
-    assert result.proven_optimal and result.rn == 30
-    assert result.nodes_explored < 85_000
+    # a table that stops taking entries at this cap explores 6,768 nodes and
+    # one that is cleared 3,730; uncapped, the search explores 177
+    monkeypatch.setattr(exact, "_TABLE_BYTES", 1 << 10)
+    g, result = _solve(7, 2)
+    assert result.proven_optimal and result.rn == 26
+    assert result.nodes_explored < 5_000
     assert verify(g, result.witness).valid
 
 
 # nodes explored from the greedy seed, with the construction withheld
-LOOSE_SEED_NODES = {(8, 2): 641, (9, 1): 10_074, (7, 3): 4709}
+LOOSE_SEED_NODES = {(8, 2): 641, (9, 1): 10_074, (7, 3): 491}
 
 
 def _no_construction(n, s):
@@ -514,7 +519,7 @@ def test_even_cycles_match_the_published_radio_number(m):
 
 @pytest.mark.parametrize("n,s", [(8, 3), (10, 2), (11, 2)])
 def test_table_brings_larger_instances_into_reach(n, s):
-    # untabled, Z(8,3) took 958,039 nodes (1.2 s) and Z(10,2) 3.79 M (5.4 s)
+    # untabled, Z(10,2) takes 3.79 M nodes (5.4 s) and Z(8,3) 8,148
     g, result = _solve(n, s)
     assert result.proven_optimal and result.rn == radio_number(n, s)[0]
     assert verify(g, result.witness).valid
@@ -523,9 +528,9 @@ def test_table_brings_larger_instances_into_reach(n, s):
 # rn and nodes explored on the instances of the prove benchmark workload: a
 # change that adds work to the search raises one of these counts
 PROVE_RN_NODES = {
-    (3, 1): (6, 6), (3, 2): (8, 8), (3, 3): (6, 47), (4, 1): (11, 14), (4, 2): (8, 40),
-    (4, 3): (9, 72), (5, 1): (14, 118), (5, 2): (14, 29), (5, 3): (10, 235),
-    (6, 1): (22, 85), (6, 2): (17, 876), (6, 3): (17, 247), (7, 1): (20, 25),
+    (3, 1): (6, 6), (3, 2): (8, 8), (3, 3): (6, 21), (4, 1): (11, 14), (4, 2): (8, 40),
+    (4, 3): (9, 23), (5, 1): (14, 118), (5, 2): (14, 29), (5, 3): (10, 46),
+    (6, 1): (22, 85), (6, 2): (17, 876), (6, 3): (17, 33), (7, 1): (20, 25),
     (7, 2): (26, 177), (8, 1): (30, 141), (8, 2): (23, 168), (9, 1): (34, 4124),
     (9, 2): (34, 230),
 }
@@ -537,6 +542,57 @@ def test_search_effort_is_pinned(n, s):
     _, result = _solve(n, s)
     assert result.proven_optimal and result.rn == rn
     assert result.nodes_explored <= nodes
+
+
+# nodes explored proving rn(Z(n, 3)): the twins (1, p), (2, p) cut each tree
+# 5 to 100 times; Z(19,3), which takes 602,726 nodes, is left out
+Z3_NODES = {7: 418, 8: 147, 9: 18, 10: 81, 11: 4484, 12: 629, 13: 26, 14: 244,
+            15: 53_601, 16: 3297, 17: 34, 18: 692, 20: 17_672}
+
+
+@pytest.mark.parametrize("n", sorted(Z3_NODES))
+def test_twins_bring_larger_z3_into_reach(n):
+    g, result = _solve(n, 3)
+    assert result.proven_optimal and result.rn == radio_number(n, 3)[0]
+    assert result.nodes_explored <= Z3_NODES[n]
+    report = verify(g, result.witness)
+    assert report.valid and report.span == result.rn
+
+
+def test_twins_on_the_rows_match_the_closed_neighbourhood_oracle():
+    for n in range(3, 13):
+        for s in range(1, min(n, 3) + 1):
+            g, pairs = build_graph(n, s), true_twin_pairs(all_pairs_distances(n, s))
+            cross = sorted(j - n for i, j in pairs if i == 0 and j >= n)  # (2, 1 + t)
+            refl = _reflection(g)
+            kept = [t for t in cross if refl[n + t] == n + t]
+            assert _twin_shift(g, None) == (cross[0] if cross else None), (n, s)
+            t = _twin_shift(g, refl)
+            assert t == (kept[0] if kept else None), (n, s)
+            if t is not None:  # rotation makes (1, p), (2, p + t) twins for every p
+                assert {(p, n + (p + t) % n) for p in range(n)} <= pairs
+            assert bool(kept) == (s == 3), (n, s)  # Z(n, 3) is C_n[K_2]
+
+
+def test_twins_need_a_reflection_that_maps_pairs_to_pairs():
+    # with the map (1, p) -> (1, -p), (2, p) -> (2, k - p) for k = 1, which
+    # fixes (2, 1 + t) only where 2t = 1 mod n: every t of K_6 = Z(3,3) is a
+    # twin shift and t = 2 is kept; Z(5,3) has only t = 0, which is dropped
+    for n, expected in [(3, 2), (5, None)]:
+        p = np.arange(n)
+        refl = np.r_[(-p) % n, n + (1 - p) % n].tolist()
+        assert _twin_shift(build_graph(n, 3), refl) == expected
+
+
+def test_no_twins_where_the_oracle_finds_none():
+    # the rule is inert on the generalized Petersen graphs, the other
+    # bicirculants and the even cycles: their search trees are unchanged
+    for dist in ([bicirculant_distances(n, k, (0,)) for n, k in [*GP_RN, (7, 3), (6, 2)]]
+                 + [bicirculant_distances(n, step, offsets)
+                    for n, step, offsets, _ in OTHER_BICIRCULANTS]
+                 + [interleaved_circulant(m, [1]) for m in EVEN_CYCLE_NODES]):
+        assert true_twin_pairs(dist) == set()
+        assert _twin_shift(graph_of(dist, 1), None) is None
 
 
 # the prove instances; the loose-seed trio, searched from the greedy seed; and
